@@ -8,6 +8,9 @@ invariants of the Grassmannian Gr(m, n).
 
 Layout:
 
+- ``partitions`` -- integer partitions as tuples: validation, containment,
+                    dominance, enumeration, and the termination order of
+                    the expansion recursion.
 - ``affine``     -- the affine symmetric group: windows, words, lengths,
                     cyclically decreasing elements, canonical decompositions.
 - ``cylindric``  -- cylindric shapes and tableaux, the box-adding action,
@@ -20,6 +23,9 @@ Layout:
                     cylindric wrapper and Gromov-Witten lookup.
 - ``nilcoxeter`` -- the affine nilCoxeter algebra and machine checks of the
                     algebraic identities used by the expansion.
+- ``verify``     -- property suites at configurable scale, shared by the
+                    CLI and the acceptance tests.
+- ``memo``       -- the registry of memo tables and ``clear_caches``.
 - ``cli``        -- command-line front end.
 """
 

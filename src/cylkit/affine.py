@@ -20,14 +20,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
+from cylkit import memo
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.partitions import Partition, check_partition
 
 Word = tuple[int, ...]
 
-# Memo tables are module-level and keyed by immutable tuples; CPython dict
-# get/setdefault are atomic, which is all the concurrency we promise.
-_REDUCED_WORDS_MEMO: dict[tuple[int, Word], tuple[Word, ...]] = {}
+_REDUCED_WORDS_MEMO: dict[tuple[int, Word], tuple[Word, ...]] = memo.table()
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,6 @@ class AffinePermutation:
     def right_descents(self) -> frozenset[int]:
         return frozenset(i for i in range(self.n) if self.has_right_descent(i))
 
-    def left_descents(self) -> frozenset[int]:
-        return self.inverse().right_descents()
-
     def reduced_word(self) -> Word:
         """One canonical reduced word (greedy smallest right descent)."""
         w, letters = self, []
@@ -207,30 +203,6 @@ def word_from_json(obj: dict) -> tuple[int, Word]:
     if not all(0 <= i < n for i in letters):
         raise InvalidInputError(f"letters must lie in 0..{n - 1}: {letters}")
     return n, letters
-
-
-# -- module-level operation names ------------------------------------------
-
-
-def word_to_permutation(n: int, letters: Sequence[int]) -> AffinePermutation:
-    """Evaluate a generator word; total (never fails on valid letters)."""
-    return AffinePermutation.from_word(n, letters)
-
-
-def length(w: AffinePermutation) -> int:
-    return w.length
-
-
-def multiply(u: AffinePermutation, v: AffinePermutation) -> AffinePermutation:
-    return u * v
-
-
-def lengths_add(*factors: AffinePermutation) -> bool:
-    """True iff the product of ``factors`` is length-additive."""
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    return prod.length == sum(f.length for f in factors)
 
 
 def enumerate_reduced_words(w: AffinePermutation, cap: int) -> tuple[Word, ...]:
@@ -340,11 +312,6 @@ class CyclicSet:
 
     def reversed(self) -> "CyclicSet":
         return CyclicSet(self.n, self.members, not self.decreasing)
-
-
-def cyclic_element(J: CyclicSet) -> AffinePermutation:
-    """``d_J`` or ``u_J``; length ``|J|``."""
-    return J.element()
 
 
 def interval_set(n: int, lo: int, hi: int, decreasing: bool = True) -> CyclicSet:

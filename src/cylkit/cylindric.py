@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
     Word,
@@ -33,8 +34,8 @@ from cylkit.errors import CapExceededError, InvalidInputError, ShapeError
 from cylkit.partitions import Partition, check_partition, fits_box, part
 from cylkit.symfunc import SymmetricPolynomial
 
-_CHAIN_MEMO: dict = {}
-_IN_A_MEMO: dict = {}
+_CHAIN_MEMO: dict = memo.table()
+_IN_A_MEMO: dict = memo.table()
 
 DEFAULT_TABLEAU_CAP = 16
 
@@ -110,23 +111,6 @@ class PeriodicSequence:
         grown[j - 1] += 1
         return PeriodicSequence(self.ctype, tuple(grown))
 
-    def remove_box(self, i: int) -> "PeriodicSequence | None":
-        """Detach the box on diagonal ``i`` when one is removable."""
-        m, n = self.ctype.m, self.ctype.n
-        i = i % n
-        spots = [j for j in range(1, m + 1)
-                 if (self.base[j - 1] - 1 + j - m) % n == i]
-        if len(spots) > 1:
-            raise AssertionError(f"diagonal {i} not unique on {self}")
-        if not spots:
-            return None
-        j = spots[0]
-        if not self.base[j - 1] > self._ext(j - 1):
-            return None
-        shrunk = list(self.base)
-        shrunk[j - 1] -= 1
-        return PeriodicSequence(self.ctype, tuple(shrunk))
-
     def apply_word(self, word: Word) -> "PeriodicSequence | None":
         """Act by ``A_w`` for the given reduced word (letters right to left)."""
         cur = self
@@ -141,9 +125,6 @@ class PeriodicSequence:
     def contains(self, other: "PeriodicSequence") -> bool:
         """Ideal containment: every row bound of ``other`` is below ours."""
         return all(o <= s for s, o in zip(self.rows(), other.rows()))
-
-    def shift_values(self, c: int) -> "PeriodicSequence":
-        return PeriodicSequence(self.ctype, tuple(a + c for a in self.base))
 
     def shift_rows(self, s: int) -> "PeriodicSequence":
         """Reanchor: new row bounds ``R'_p = R_{p+s} - s``."""
@@ -184,11 +165,6 @@ class PeriodicSequence:
 
 def empty_boundary(ctype: CylType) -> PeriodicSequence:
     return PeriodicSequence(ctype, (0,) * ctype.m)
-
-
-def add_box(seq: PeriodicSequence, i: int) -> PeriodicSequence | None:
-    """The generator action on boundaries; None is the zero outcome."""
-    return seq.add_box(i)
 
 
 # -- shapes -------------------------------------------------------------------
@@ -254,17 +230,6 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
 def shape_from_general(ctype: CylType, lam, r: int, mu, s: int) -> CylindricShape:
     """Normalize ``lam[r]/mu[s]`` to inner offset zero (shift both by -s)."""
     return shape_new(ctype, lam, r - s, mu)
-
-
-def shape_from_boundaries(inner: PeriodicSequence,
-                          outer: PeriodicSequence) -> CylindricShape:
-    """Normalized shape for a nested pair of boundaries."""
-    mu, s = inner.to_shape()
-    if s != 0:
-        inner, outer = inner.shift_rows(s), outer.shift_rows(s)
-        mu, s = inner.to_shape()
-    lam, d = outer.to_shape()
-    return shape_new(inner.ctype, lam, d, mu)
 
 
 def cell_count(shape: CylindricShape) -> int:
@@ -436,13 +401,13 @@ def boundary_word(inner: PeriodicSequence,
 
 def in_A(w: AffinePermutation, ctype: CylType) -> bool:
     """Basis membership: 321-avoiding with ``maxc <= m`` and ``maxr <= n-m``."""
-    key = (w.n, w.window, ctype.m)
-    hit = _IN_A_MEMO.get(key)
-    if hit is not None:
-        return hit
     m, n = ctype.m, ctype.n
     if w.n != n:
         raise InvalidInputError(f"period mismatch: {w.n} vs {n}")
+    key = (n, w.window, m)
+    hit = _IN_A_MEMO.get(key)
+    if hit is not None:
+        return hit
     ok = (is_321_avoiding(w)
           and len(max_cyclic_factor(w, "right", "increasing").members) <= m
           and len(max_cyclic_factor(w, "right", "decreasing").members) <= n - m)

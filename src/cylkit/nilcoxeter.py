@@ -130,10 +130,6 @@ class NilCoxeterElement:
                                    key=lambda t: (t[0].length, t[0].window))]
 
 
-def nc_multiply(a: NilCoxeterElement, b: NilCoxeterElement) -> NilCoxeterElement:
-    return a * b
-
-
 def hh(i: int, n: int) -> NilCoxeterElement:
     """``sum A_{d_J}`` over ``|J| = i``; the unit for i = 0, zero for i < 0."""
     if i >= n:

@@ -2,8 +2,8 @@
 
 A partition is a weakly decreasing tuple of positive integers; ``()`` is the
 empty partition.  Functions here are the shared bottom layer: validation,
-containment, dominance, enumeration, and the total order used to schedule
-the expansion recursion.
+containment, dominance, enumeration, and the total order in which the
+expansion recursion terminates.
 """
 
 from __future__ import annotations
@@ -28,32 +28,9 @@ def check_partition(parts: tuple[int, ...]) -> Partition:
     return tuple(parts)
 
 
-def from_sequence(seq) -> Partition:
-    """Coerce a weakly decreasing sequence with possible trailing zeros."""
-    parts = tuple(int(p) for p in seq)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return check_partition(parts)
-
-
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def part(lam: Partition, i: int) -> int:
     """The i-th part (1-indexed), zero beyond the length."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0
-
-
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the diagram.
-
-    >>> conjugate((3, 1))
-    (2, 1, 1)
-    """
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
 def contains(lam: Partition, mu: Partition) -> bool:
@@ -82,28 +59,26 @@ def dominance_le(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def expansion_order_less(mu: Partition, nu: Partition) -> bool:
-    """The total order scheduling the expansion recursion: ``mu < nu``.
+def schedule_less(sigma: Partition, lam: Partition) -> bool:
+    """The well-founded order the expansion recursion descends: ``sigma < lam``.
 
-    Smaller size first; for equal sizes, reverse colexicographic: there is an
-    index ``a`` with ``mu_a > nu_a`` and ``mu_b == nu_b`` for all ``b > a``
-    (parts beyond the length read 0).
+    Smaller size first; at equal sizes, lexicographically *larger* shapes
+    are closer to done.  Negative branches replace the tail shape by a
+    strictly lex-larger one of the same size (the canonical decomposition is
+    lex-maximal among all decompositions, and the freshly prepended block
+    realizes the old shape), so every branch strictly decreases this order;
+    the recursion asserts it on every branch.
 
-    >>> expansion_order_less((), (1,))
+    >>> schedule_less((), (1,))
     True
-    >>> expansion_order_less((1, 1), (2,))
+    >>> schedule_less((2,), (1, 1))
     True
-    >>> expansion_order_less((2, 1), (2, 1))
+    >>> schedule_less((2, 1), (2, 1))
     False
     """
-    if sum(mu) != sum(nu):
-        return sum(mu) < sum(nu)
-    width = max(len(mu), len(nu))
-    for a in range(width, 0, -1):
-        pm, pn = part(mu, a), part(nu, a)
-        if pm != pn:
-            return pm > pn
-    return False
+    if sum(sigma) != sum(lam):
+        return sum(sigma) < sum(lam)
+    return sigma > lam
 
 
 def partitions_of(total: int, max_part: int | None = None,

@@ -10,8 +10,10 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
                                                     J != J0 in the second sum)
 
 Every element on the right carries a strictly smaller tail shape in the
-scheduling order, so the signed recursion terminates with the coefficients
-of the affine Schur functions; positivity of the final table is asserted,
+termination order :func:`cylkit.partitions.schedule_less` (smaller size
+first, then lexicographically larger first), which the recursion asserts on
+every branch, so the signed recursion terminates with the coefficients of
+the affine Schur functions; positivity of the final table is asserted,
 not assumed.  A brute-force oracle (exact linear solve of monomial
 expansions against the Grassmannian basis) certifies the same expansion
 independently.
@@ -31,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
@@ -38,6 +41,7 @@ from cylkit.affine import (
     grassmannians_of_length,
     interval_set,
     letter_multiplicities,
+    proper_subsets,
     rotate,
     shape_of,
 )
@@ -60,24 +64,17 @@ from cylkit.errors import (
     PositivityError,
     SolveError,
 )
-from cylkit.partitions import Partition, expansion_order_less
+from cylkit.partitions import Partition, schedule_less
 from cylkit.symfunc import SymmetricPolynomial, expand_in_schur
 
 DEFAULT_EXPAND_CAP = 40
 DEFAULT_STANLEY_CAP = 14
 DEFAULT_ORACLE_CAP = 9
 
-_STANLEY_MEMO: dict = {}
-_EXPAND_MEMO: dict = {}
-_TOP_MEMO: dict = {}
-_CYCLIC_ELEMENT_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _STANLEY_MEMO.clear()
-    _EXPAND_MEMO.clear()
-    _TOP_MEMO.clear()
-    _CYCLIC_ELEMENT_CACHE.clear()
+_STANLEY_MEMO: dict = memo.table()
+_EXPAND_MEMO: dict = memo.table()
+_TOP_MEMO: dict = memo.table()
+_CYCLIC_ELEMENT_CACHE: dict = memo.table()
 
 
 def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutation:
@@ -87,11 +84,6 @@ def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutat
         hit = _CYCLIC_ELEMENT_CACHE.setdefault(
             key, CyclicSet(n, members, decreasing).element())
     return hit
-
-
-def _subsets(n: int, size: int):
-    for combo in itertools.combinations(range(n), size):
-        yield frozenset(combo)
 
 
 # -- monomial expansion --------------------------------------------------------
@@ -118,7 +110,7 @@ def stanley_monomials(w: AffinePermutation, nvars: int,
             return _STANLEY_MEMO.setdefault(key, out)
         out: dict = {}
         for size in range(min(n - 1, u.length) + 1):
-            for members in _subsets(n, size):
+            for members in proper_subsets(n, size):
                 rest = _cyclic(n, members, False) * u
                 if rest.length != u.length - size:
                     continue
@@ -256,33 +248,6 @@ def grassmannianize_321(w: AffinePermutation,
 # -- the expansion -------------------------------------------------------------
 
 
-partition_less = expansion_order_less
-
-
-def _schedule_less(sigma: Partition, lam: Partition) -> bool:
-    """The well-founded metric the recursion actually descends.
-
-    Smaller size first; at equal sizes, lexicographically *larger* shapes
-    are closer to done.  Negative branches replace the tail shape by a
-    strictly lex-larger one of the same size (the canonical decomposition is
-    lex-maximal among all decompositions, and the freshly prepended block
-    realizes the old shape), so every branch strictly decreases this metric.
-    """
-    if sum(sigma) != sum(lam):
-        return sum(sigma) < sum(lam)
-    return sigma > lam
-
-
-@dataclass(frozen=True)
-class SignedWorkItem:
-    """One branch of the recursion: expand ``w`` with the given signed
-    weight, knowing ``tail`` completes it to a 0-Grassmannian element."""
-
-    w: AffinePermutation
-    sign: int
-    tail: Partition
-
-
 @dataclass(frozen=True, eq=False)
 class AffineSchurExpansion:
     """Integer coefficients on 0-Grassmannian keys."""
@@ -323,13 +288,15 @@ class AffineSchurExpansion:
 
 
 def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
-                        ) -> tuple[list[AffinePermutation], list[AffinePermutation]]:
+                        ) -> tuple[list[AffinePermutation],
+                                   list[tuple[frozenset[int], AffinePermutation]]]:
     """The two branch families for peeling a tail block of ``part_size`` at
     1-based ``part_index``:  with ``w' = w * d_J0``,
 
     ``B_plus  = { u_J w' }``  and  ``B_minus = { w' u_J : J != J0 }``
 
-    over ``|J| = part_size`` with lengths dropping by ``part_size``.
+    over ``|J| = part_size`` with lengths dropping by ``part_size``.  Each
+    minus branch comes as the pair ``(J, w' u_J)``.
     """
     n = w.n
     if not 1 <= part_size <= n - 1 or part_index < 1:
@@ -339,7 +306,7 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     if wprime.length != w.length + part_size:
         raise InvalidInputError("tail block is not length-additive")
     b_plus, b_minus = [], []
-    for members in _subsets(n, part_size):
+    for members in proper_subsets(n, part_size):
         u_j = _cyclic(n, members, False)
         x = u_j * wprime
         if x.length == wprime.length - part_size:
@@ -347,7 +314,7 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
         if members != J0.members:
             y = wprime * u_j
             if y.length == wprime.length - part_size:
-                b_minus.append(y)
+                b_minus.append((members, y))
     return b_plus, b_minus
 
 
@@ -363,36 +330,24 @@ def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
             raise AssertionError(f"base case is not Grassmannian: {u}")
         return _EXPAND_MEMO.setdefault(key, {u: 1})
 
-    part_size, part_index = tail[-1], len(tail)
-    J0 = interval_set(n, -part_index + 1, part_size - part_index, True)
-    wprime = u * J0.element()
-    if wprime.length != u.length + part_size:
-        raise AssertionError("canonical tail block stopped being additive")
+    b_plus, b_minus = dual_pieri_branches(u, tail[-1], len(tail))
     head = tail[:-1]
     vprime = grassmannian_from_kbounded(n, head)
-
-    items: list[SignedWorkItem] = []
-    for members in _subsets(n, part_size):
-        u_j = _cyclic(n, members, False)
-        x = u_j * wprime
-        if x.length == wprime.length - part_size:
-            items.append(SignedWorkItem(x, +1, head))
-        if members != J0.members:
-            y = wprime * u_j
-            if y.length == wprime.length - part_size:
-                new_tail_elem = _cyclic(n, members, True) * vprime
-                if new_tail_elem.length != part_size + vprime.length:
-                    raise AssertionError("negative-branch tail not additive")
-                if not new_tail_elem.is_grassmannian(0):
-                    raise AssertionError("negative-branch tail not Grassmannian")
-                items.append(SignedWorkItem(y, -1, shape_of(new_tail_elem)))
+    branches = [(x, +1, head) for x in b_plus]
+    for members, y in b_minus:
+        new_tail_elem = _cyclic(n, members, True) * vprime
+        if new_tail_elem.length != tail[-1] + vprime.length:
+            raise AssertionError("negative-branch tail not additive")
+        if not new_tail_elem.is_grassmannian(0):
+            raise AssertionError("negative-branch tail not Grassmannian")
+        branches.append((y, -1, shape_of(new_tail_elem)))
 
     out: Counter = Counter()
-    for item in items:
-        if not _schedule_less(item.tail, tail):
+    for x, sign, sub_tail in branches:
+        if not schedule_less(sub_tail, tail):
             raise AssertionError("termination metric did not decrease")
-        for key2, c in _expand_state(n, item.w, item.tail).items():
-            out[key2] += item.sign * c
+        for key2, c in _expand_state(n, x, sub_tail).items():
+            out[key2] += sign * c
     result = {k: c for k, c in out.items() if c}
     return _EXPAND_MEMO.setdefault(key, result)
 

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
+from cylkit import memo
 from cylkit.errors import GradingError, InvalidInputError, SolveError
 from cylkit.partitions import (
     Partition,
@@ -24,12 +25,11 @@ from cylkit.partitions import (
     contains,
     dominance_le,
     part,
-    partitions_of,
 )
 
 WeightTable = dict[tuple[int, ...], int]
 
-_SKEW_CHAIN_MEMO: dict = {}
+_SKEW_CHAIN_MEMO: dict = memo.table()
 
 
 def _orbit_size(lam: Partition, nvars: int) -> int:
@@ -142,24 +142,7 @@ class SymmetricPolynomial:
         return f"SymmetricPolynomial(N={self.nvars}, deg={self.degree}: {terms})"
 
 
-def mono_add(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPolynomial:
-    return p + q
-
-
-def mono_sub(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPolynomial:
-    return p - q
-
-
-def mono_scale(c: int, p: SymmetricPolynomial) -> SymmetricPolynomial:
-    return c * p
-
-
 # -- Schur polynomials via horizontal-strip chains ---------------------------
-
-
-def _is_horizontal_strip_step(cur: Partition, nxt: Partition) -> bool:
-    return (contains(nxt, cur)
-            and all(part(nxt, i + 1) <= part(cur, i) for i in range(1, len(nxt) + 1)))
 
 
 def _strip_extensions(cur: Partition, lam: Partition):
@@ -277,8 +260,3 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     nvars = max(1, sum(nu))
     expansion = expand_in_schur(skew_schur_poly(lam, mu, nvars))
     return expansion.get(nu, 0)
-
-
-def schur_basis_of_degree(degree: int, nvars: int) -> list[Partition]:
-    """Partitions indexing the Schur polynomials of a graded piece."""
-    return [lam for lam in partitions_of(degree, max_len=nvars)]

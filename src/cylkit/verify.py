@@ -117,7 +117,7 @@ def suite_example2() -> SuiteResult:
     b_plus, b_minus = dual_pieri_branches(w, 1, 2)
     check("B+", {x.window for x in b_plus}
           == {_w(6, d).window for d in ("541052", "341052", "354052")})
-    check("B-", {x.window for x in b_minus} == {_w(6, "354105").window})
+    check("B-", {y.window for _, y in b_minus} == {_w(6, "354105").window})
 
     check("F_541052 = s_(3,3,2)/(2)",
           stanley_monomials(_w(6, "541052"), 6)

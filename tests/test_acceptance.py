@@ -9,7 +9,8 @@ import time
 import pytest
 
 from cylkit.affine import AffinePermutation
-from cylkit.stanley import clear_caches, expand_affine_schur
+from cylkit.memo import clear_caches
+from cylkit.stanley import expand_affine_schur
 from cylkit.verify import (
     suite_dual_pieri,
     suite_example2,

@@ -6,7 +6,6 @@ import pytest
 from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
-    cyclic_element,
     elements_by_length,
     enumerate_reduced_words,
     grassmannian_from_kbounded,
@@ -19,7 +18,6 @@ from cylkit.affine import (
     proper_subsets,
     rotate,
     shape_of,
-    word_to_permutation,
 )
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.partitions import partitions_of
@@ -38,7 +36,7 @@ def W(n, *letters):
 
 class TestWindows:
     def test_identity_window(self):
-        assert word_to_permutation(6, []).window == (1, 2, 3, 4, 5, 6)
+        assert AffinePermutation.from_word(6, []).window == (1, 2, 3, 4, 5, 6)
 
     def test_window_invariants_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -54,7 +52,7 @@ class TestWindows:
     def test_word_matches_cyclic_element(self):
         # d_J = s_4 s_1 s_0 s_6 for J = {0,1,4,6} in period 7
         J = CyclicSet(7, frozenset({0, 1, 4, 6}), decreasing=True)
-        assert word_to_permutation(7, [4, 1, 0, 6]) == J.element()
+        assert AffinePermutation.from_word(7, [4, 1, 0, 6]) == J.element()
 
     def test_worked_length_six_word(self):
         w = W(6, 5, 3, 1, 4, 2, 0)
@@ -222,7 +220,7 @@ class TestCyclicElements:
     def test_singleton(self):
         for decreasing in (True, False):
             J = CyclicSet(6, frozenset({0}), decreasing)
-            assert cyclic_element(J) == W(6, 0)
+            assert J.element() == W(6, 0)
 
     def test_full_set_rejected(self):
         with pytest.raises(InvalidInputError):

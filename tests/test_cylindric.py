@@ -9,7 +9,6 @@ from cylkit.cylindric import (
     CylType,
     CylindricShape,
     PeriodicSequence,
-    add_box,
     cell_count,
     cylindric_schur_poly,
     cylindric_tableaux,
@@ -116,11 +115,11 @@ class TestBoundaries:
 
 class TestAddBox:
     def test_empty_diag0(self):
-        grown = add_box(empty_boundary(T36), 0)
+        grown = empty_boundary(T36).add_box(0)
         assert grown is not None and grown.to_shape() == ((1,), 0)
 
     def test_empty_diag1_vanishes(self):
-        assert add_box(empty_boundary(T36), 1) is None
+        assert empty_boundary(T36).add_box(1) is None
 
     def test_example2_word_application(self):
         inner = PeriodicSequence.from_partition(T36, (2, 1), 0)
@@ -349,6 +348,12 @@ class TestInA:
 
     def test_braid_fails(self):
         assert not in_A(W(6, 0, 1, 0), T36)
+
+    def test_period_mismatch_after_cached_answer(self):
+        w = W(4, 1, 0)
+        assert in_A(w, T24)
+        with pytest.raises(InvalidInputError, match="period mismatch"):
+            in_A(w, CylType(2, 5))
 
 
 class TestWeakOrderContainment:
