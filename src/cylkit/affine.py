@@ -334,26 +334,51 @@ def max_cyclic_factor(w: AffinePermutation, side: str = "right",
     For ``side="right", direction="decreasing"`` this is the ``J`` with
     ``w = v * d_J`` length-additively that contains every other valid ``J'``;
     its size is ``maxr(w)``.  ``side="right", direction="increasing"`` gives
-    ``maxc(w)``.  Computed by exhaustive search over proper subsets (desk
-    scale: at most ``2^n`` candidates), which also verifies uniqueness of the
-    maximum.
+    ``maxc(w)``.
+
+    Window criterion, O(n^2): the intervals of ``J`` act on disjoint
+    positions, so ``J`` is valid iff each of its maximal cyclic intervals
+    ``[p, q]`` is, and the maximal ``J`` is the union of all valid
+    intervals.  Peeling ``d_{[p,q]}`` off the right is length-additive iff
+    ``w(p) > w(j)`` for ``j = p+1, ..., q+1``; peeling ``u_{[p,q]}`` iff
+    ``w(j) > w(q+1)`` for ``j = q, q-1, ..., p``.  So each generator's
+    longest interval is found by one walk along the window.  The left
+    factors are the right factors of ``w^-1`` in the other direction, since
+    ``(d_J)^-1 == u_J``.
+
+    >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
+    >>> sorted(max_cyclic_factor(w).members)
+    [0, 1]
+    >>> sorted(max_cyclic_factor(w, "right", "increasing").members)
+    [0]
+    >>> sorted(max_cyclic_factor(w, "left", "decreasing").members)
+    [0, 1]
     """
     if side not in ("right", "left") or direction not in ("decreasing", "increasing"):
         raise InvalidInputError(f"bad side/direction: {side}/{direction}")
     decreasing = direction == "decreasing"
-    n, lw = w.n, w.length
-    valid: list[frozenset[int]] = []
-    for sz in range(min(n - 1, lw) + 1):
-        for members in proper_subsets(n, sz):
-            cs = CyclicSet(n, members, decreasing)
-            inv = cs.reversed().element()  # (d_J)^-1 == u_J and vice versa
-            quotient = w * inv if side == "right" else inv * w
-            if quotient.length == lw - sz:
-                valid.append(members)
-    best = max(valid, key=len)
-    if any(not members <= best for members in valid):
-        raise AssertionError(f"maximal cyclic factor not unique for {w}")
-    return CyclicSet(n, best, decreasing)
+    if side == "left":
+        w, decreasing = w.inverse(), not decreasing
+    n, win = w.n, w.window
+    # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
+    # stops within one period, as w(i + n) = w(i) + n.
+    ext = [v - n for v in win] + list(win) + [v + n for v in win]
+    members: set[int] = set()
+    for p in range(n):
+        k = p + n - 1
+        if decreasing:
+            # d_{[p,q]}: the value w(p) moves right past w(p+1), ..., w(q+1)
+            top, j = ext[k], k + 1
+            while ext[j] < top:
+                j += 1
+            members.update((p + t) % n for t in range(j - k - 1))
+        else:
+            # u_{[i,p]}: the value w(p+1) moves left past w(p), ..., w(i)
+            bottom, j = ext[k + 1], k
+            while ext[j] > bottom:
+                j -= 1
+            members.update((p - t) % n for t in range(k - j))
+    return CyclicSet(n, frozenset(members), direction == "decreasing")
 
 
 def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:

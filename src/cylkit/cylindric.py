@@ -126,12 +126,6 @@ class PeriodicSequence:
         """Ideal containment: every row bound of ``other`` is below ours."""
         return all(o <= s for s, o in zip(self.rows(), other.rows()))
 
-    def shift_rows(self, s: int) -> "PeriodicSequence":
-        """Reanchor: new row bounds ``R'_p = R_{p+s} - s``."""
-        return PeriodicSequence.from_rows(
-            self.ctype,
-            tuple(self.row_bound(p + s) - s for p in range(1, self.ctype.m + 1)))
-
     def to_shape(self) -> tuple[Partition, int]:
         """The unique ``(lam, d)`` with this boundary equal to ``lam[d]``.
 
@@ -225,11 +219,6 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     if not outer.contains(inner):
         raise ShapeError(f"containment fails: {mu}[0] is not inside {lam}[{d}]")
     return CylindricShape(ctype, lam, d, mu)
-
-
-def shape_from_general(ctype: CylType, lam, r: int, mu, s: int) -> CylindricShape:
-    """Normalize ``lam[r]/mu[s]`` to inner offset zero (shift both by -s)."""
-    return shape_new(ctype, lam, r - s, mu)
 
 
 def cell_count(shape: CylindricShape) -> int:

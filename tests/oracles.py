@@ -2,7 +2,7 @@
 
 Each function here recomputes a quantity by a different route than the
 library (unfolded inversion counts, breadth-first word search, exhaustive
-factorization, lattice words) so that agreement is meaningful.
+factorization, subset scans, lattice words) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -65,6 +65,30 @@ def word_has_braid_factor(n: int, word: tuple[int, ...]) -> bool:
         if i == l and (j - i) % n in (1, n - 1):
             return True
     return False
+
+
+def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
+                                 direction: str = "decreasing") -> CyclicSet:
+    """The maximal one-sided cyclic factor by trying every proper subset.
+
+    Multiplies out all ``C(n, <= len(w))`` candidates ``J`` and keeps those
+    that split off ``d_J`` (or ``u_J``) length-additively; also checks that
+    the largest valid ``J`` contains every other one.
+    """
+    decreasing = direction == "decreasing"
+    n, lw = w.n, w.length
+    valid: list[frozenset[int]] = []
+    for sz in range(min(n - 1, lw) + 1):
+        for members in proper_subsets(n, sz):
+            cs = CyclicSet(n, members, decreasing)
+            inv = cs.reversed().element()  # (d_J)^-1 == u_J and vice versa
+            quotient = w * inv if side == "right" else inv * w
+            if quotient.length == lw - sz:
+                valid.append(members)
+    best = max(valid, key=len)
+    if any(not members <= best for members in valid):
+        raise AssertionError(f"maximal cyclic factor not unique for {w}")
+    return CyclicSet(n, best, decreasing)
 
 
 def stanley_coefficient_brute(w: AffinePermutation, alpha: tuple[int, ...]) -> int:

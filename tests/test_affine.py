@@ -19,12 +19,15 @@ from cylkit.affine import (
     rotate,
     shape_of,
 )
+from cylkit.cylindric import CylType, in_A
 from cylkit.errors import CapExceededError, InvalidInputError
+from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_of
 
 from oracles import (
     all_words_brute,
     bfs_word_length,
+    max_cyclic_factor_exhaustive,
     unfolded_inversions,
     word_has_braid_factor,
 )
@@ -257,7 +260,7 @@ class TestMaxCyclicFactor:
 
     def test_interior_letter_not_a_descent(self):
         # w = d_{0,1} = s_1 s_0: the valid J = {0,1} is not inside the
-        # right descent set {0}, so the search must range over all subsets.
+        # right descent set {0}, so J is not read off the descents alone.
         w = W(4, 1, 0)
         assert w.right_descents() == frozenset({0})
         assert max_cyclic_factor(w).members == frozenset({0, 1})
@@ -271,6 +274,37 @@ class TestMaxCyclicFactor:
             inv = cs.reversed().element()
             rest = w * inv if side == "right" else inv * w
             assert rest.length == w.length - len(J.members)
+
+    def test_matches_exhaustive_scan(self):
+        # every side/direction on every element, n <= 7: 5,360 cases
+        cases = 0
+        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    for side in ("right", "left"):
+                        for direction in ("decreasing", "increasing"):
+                            assert (max_cyclic_factor(w, side, direction)
+                                    == max_cyclic_factor_exhaustive(w, side, direction)), \
+                                (w, side, direction)
+                            cases += 1
+        assert cases == 5360
+
+    def test_bad_side_rejected(self):
+        with pytest.raises(InvalidInputError):
+            max_cyclic_factor(W(4, 0), "middle", "decreasing")
+
+    def test_subset_scan_off_hot_path(self, monkeypatch):
+        def no_scan(n, size):
+            raise AssertionError("subset scan reached")
+
+        monkeypatch.setattr("cylkit.affine.proper_subsets", no_scan)
+        clear_caches()
+        w = W(16, 0, 8, 1, 9)  # u_{0,1} u_{8,9}, values from the scan
+        assert max_cyclic_factor(w).members == frozenset({1, 9})
+        assert max_cyclic_factor(w, "right", "increasing").members == frozenset({0, 1, 8, 9})
+        assert max_cyclic_factor(w, "left", "decreasing").members == frozenset({0, 8})
+        assert shape_of(w) == (2, 2)
+        assert in_A(w, CylType(8, 16)) and not in_A(w, CylType(2, 16))
 
 
 class TestMaximalCdd:

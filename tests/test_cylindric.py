@@ -21,13 +21,12 @@ from cylkit.cylindric import (
     render_shape,
     ribbon_decomposition,
     ribbon_r,
-    shape_from_general,
     shape_new,
     skew_word,
 )
 from cylkit.errors import InvalidInputError, ShapeError
 from cylkit.partitions import partitions_in_box
-from cylkit.symfunc import SymmetricPolynomial, schur_poly, skew_schur_poly
+from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
 
 T36 = CylType(3, 6)
 T24 = CylType(2, 4)
@@ -79,10 +78,6 @@ class TestShapes:
         for s in all_shapes(T24, 8):
             assert cell_count(s) == len(s.cells())
 
-    def test_general_constructor_normalizes(self):
-        s = shape_from_general(T36, (2, 1), 3, (2, 1), 2)
-        assert s == shape_new(T36, (2, 1), 1, (2, 1))
-
     def test_json_round_trip(self):
         s = shape_new(T36, (2, 1), 1, (2, 1))
         assert CylindricShape.from_json(s.to_json()) == s
@@ -107,10 +102,6 @@ class TestBoundaries:
         b = PeriodicSequence.from_partition(T36, (2, 1), 1)
         for p in range(-6, 7):
             assert b.row_bound(p + 3) == b.row_bound(p) - 3
-
-    def test_shift_rows(self):
-        b = PeriodicSequence.from_partition(T36, (2, 1), 2)
-        assert b.shift_rows(2).to_shape() == ((2, 1), 0)
 
 
 class TestAddBox:

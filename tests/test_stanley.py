@@ -237,6 +237,13 @@ class TestExpansion:
         for w in rng.sample(pool, 25):
             assert expand_affine_schur(w) == oracle_expand(w)
 
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_far_commuting_word_matches_oracle(self, n):
+        # cost must stay polynomial in n at fixed length
+        h = n // 2
+        w = W(n, 0, h, 1, h + 1)
+        assert expand_affine_schur(w) == oracle_expand(w)
+
     def test_positivity_and_support(self):
         for w in elements_by_length(4, 5)[5]:
             exp = expand_affine_schur(w)
