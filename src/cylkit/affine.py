@@ -8,7 +8,8 @@ and ``sum(w(1..n)) = n(n+1)/2``; it is stored as the window
 ``+-n`` at the wraparound), left multiplication swaps window *values*.
 
 Also here: cyclically decreasing/increasing elements ``d_J`` / ``u_J`` for a
-proper subset ``J`` of ``Z/nZ``, their maximal one-sided factors, the unique
+proper subset ``J`` of ``Z/nZ``, the one-sided cyclic factors of an element
+(all of one size, and the maximal one) by a window criterion, the unique
 maximal decomposition into cyclically decreasing elements, and the induced
 bijection between 0-Grassmannian elements and partitions with parts < n.
 """
@@ -56,9 +57,34 @@ class AffinePermutation:
 
     # -- construction ------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, n: int, window: tuple[int, ...],
+                 length: int | None = None) -> "AffinePermutation":
+        """Build without validation, optionally with a known length.
+
+        Invariant: ``window`` comes from a group operation on valid elements
+        of period ``n`` (a product, an inverse, a generator step, a
+        rotation), so it is a valid window by construction; ``length``, when
+        given, is the exact length of that element.  Input from outside the
+        package goes through the public constructor instead.
+        """
+        w = object.__new__(cls)
+        fields = w.__dict__
+        fields["n"] = n
+        fields["window"] = window
+        if length is not None:
+            fields["length"] = length  # the cached_property's slot
+        return w
+
+    def _known_length(self) -> int | None:
+        """The length if it is already cached, else None (no computation)."""
+        return self.__dict__.get("length")
+
     @staticmethod
     def identity(n: int) -> "AffinePermutation":
-        return AffinePermutation(n, tuple(range(1, n + 1)))
+        if n < 2:
+            raise InvalidInputError(f"period must be at least 2, got {n}")
+        return AffinePermutation._trusted(n, tuple(range(1, n + 1)), 0)
 
     @staticmethod
     def simple(n: int, i: int) -> "AffinePermutation":
@@ -79,47 +105,61 @@ class AffinePermutation:
         j = (i - 1) % self.n
         return self.window[j] + (i - 1 - j)
 
-    def position(self, v: int) -> int:
-        """The unique ``i`` with ``w(i) == v``."""
-        for j, wv in enumerate(self.window):
-            if (v - wv) % self.n == 0:
-                return j + 1 + (v - wv)
-        raise AssertionError("unreachable: window residues cover Z/nZ")
-
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         """Composition ``(self*other)(i) = self(other(i))``."""
         if not isinstance(other, AffinePermutation):
             return NotImplemented
-        if self.n != other.n:
-            raise InvalidInputError(f"period mismatch: {self.n} vs {other.n}")
-        return AffinePermutation(
-            self.n, tuple(self.value(other.window[j]) for j in range(self.n)))
+        n = self.n
+        if n != other.n:
+            raise InvalidInputError(f"period mismatch: {n} vs {other.n}")
+        win = self.window
+        out = []
+        for v in other.window:
+            j = (v - 1) % n
+            out.append(win[j] + (v - 1 - j))
+        return AffinePermutation._trusted(n, tuple(out))
 
     def inverse(self) -> "AffinePermutation":
-        return AffinePermutation(
-            self.n, tuple(self.position(i) for i in range(1, self.n + 1)))
+        n = self.n
+        inv = [0] * n
+        for j, v in enumerate(self.window, start=1):
+            r = (v - 1) % n  # w(j) = v means w^-1(r + 1) = j - (v - 1 - r)
+            inv[r] = j - (v - 1 - r)
+        return AffinePermutation._trusted(n, tuple(inv), self._known_length())
 
     def times_s(self, i: int) -> "AffinePermutation":
-        """Right multiplication ``w * s_i`` (swap window positions)."""
+        """Right multiplication ``w * s_i`` (swap window positions).
+
+        A cached length moves by one: down iff ``w(i) > w(i+1)``.
+        """
         n = self.n
         i = i % n
         win = list(self.window)
         if i == 0:
-            win[0], win[n - 1] = self.window[n - 1] - n, self.window[0] + n
+            left, right = win[n - 1] - n, win[0]  # w(0), w(1)
+            win[0], win[n - 1] = left, right + n
         else:
-            win[i - 1], win[i] = win[i], win[i - 1]
-        return AffinePermutation(n, tuple(win))
+            left, right = win[i - 1], win[i]
+            win[i - 1], win[i] = right, left
+        length = self._known_length()
+        if length is not None:
+            length += -1 if left > right else 1
+        return AffinePermutation._trusted(n, tuple(win), length)
 
     def s_times(self, i: int) -> "AffinePermutation":
-        """Left multiplication ``s_i * w`` (swap window values)."""
+        """Left multiplication ``s_i * w`` (swap window values).
+
+        The length is not carried: it moves by the left descent at ``i``,
+        which the window swap does not test.
+        """
         n = self.n
         i = i % n
         j = (i + 1) % n
         win = tuple(v + 1 if v % n == i else (v - 1 if v % n == j else v)
                     for v in self.window)
-        return AffinePermutation(n, win)
+        return AffinePermutation._trusted(n, win)
 
     # -- length and descents -----------------------------------------------
 
@@ -327,6 +367,43 @@ def proper_subsets(n: int, size: int) -> Iterator[frozenset[int]]:
         yield frozenset(combo)
 
 
+def _cyclic_reach(w: AffinePermutation, side: str, direction: str
+                  ) -> tuple[bool, list[int]]:
+    """How far each generator's interval may reach in a one-sided factor.
+
+    The left side is reduced to the right side of ``w^-1`` with the other
+    direction, since ``(d_J)^-1 == u_J``.  Returns ``(starts, reach)``: when
+    ``starts`` is true (right, decreasing), ``d_{[p, p+r-1]}`` peels off
+    length-additively exactly for ``r <= reach[p]``; otherwise (right,
+    increasing) ``u_{[p-r+1, p]}`` does exactly for ``r <= reach[p]``.
+    """
+    if side not in ("right", "left") or direction not in ("decreasing", "increasing"):
+        raise InvalidInputError(f"bad side/direction: {side}/{direction}")
+    decreasing = direction == "decreasing"
+    if side == "left":
+        w, decreasing = w.inverse(), not decreasing
+    n, win = w.n, w.window
+    # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
+    # stops within one period, as w(i + n) = w(i) + n.
+    ext = [v - n for v in win] + list(win) + [v + n for v in win]
+    reach = []
+    for p in range(n):
+        k = p + n - 1
+        if decreasing:
+            # d_{[p,q]}: the value w(p) moves right past w(p+1), ..., w(q+1)
+            top, j = ext[k], k + 1
+            while ext[j] < top:
+                j += 1
+            reach.append(j - k - 1)
+        else:
+            # u_{[i,p]}: the value w(p+1) moves left past w(p), ..., w(i)
+            bottom, j = ext[k + 1], k
+            while ext[j] > bottom:
+                j -= 1
+            reach.append(k - j)
+    return decreasing, reach
+
+
 def max_cyclic_factor(w: AffinePermutation, side: str = "right",
                       direction: str = "decreasing") -> CyclicSet:
     """The unique maximal ``J`` splitting off a one-sided cyclic factor.
@@ -354,31 +431,65 @@ def max_cyclic_factor(w: AffinePermutation, side: str = "right",
     >>> sorted(max_cyclic_factor(w, "left", "decreasing").members)
     [0, 1]
     """
-    if side not in ("right", "left") or direction not in ("decreasing", "increasing"):
-        raise InvalidInputError(f"bad side/direction: {side}/{direction}")
-    decreasing = direction == "decreasing"
-    if side == "left":
-        w, decreasing = w.inverse(), not decreasing
-    n, win = w.n, w.window
-    # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
-    # stops within one period, as w(i + n) = w(i) + n.
-    ext = [v - n for v in win] + list(win) + [v + n for v in win]
-    members: set[int] = set()
-    for p in range(n):
-        k = p + n - 1
-        if decreasing:
-            # d_{[p,q]}: the value w(p) moves right past w(p+1), ..., w(q+1)
-            top, j = ext[k], k + 1
-            while ext[j] < top:
-                j += 1
-            members.update((p + t) % n for t in range(j - k - 1))
-        else:
-            # u_{[i,p]}: the value w(p+1) moves left past w(p), ..., w(i)
-            bottom, j = ext[k + 1], k
-            while ext[j] > bottom:
-                j -= 1
-            members.update((p - t) % n for t in range(k - j))
+    starts, reach = _cyclic_reach(w, side, direction)
+    n = w.n
+    sign = 1 if starts else -1
+    members = {(p + sign * t) % n for p, r in enumerate(reach) for t in range(r)}
     return CyclicSet(n, frozenset(members), direction == "decreasing")
+
+
+def cyclic_factors(w: AffinePermutation, size: int, side: str = "right",
+                   direction: str = "decreasing") -> list[frozenset[int]]:
+    """Every ``J`` of ``size`` elements splitting off a one-sided cyclic
+    factor length-additively, in the order of ``proper_subsets``.
+
+    ``side="right", direction="decreasing"`` lists the ``J`` with
+    ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``);
+    ``side="left"`` lists those with ``len(u_J * w) == len(w) - size``.
+
+    Criterion: ``J`` is admissible iff each of its maximal cyclic intervals
+    fits within its generator's reach (see :func:`max_cyclic_factor`; the
+    reach is anchored at the interval's first generator for decreasing
+    right factors and at its last for increasing ones).  The admissible
+    ``J`` are therefore the sets of pairwise non-adjacent fitting intervals;
+    they are enumerated by increasing interval start, each once, without
+    forming a product or scanning ``C(n, size)``.
+
+    >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
+    >>> [sorted(J) for J in cyclic_factors(w, 2)]
+    [[0, 1], [0, 3]]
+    >>> [sorted(J) for J in cyclic_factors(w, 2, "left")]
+    [[0, 1], [1, 3]]
+    """
+    starts, reach = _cyclic_reach(w, side, direction)
+    n = w.n
+    if not 0 <= size < n:
+        return []
+    if size == 0:
+        return [frozenset()]
+    # fitting intervals as (first generator, span), first in 0..n-1
+    fitting = sorted((p, r) if starts else ((p - r + 1) % n, r)
+                     for p, top in enumerate(reach) for r in range(1, top + 1))
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(index: int, low: int, first: int, left: int) -> None:
+        # the next interval starts at ``low`` or later and ends at least one
+        # generator before ``first + n``, the first interval's start one turn
+        # later, so no two chosen intervals touch (``first == n``: none yet)
+        if left == 0:
+            found.append(tuple(sorted(chosen)))
+            return
+        for pos in range(index, len(fitting)):
+            p, r = fitting[pos]
+            if p < low or r > left or p + r > first + n - 1:
+                continue
+            chosen.extend((p + t) % n for t in range(r))
+            extend(pos + 1, p + r + 1, min(first, p), left - r)
+            del chosen[-r:]
+
+    extend(0, 0, n, size)
+    return [frozenset(J) for J in sorted(found)]
 
 
 def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:
@@ -437,7 +548,8 @@ def rotate(w: AffinePermutation, t: int) -> AffinePermutation:
     Conjugation by the shift ``j -> j + t``; window ``f^t(w)(i) = w(i-t)+t``.
     """
     n = w.n
-    return AffinePermutation(n, tuple(w.value(i - t) + t for i in range(1, n + 1)))
+    return AffinePermutation._trusted(
+        n, tuple(w.value(i - t) + t for i in range(1, n + 1)), w._known_length())
 
 
 # -- enumeration -------------------------------------------------------------

@@ -238,6 +238,20 @@ def _corpus_record(w: AffinePermutation) -> dict:
                           for u, c in expansion.items_sorted()]}
 
 
+def _drop_torn_tail(path: str) -> None:
+    """Cut the file back to its last newline.
+
+    Every record is written with its newline and flushed, so bytes after the
+    last newline are a record that a crash cut short (or wrote without its
+    newline): they are dropped, and the run writes that record again.
+    """
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            handle.truncate(complete)
+
+
 def cmd_corpus(config: RunConfig) -> int:
     path = config.cache_path or os.environ.get(CACHE_ENV_VAR)
     if not path:
@@ -246,7 +260,8 @@ def cmd_corpus(config: RunConfig) -> int:
               "n": config.n, "maxlen": config.maxlen}
 
     done: set[tuple[int, ...]] = set()
-    if os.path.exists(path) and os.path.getsize(path) > 0:
+    if os.path.exists(path):
+        _drop_torn_tail(path)
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -273,8 +288,10 @@ def cmd_corpus(config: RunConfig) -> int:
     with open(path, "a", encoding="utf-8") as handle:
         if needs_header:
             handle.write(json.dumps(header, sort_keys=True) + "\n")
+            handle.flush()
         for w in todo:
             handle.write(json.dumps(_corpus_record(w), sort_keys=True) + "\n")
+            handle.flush()
     print(f"corpus at {path}: {len(done)} cached, {len(todo)} new records")
     return EXIT_OK
 

@@ -9,6 +9,12 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
     F_w  =  sum F_{u_J w'}  -  sum F_{w' u_J}      (|J| = b, lengths drop,
                                                     J != J0 in the second sum)
 
+The ``J`` whose lengths drop are exactly the left and right cyclically
+decreasing factors of ``w'`` of size ``b``; :func:`dual_pieri_branches` lists
+them with :func:`cylkit.affine.cyclic_factors`, by the window criterion,
+so a state costs its few admissible products rather than a scan of all
+``C(n, b)`` subsets.
+
 Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
 first, then lexicographically larger first), which the recursion asserts on
@@ -37,6 +43,7 @@ from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
+    cyclic_factors,
     grassmannian_from_kbounded,
     grassmannians_of_length,
     interval_set,
@@ -296,25 +303,28 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     ``B_plus  = { u_J w' }``  and  ``B_minus = { w' u_J : J != J0 }``
 
     over ``|J| = part_size`` with lengths dropping by ``part_size``.  Each
-    minus branch comes as the pair ``(J, w' u_J)``.
+    minus branch comes as the pair ``(J, w' u_J)``.  The admissible ``J``
+    come from :func:`cylkit.affine.cyclic_factors`, so only the branches
+    themselves are multiplied out; each has the length of ``w``.
     """
     n = w.n
     if not 1 <= part_size <= n - 1 or part_index < 1:
         raise InvalidInputError(f"bad block ({part_size}, {part_index})")
     J0 = interval_set(n, -part_index + 1, part_size - part_index, True)
     wprime = w * J0.element()
-    if wprime.length != w.length + part_size:
+    right = cyclic_factors(wprime, part_size, "right", "decreasing")
+    # J0 is admissible iff len(w') == len(w) + part_size
+    if J0.members not in right:
         raise InvalidInputError("tail block is not length-additive")
-    b_plus, b_minus = [], []
-    for members in proper_subsets(n, part_size):
-        u_j = _cyclic(n, members, False)
-        x = u_j * wprime
-        if x.length == wprime.length - part_size:
-            b_plus.append(x)
-        if members != J0.members:
-            y = wprime * u_j
-            if y.length == wprime.length - part_size:
-                b_minus.append((members, y))
+
+    def branch(x: AffinePermutation) -> AffinePermutation:
+        # every branch has length len(w') - part_size == len(w)
+        return AffinePermutation._trusted(n, x.window, w.length)
+
+    b_plus = [branch(_cyclic(n, J, False) * wprime)
+              for J in cyclic_factors(wprime, part_size, "left", "decreasing")]
+    b_minus = [(J, branch(wprime * _cyclic(n, J, False)))
+               for J in right if J != J0.members]
     return b_plus, b_minus
 
 

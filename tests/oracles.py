@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from cylkit.affine import AffinePermutation, CyclicSet, proper_subsets
+from cylkit.affine import AffinePermutation, CyclicSet, interval_set, proper_subsets
 from cylkit.partitions import Partition
 
 
@@ -67,28 +67,58 @@ def word_has_braid_factor(n: int, word: tuple[int, ...]) -> bool:
     return False
 
 
+def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "right",
+                              direction: str = "decreasing") -> list[frozenset[int]]:
+    """Every ``J`` of ``size`` splitting off ``d_J`` (or ``u_J``) on ``side``
+    length-additively, by multiplying out all ``C(n, size)`` candidates."""
+    decreasing = direction == "decreasing"
+    out = []
+    for members in proper_subsets(w.n, size):
+        inv = CyclicSet(w.n, members, not decreasing).element()  # (d_J)^-1 == u_J
+        quotient = w * inv if side == "right" else inv * w
+        if quotient.length == w.length - size:
+            out.append(members)
+    return out
+
+
 def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
                                  direction: str = "decreasing") -> CyclicSet:
     """The maximal one-sided cyclic factor by trying every proper subset.
 
-    Multiplies out all ``C(n, <= len(w))`` candidates ``J`` and keeps those
-    that split off ``d_J`` (or ``u_J``) length-additively; also checks that
-    the largest valid ``J`` contains every other one.
+    Keeps every ``J`` of size up to ``len(w)`` that
+    :func:`cyclic_factors_exhaustive` accepts; also checks that the largest
+    valid ``J`` contains every other one.
     """
-    decreasing = direction == "decreasing"
-    n, lw = w.n, w.length
-    valid: list[frozenset[int]] = []
-    for sz in range(min(n - 1, lw) + 1):
-        for members in proper_subsets(n, sz):
-            cs = CyclicSet(n, members, decreasing)
-            inv = cs.reversed().element()  # (d_J)^-1 == u_J and vice versa
-            quotient = w * inv if side == "right" else inv * w
-            if quotient.length == lw - sz:
-                valid.append(members)
+    valid = [members for sz in range(min(w.n - 1, w.length) + 1)
+             for members in cyclic_factors_exhaustive(w, sz, side, direction)]
     best = max(valid, key=len)
     if any(not members <= best for members in valid):
         raise AssertionError(f"maximal cyclic factor not unique for {w}")
-    return CyclicSet(n, best, decreasing)
+    return CyclicSet(w.n, best, direction == "decreasing")
+
+
+def dual_pieri_branches_exhaustive(w: AffinePermutation, part_size: int,
+                                   part_index: int):
+    """The dual-Pieri branch families by scanning every ``J`` of
+    ``part_size``: ``(B_plus, B_minus)`` as in
+    :func:`cylkit.stanley.dual_pieri_branches`, or None when the tail block
+    is not length-additive."""
+    n = w.n
+    J0 = interval_set(n, -part_index + 1, part_size - part_index, True)
+    wprime = w * J0.element()
+    if wprime.length != w.length + part_size:
+        return None
+    b_plus, b_minus = [], []
+    for members in proper_subsets(n, part_size):
+        u_j = CyclicSet(n, members, False).element()
+        x = u_j * wprime
+        if x.length == wprime.length - part_size:
+            b_plus.append(x)
+        if members != J0.members:
+            y = wprime * u_j
+            if y.length == wprime.length - part_size:
+                b_minus.append((members, y))
+    return b_plus, b_minus
 
 
 def stanley_coefficient_brute(w: AffinePermutation, alpha: tuple[int, ...]) -> int:

@@ -2,10 +2,13 @@
 canonical decompositions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
+    cyclic_factors,
     elements_by_length,
     enumerate_reduced_words,
     grassmannian_from_kbounded,
@@ -23,10 +26,12 @@ from cylkit.cylindric import CylType, in_A
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_of
+from cylkit.stanley import expand_affine_schur
 
 from oracles import (
     all_words_brute,
     bfs_word_length,
+    cyclic_factors_exhaustive,
     max_cyclic_factor_exhaustive,
     unfolded_inversions,
     word_has_braid_factor,
@@ -103,7 +108,8 @@ class TestGroupOps:
     def test_inverse(self):
         for w in elements_by_length(4, 4)[4]:
             assert (w * w.inverse()).is_identity()
-            assert w.inverse().length == w.length
+            # the inverse carries w's length over, so check it independently
+            assert w.inverse().length == unfolded_inversions(w) == 4
 
     def test_example2_product_is_grassmannian(self):
         w = W(6, 5, 3, 1, 4, 2, 0)
@@ -118,6 +124,65 @@ class TestGroupOps:
         for i in range(5):
             assert w.times_s(i) == w * AffinePermutation.simple(5, i)
             assert w.s_times(i) == AffinePermutation.simple(5, i) * w
+
+
+def exact_length(x):
+    """Inversions by unfolding over enough periods for ``x``'s displacement."""
+    shift = max(abs(x.value(t) - t) for t in range(1, x.n + 1))
+    return unfolded_inversions(x, periods=2 * shift // x.n + 1)
+
+
+def assert_valid(x):
+    """``x`` passes the public constructor, and its length (cached by the
+    operation that built it, or computed now and cached for the next) is its
+    true length."""
+    assert AffinePermutation(x.n, x.window) == x
+    assert x.length == exact_length(x), (x, x._known_length())
+
+
+def assert_operations_valid(w, others, t):
+    """Every trusted group operation on ``w`` yields a valid element."""
+    n = w.n
+    assert_valid(w)
+    assert_valid(w.inverse())
+    assert_valid(rotate(w, t))
+    for i in range(n):
+        assert_valid(w.times_s(i))
+        assert_valid(w.s_times(i))
+    for v in others:
+        assert_valid(w * v)
+
+
+class TestTrustedConstructor:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_operations_on_small_elements(self, n):
+        levels = elements_by_length(n, 5)
+        short = [v for level in levels[:3] for v in level]
+        for ell, level in enumerate(levels):
+            for w in level:
+                assert w._known_length() == ell
+                assert_operations_valid(w, short, ell)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, n - 1), max_size=14),
+        st.lists(st.integers(0, n - 1), max_size=14),
+        st.integers(-n, n))))
+    def test_operations_on_random_words(self, case):
+        n, word, other, t = case
+        w = AffinePermutation.from_word(n, word)
+        v = AffinePermutation.from_word(n, other)
+        assert_operations_valid(w, [v, v.inverse()], t)
+        assert_operations_valid(w * v, [w], t)
+
+    def test_identity_checks_period(self):
+        with pytest.raises(InvalidInputError):
+            AffinePermutation.identity(1)
+
+    def test_untrusted_input_still_validated(self):
+        with pytest.raises(InvalidInputError):
+            AffinePermutation.from_json({"n": 3, "window": [1, 2, 4]})
 
 
 class TestReducedWords:
@@ -298,6 +363,7 @@ class TestMaxCyclicFactor:
             raise AssertionError("subset scan reached")
 
         monkeypatch.setattr("cylkit.affine.proper_subsets", no_scan)
+        monkeypatch.setattr("cylkit.stanley.proper_subsets", no_scan)
         clear_caches()
         w = W(16, 0, 8, 1, 9)  # u_{0,1} u_{8,9}, values from the scan
         assert max_cyclic_factor(w).members == frozenset({1, 9})
@@ -305,6 +371,40 @@ class TestMaxCyclicFactor:
         assert max_cyclic_factor(w, "left", "decreasing").members == frozenset({0, 8})
         assert shape_of(w) == (2, 2)
         assert in_A(w, CylType(8, 16)) and not in_A(w, CylType(2, 16))
+        assert cyclic_factors(w, 2) == [frozenset({1, 9})]
+        # F_w = e_2 * e_2, as oracle_expand finds in test_stanley
+        expansion = expand_affine_schur(w)
+        assert {shape_of(u): c for u, c in expansion.coeffs.items()} == {
+            (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1}
+
+
+class TestCyclicFactors:
+    def test_matches_exhaustive_scan(self):
+        # every size, side and direction on every element, n <= 7: 29,624 cases
+        cases = 0
+        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    for size in range(n):
+                        for side in ("right", "left"):
+                            for direction in ("decreasing", "increasing"):
+                                found = cyclic_factors(w, size, side, direction)
+                                assert len(set(found)) == len(found), (w, size, side)
+                                assert found == cyclic_factors_exhaustive(
+                                    w, size, side, direction), (w, size, side, direction)
+                                cases += 1
+        assert cases == 29624
+
+    def test_empty_and_out_of_range_sizes(self):
+        w = W(4, 1, 0)
+        assert cyclic_factors(w, 0) == [frozenset()]
+        assert cyclic_factors(w, 3) == []
+        assert cyclic_factors(w, 4) == []
+        assert cyclic_factors(w, -1) == []
+
+    def test_bad_side_rejected(self):
+        with pytest.raises(InvalidInputError):
+            cyclic_factors(W(4, 0), 1, "right", "sideways")
 
 
 class TestMaximalCdd:

@@ -231,6 +231,38 @@ class TestCorpus:
         assert code == EXIT_IO
         assert ":" in err and "corrupted" in err
 
+    def test_torn_final_line_is_redone(self, tmp_path, capsys):
+        path = tmp_path / "torn.jsonl"
+        run(capsys, "corpus", "--n", "3", "--maxlen", "3", "--cache", str(path))
+        full = path.read_bytes()
+        path.write_bytes(full[:-10])  # a crash in the middle of the last record
+        code, out, _ = run(capsys, "corpus", "--n", "3", "--maxlen", "3",
+                           "--cache", str(path))
+        assert code == EXIT_OK
+        assert "1 new records" in out
+        assert path.read_bytes() == full
+
+    def test_final_record_without_newline_is_redone(self, tmp_path, capsys):
+        path = tmp_path / "unterminated.jsonl"
+        run(capsys, "corpus", "--n", "3", "--maxlen", "3", "--cache", str(path))
+        full = path.read_bytes()
+        path.write_bytes(full[:-1])  # a complete record, but no newline
+        code, out, _ = run(capsys, "corpus", "--n", "3", "--maxlen", "3",
+                           "--cache", str(path))
+        assert code == EXIT_OK
+        assert "1 new records" in out
+        assert path.read_bytes() == full
+
+    def test_torn_header_is_rewritten(self, tmp_path, capsys):
+        path = tmp_path / "header.jsonl"
+        run(capsys, "corpus", "--n", "3", "--maxlen", "2", "--cache", str(path))
+        full = path.read_bytes()
+        path.write_bytes(full[:5])
+        code, _, _ = run(capsys, "corpus", "--n", "3", "--maxlen", "2",
+                         "--cache", str(path))
+        assert code == EXIT_OK
+        assert path.read_bytes() == full
+
     def test_env_var_cache(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "f.jsonl"
         monkeypatch.setenv("CYLKIT_CACHE", str(path))

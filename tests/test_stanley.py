@@ -28,7 +28,7 @@ from cylkit.stanley import (
 )
 from cylkit.symfunc import SymmetricPolynomial, lr_coeff
 
-from oracles import stanley_coefficient_brute
+from oracles import dual_pieri_branches_exhaustive, stanley_coefficient_brute
 
 T36 = CylType(3, 6)
 T24 = CylType(2, 4)
@@ -205,6 +205,31 @@ class TestDualPieriBranches:
         # peeling block {0} from s_0 * ... where s_0 is a right descent
         with pytest.raises(InvalidInputError):
             dual_pieri_branches(W(4, 1, 0), 1, 1)
+
+    def test_matches_exhaustive_scan(self):
+        # every element with n <= 6 and every block (size, index mod n)
+        accepted = 0
+        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5)]:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    for size in range(1, n):
+                        for index in range(1, n + 1):
+                            expected = dual_pieri_branches_exhaustive(w, size, index)
+                            if expected is None:
+                                with pytest.raises(InvalidInputError):
+                                    dual_pieri_branches(w, size, index)
+                                continue
+                            b_plus, b_minus = dual_pieri_branches(w, size, index)
+                            e_plus, e_minus = expected
+                            assert len(b_plus) == len(e_plus) and len(b_minus) == len(e_minus)
+                            # the branches' carried lengths against lengths
+                            # the oracle computes from the windows
+                            assert ({(x.window, x.length) for x in b_plus}
+                                    == {(x.window, x.length) for x in e_plus})
+                            assert ({(J, y.window, y.length) for J, y in b_minus}
+                                    == {(J, y.window, y.length) for J, y in e_minus})
+                            accepted += 1
+        assert accepted == 12367
 
 
 class TestExpansion:
