@@ -12,7 +12,9 @@ Layout:
                     dominance, enumeration, and the termination order of
                     the expansion recursion.
 - ``affine``     -- the affine symmetric group: windows, words, lengths,
-                    cyclically decreasing elements, canonical decompositions.
+                    codes, cyclically decreasing elements and cyclic
+                    factors, the bijection between 0-Grassmannian elements
+                    and bounded partitions (read off the code).
 - ``cylindric``  -- cylindric shapes and tableaux, the box-adding action,
                     the bijection between Grassmannian elements and shapes.
 - ``symfunc``    -- exact symmetric-polynomial arithmetic in the monomial

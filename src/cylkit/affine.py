@@ -7,11 +7,11 @@ and ``sum(w(1..n)) = n(n+1)/2``; it is stored as the window
 ``s_i`` swaps window *positions* ``i`` and ``i+1`` (with value shifts of
 ``+-n`` at the wraparound), left multiplication swaps window *values*.
 
-Also here: cyclically decreasing/increasing elements ``d_J`` / ``u_J`` for a
-proper subset ``J`` of ``Z/nZ``, the one-sided cyclic factors of an element
-(all of one size, and the maximal one) by a window criterion, the unique
-maximal decomposition into cyclically decreasing elements, and the induced
-bijection between 0-Grassmannian elements and partitions with parts < n.
+Also here: the code ``(c_1, ..., c_n)``, cyclically decreasing/increasing
+elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ``, the
+one-sided cyclic factors of an element (all of one size, and the maximal
+one) by a window criterion, and the bijection between 0-Grassmannian
+elements and partitions with parts < n, read off the code.
 """
 
 from __future__ import annotations
@@ -209,16 +209,19 @@ class AffinePermutation:
         return all(self.value(p + t) < self.value(p + t + 1)
                    for t in range(1, self.n))
 
-    def c_stat(self, i: int) -> int:
-        """``c_i(w)``: the number of ``j < i`` with ``w(j) > w(i)``.
+    def code(self) -> tuple[int, ...]:
+        """``(c_1, ..., c_n)``: ``c_i`` counts the ``j < i`` with ``w(j) >
+        w(i)``; ``w`` has a right descent at ``i`` iff ``c_i < c_{i+1}``.
+        With ``d = w(b) - w(i) > 0``, position ``b`` has ``ceil(d/n)`` such
+        translates ``j = b + kn`` if ``b < i``, ``floor(d/n)`` if ``b > i``.
 
-        ``c_i == c_{i+n}``; ``w`` is p-Grassmannian iff the cyclic window
-        ``c_{p+1} >= ... >= c_{p+n}`` is weakly decreasing (ending in 0).
+        >>> AffinePermutation.from_word(3, [0]).code()
+        (1, 0, 0)
         """
-        shift = max(abs(self.value(t) - t) for t in range(1, self.n + 1))
-        wi = self.value(i)
-        lo = min(wi + 1 - shift, i)  # below lo, w(j) <= j + shift <= wi
-        return sum(1 for j in range(lo, i) if self.value(j) > wi)
+        n, win = self.n, self.window
+        return tuple(sum((wb - wi + n - 1) // n for wb in win[:i] if wb > wi)
+                     + sum((wb - wi) // n for wb in win[i + 1:] if wb > wi)
+                     for i, wi in enumerate(win))
 
     # -- serialization -------------------------------------------------------
 
@@ -492,26 +495,19 @@ def cyclic_factors(w: AffinePermutation, size: int, side: str = "right",
     return [frozenset(J) for J in sorted(found)]
 
 
-def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:
-    """Unique maximal decomposition ``w = d_{J_p} ... d_{J_1}``.
-
-    Peels maximal right factors; returns ``[J_1, ..., J_p]`` together with
-    the shape ``(|J_1|, ..., |J_p|)``, which is a partition with parts < n.
-    """
-    sets: list[CyclicSet] = []
-    sizes: list[int] = []
-    cur = w
-    while not cur.is_identity():
-        J = max_cyclic_factor(cur, "right", "decreasing")
-        sets.append(J)
-        sizes.append(len(J.members))
-        cur = cur * J.reversed().element()
-    return sets, check_partition(tuple(sizes))
-
-
 def shape_of(w: AffinePermutation) -> Partition:
-    """The partition ``(|J_1|, ..., |J_p|)`` of the maximal decomposition."""
-    return maximal_cdd(w)[1]
+    """The bounded partition of a 0-Grassmannian ``w`` (inverse to
+    :func:`grassmannian_from_kbounded`): the shape of its maximal
+    decomposition ``w = d_{J_p} ... d_{J_1}``, read off as the conjugate of
+    its weakly decreasing code.
+
+    >>> shape_of(AffinePermutation.from_word(6, [5, 1, 0]))
+    (2, 1)
+    """
+    if not w.is_grassmannian(0):
+        raise InvalidInputError(f"not 0-Grassmannian: {w}")
+    code = w.code()
+    return tuple(sum(1 for c in code if c > t) for t in range(code[0]))
 
 
 def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
@@ -532,14 +528,6 @@ def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
     if w.length != expected or not w.is_grassmannian(0):
         raise AssertionError(f"canonical Grassmannian product failed for {lam}")
     return w
-
-
-def kbounded_from_grassmannian(w: AffinePermutation) -> Partition:
-    """Inverse of :func:`grassmannian_from_kbounded` via the maximal
-    decomposition."""
-    if not w.is_grassmannian(0):
-        raise InvalidInputError(f"not 0-Grassmannian: {w}")
-    return shape_of(w)
 
 
 def rotate(w: AffinePermutation, t: int) -> AffinePermutation:

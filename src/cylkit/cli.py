@@ -66,7 +66,7 @@ class RunConfig:
     mu: tuple[int, ...] = ()
     nu: tuple[int, ...] = ()
     cap: int = DEFAULT_EXPAND_CAP
-    maxlen: int = 4
+    maxlen: int | None = None
     output: str = "text"
     cache_path: str | None = None
     suite: str | None = None
@@ -182,9 +182,7 @@ def cmd_verify(config: RunConfig) -> int:
                 f"{sorted(verify_mod.ALL_SUITES)}")
         names = [config.suite]
     else:
-        names = ["example2", "affine-core", "add-box-relations", "dual-pieri",
-                 "grassmannianize-bounds", "phi-bijection",
-                 "expansion-oracle", "shift-property", "nilcoxeter"]
+        names = list(verify_mod.ALL_SUITES)
 
     overrides = _suite_overrides(config)
     all_ok = True
@@ -209,7 +207,7 @@ def _suite_overrides(config: RunConfig) -> dict:
         overrides["expansion-oracle"] = {
             "exhaustive_n": tuple(v for v in (3, 4) if v <= config.n),
             "sampled_n": tuple(v for v in (5, 6) if v <= config.n)}
-    if config.maxlen != 4:
+    if config.maxlen is not None:
         overrides.setdefault("dual-pieri", {})["max_len"] = config.maxlen
         overrides.setdefault("affine-core", {})["max_len"] = config.maxlen
         overrides.setdefault("grassmannianize-bounds", {})["max_len"] = config.maxlen
@@ -280,7 +278,10 @@ def cmd_corpus(config: RunConfig) -> int:
                     continue
                 if "window" not in obj:
                     raise OSError(f"{path}:{lineno}: record missing window")
-                done.add(tuple(obj["window"]))
+                window = tuple(obj["window"])
+                if window in done:
+                    raise OSError(f"{path}:{lineno}: duplicate window {list(window)}")
+                done.add(window)
 
     todo = [w for w in _corpus_elements(config.n, config.maxlen)
             if w.window not in done]
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default=None)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--maxlen", type=int, default=4)
+    p.add_argument("--maxlen", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("corpus", help="batch expansion records")
@@ -355,7 +356,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for name in ("word", "lam", "mu", "nu"):
         if hasattr(args, name):
             setattr(config, name, _parse_csv_ints(getattr(args, name)))
-    if config.cap <= 0 or config.maxlen <= 0:
+    if config.cap <= 0 or (config.maxlen is not None and config.maxlen <= 0):
         raise InvalidInputError("caps must be positive")
     return config
 

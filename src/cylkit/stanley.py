@@ -24,9 +24,9 @@ not assumed.  A brute-force oracle (exact linear solve of monomial
 expansions against the Grassmannian basis) certifies the same expansion
 independently.
 
-Grassmannianization.  The generic construction sweeps the inversion
-statistics ``c_i`` into a decreasing run by sliding maxima rightward (each
-slide is an ascent, so lengths add); the bound is ``sum i*(k-i)``.  For
+Grassmannianization.  The generic construction sweeps the code ``c_i`` into
+a decreasing run by sliding maxima rightward (each slide is an ascent, so
+lengths add), on the integer list alone; the bound is ``sum i*(k-i)``.  For
 elements of a cylindric type the constructed ``v`` is instead a skew
 boundary word from a flat boundary, with the much smaller bound
 ``(n-m)(m-1)/2``.
@@ -142,29 +142,27 @@ def _already_grassmannian(w: AffinePermutation) -> tuple[AffinePermutation, int]
 def grassmannianize(w: AffinePermutation) -> tuple[AffinePermutation, int]:
     """A small ``v`` with ``w*v`` p-Grassmannian and lengths adding.
 
-    Sweep construction on the statistics ``c_i``: grow a weakly decreasing
-    run by sliding the largest remaining value to the run's end, one ascent
-    at a time.  ``len(v) <= sum_{i<k} i*(k-i)`` with ``k = n - 1``.  Ties are
-    broken toward the smallest window position.
+    Sweep construction on the code ``c_i``: grow a weakly decreasing run by
+    sliding the largest remaining value to the run's end, one ascent at a
+    time, on the integer list alone (an ascent ``w*s_i`` maps
+    ``(c_i, c_{i+1})`` to ``(c_{i+1}, c_i + 1)``).  ``len(v) <= sum_{i<k}
+    i*(k-i)`` with ``k = n - 1``.  Ties are broken toward the smallest
+    window position.
     """
     ready = _already_grassmannian(w)
     if ready is not None:
         return ready
     n = w.n
-    k = n - 1
-    cur, v = w, AffinePermutation.identity(n)
-
-    def cval(u: AffinePermutation, pos: int) -> int:
-        return u.c_stat((pos - 1) % n + 1)
+    code = list(w.code())  # code[i - 1] == c_i, read at positions mod n
+    letters: list[int] = []
 
     # run start q+1; seed with the global maximum
-    best = max(cval(cur, p) for p in range(1, n + 1))
-    q = min(p for p in range(1, n + 1) if cval(cur, p) == best) - 1
+    q = code.index(max(code))
     r = 1
     while r < n - 1:
-        tail = list(range(q + r + 1, q + n + 1))
-        best = max(cval(cur, p) for p in tail)
-        j = min(p for p in tail if cval(cur, p) == best)
+        tail = range(q + r + 1, q + n + 1)
+        best = max(code[(pos - 1) % n] for pos in tail)
+        j = next(pos for pos in tail if code[(pos - 1) % n] == best)
         if j == q + r + 1:
             r += 1
             continue
@@ -172,18 +170,21 @@ def grassmannianize(w: AffinePermutation) -> tuple[AffinePermutation, int]:
         for a in range(r):
             start = q + r - a
             for t in range(delta):
-                letter = (start + t) % n
-                if cur.has_right_descent(letter):
-                    raise AssertionError("sweep hit a descent; run broken")
-                cur = cur.times_s(letter)
-                v = v.times_s(letter)
+                i = start + t  # swap positions i and i + 1
+                x, y = (i - 1) % n, i % n
+                code[x], code[y] = code[y], code[x] + 1
+                letters.append(y)
         q = j - r - 1
         r += 1
     p = q % n
-    bound = sum(i * (k - i) for i in range(1, k))
+    v = AffinePermutation.from_word(n, letters)
+    cur = w * v
+    bound = sum(i * (n - 1 - i) for i in range(1, n - 1))
     if v.length > bound:
         raise AssertionError(f"sweep exceeded the bound {bound}")
-    if not cur.is_grassmannian(p) or cur != w * v:
+    if v.length != len(letters):
+        raise AssertionError("sweep word is not reduced")
+    if not cur.is_grassmannian(p):
         raise AssertionError("sweep did not reach a Grassmannian element")
     if cur.length != w.length + v.length:
         raise AssertionError("sweep lost length additivity")
@@ -342,15 +343,16 @@ def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
 
     b_plus, b_minus = dual_pieri_branches(u, tail[-1], len(tail))
     head = tail[:-1]
-    vprime = grassmannian_from_kbounded(n, head)
     branches = [(x, +1, head) for x in b_plus]
-    for members, y in b_minus:
-        new_tail_elem = _cyclic(n, members, True) * vprime
-        if new_tail_elem.length != tail[-1] + vprime.length:
-            raise AssertionError("negative-branch tail not additive")
-        if not new_tail_elem.is_grassmannian(0):
-            raise AssertionError("negative-branch tail not Grassmannian")
-        branches.append((y, -1, shape_of(new_tail_elem)))
+    if b_minus:  # only the minus branches read the head's element
+        vprime = grassmannian_from_kbounded(n, head)
+        for members, y in b_minus:
+            new_tail_elem = _cyclic(n, members, True) * vprime
+            if new_tail_elem.length != tail[-1] + vprime.length:
+                raise AssertionError("negative-branch tail not additive")
+            if not new_tail_elem.is_grassmannian(0):
+                raise AssertionError("negative-branch tail not Grassmannian")
+            branches.append((y, -1, shape_of(new_tail_elem)))
 
     out: Counter = Counter()
     for x, sign, sub_tail in branches:

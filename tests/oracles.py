@@ -10,8 +10,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from cylkit.affine import AffinePermutation, CyclicSet, interval_set, proper_subsets
-from cylkit.partitions import Partition
+from cylkit.affine import (
+    AffinePermutation,
+    CyclicSet,
+    interval_set,
+    max_cyclic_factor,
+    proper_subsets,
+)
+from cylkit.partitions import Partition, check_partition
 
 
 def unfolded_inversions(w: AffinePermutation, periods: int = 6) -> int:
@@ -95,6 +101,72 @@ def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
     if any(not members <= best for members in valid):
         raise AssertionError(f"maximal cyclic factor not unique for {w}")
     return CyclicSet(w.n, best, direction == "decreasing")
+
+
+def code_unfolded(w: AffinePermutation, i: int) -> int:
+    """``c_i(w)``, the ``j < i`` with ``w(j) > w(i)``, by direct unfolding
+    over every ``j`` the displacement allows (``w(j) <= j + shift``)."""
+    shift = max(abs(w.value(t) - t) for t in range(1, w.n + 1))
+    wi = w.value(i)
+    return sum(1 for j in range(wi - shift, i) if w.value(j) > wi)
+
+
+def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:
+    """Unique maximal decomposition ``w = d_{J_p} ... d_{J_1}``.
+
+    Peels maximal right factors; returns ``[J_1, ..., J_p]`` together with
+    the shape ``(|J_1|, ..., |J_p|)``, which is a partition with parts < n.
+    """
+    sets: list[CyclicSet] = []
+    sizes: list[int] = []
+    cur = w
+    while not cur.is_identity():
+        J = max_cyclic_factor(cur, "right", "decreasing")
+        sets.append(J)
+        sizes.append(len(J.members))
+        cur = cur * J.reversed().element()
+    return sets, check_partition(tuple(sizes))
+
+
+def grassmannianize_by_elements(w: AffinePermutation
+                                ) -> tuple[AffinePermutation, int]:
+    """The generic Grassmannianization sweep on group elements: every step
+    multiplies ``w*v`` and ``v`` by ``s_i``, checks that it is an ascent, and
+    reads the statistics ``c_i`` off the new element by unfolding."""
+    n = w.n
+    for p in range(n):
+        if w.is_grassmannian(p):
+            return AffinePermutation.identity(n), p
+    cur, v = w, AffinePermutation.identity(n)
+
+    def cval(u: AffinePermutation, pos: int) -> int:
+        return code_unfolded(u, (pos - 1) % n + 1)
+
+    best = max(cval(cur, p) for p in range(1, n + 1))
+    q = min(p for p in range(1, n + 1) if cval(cur, p) == best) - 1
+    r = 1
+    while r < n - 1:
+        tail = list(range(q + r + 1, q + n + 1))
+        best = max(cval(cur, p) for p in tail)
+        j = min(p for p in tail if cval(cur, p) == best)
+        if j == q + r + 1:
+            r += 1
+            continue
+        delta = j - (q + r + 1)
+        for a in range(r):
+            start = q + r - a
+            for t in range(delta):
+                letter = (start + t) % n
+                if cur.has_right_descent(letter):
+                    raise AssertionError("sweep hit a descent; run broken")
+                cur = cur.times_s(letter)
+                v = v.times_s(letter)
+        q = j - r - 1
+        r += 1
+    p = q % n
+    if not cur.is_grassmannian(p) or cur != w * v:
+        raise AssertionError("sweep did not reach a Grassmannian element")
+    return v, p
 
 
 def dual_pieri_branches_exhaustive(w: AffinePermutation, part_size: int,

@@ -14,10 +14,8 @@ from cylkit.affine import (
     grassmannian_from_kbounded,
     grassmannians_of_length,
     is_321_avoiding,
-    kbounded_from_grassmannian,
     letter_multiplicities,
     max_cyclic_factor,
-    maximal_cdd,
     proper_subsets,
     rotate,
     shape_of,
@@ -26,13 +24,15 @@ from cylkit.cylindric import CylType, in_A
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_of
-from cylkit.stanley import expand_affine_schur
+from cylkit.stanley import expand_affine_schur, grassmannianize
 
 from oracles import (
     all_words_brute,
     bfs_word_length,
+    code_unfolded,
     cyclic_factors_exhaustive,
     max_cyclic_factor_exhaustive,
+    maximal_cdd,
     unfolded_inversions,
     word_has_braid_factor,
 )
@@ -124,6 +124,10 @@ class TestGroupOps:
         for i in range(5):
             assert w.times_s(i) == w * AffinePermutation.simple(5, i)
             assert w.s_times(i) == AffinePermutation.simple(5, i) * w
+
+
+# (n, max length) of the exhaustive certification grids: 1,340 elements
+FACTOR_GRID = [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]
 
 
 def exact_length(x):
@@ -254,24 +258,59 @@ class TestGrassmannian:
 
 
 class TestCStat:
+    """The code ``w.code() == (c_1, ..., c_n)``."""
+
     def test_identity(self):
-        w = AffinePermutation.identity(4)
-        assert all(w.c_stat(i) == 0 for i in range(-3, 8))
+        assert AffinePermutation.identity(4).code() == (0, 0, 0, 0)
 
     def test_s0(self):
-        assert W(3, 0).c_stat(1) == 1
+        assert W(3, 0).code() == (1, 0, 0)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_periodicity_and_zero(self, n):
+        # c_{i+kn} == c_i: the unfolded count agrees over three periods
         for w in elements_by_length(n, 4)[4]:
-            cs = [w.c_stat(i) for i in range(1, n + 1)]
-            assert all(w.c_stat(i + n) == w.c_stat(i) for i in range(1, n + 1))
-            assert 0 in cs
+            code = w.code()
+            assert all(code_unfolded(w, i) == code[(i - 1) % n]
+                       for i in range(1 - n, 2 * n + 1))
+            assert 0 in code
+
+    def test_matches_unfolded_count(self):
+        for n, maxlen in FACTOR_GRID:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    code = w.code()
+                    assert list(code) == [code_unfolded(w, i) for i in range(1, n + 1)]
+                    assert sum(code) == w.length
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 32).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=16))))
+    def test_matches_unfolded_count_on_random_words(self, case):
+        n, word = case
+        w = AffinePermutation.from_word(n, word)
+        assert list(w.code()) == [code_unfolded(w, i) for i in range(1, n + 1)]
+
+    def test_ascent_step_moves_two_entries(self):
+        # the rule the Grassmannianization sweep runs on: w(i) < w(i+1) iff
+        # c_i >= c_{i+1}, and then w*s_i has (c_{i+1}, c_i + 1) there
+        for n, maxlen in FACTOR_GRID:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    code = w.code()
+                    for i in range(1, n + 1):
+                        x, y = i - 1, i % n
+                        ascent = not w.has_right_descent(i)
+                        assert ascent == (code[x] >= code[y])
+                        if ascent:
+                            expected = list(code)
+                            expected[x], expected[y] = code[y], code[x] + 1
+                            assert list(w.times_s(i).code()) == expected
 
     def test_grassmannian_criterion(self):
         for lam in partitions_of(5, max_part=3):
             w = grassmannian_from_kbounded(4, lam)
-            cs = [w.c_stat(i) for i in range(1, 5)]
+            cs = list(w.code())
             assert cs == sorted(cs, reverse=True)
             assert cs[-1] == 0
 
@@ -343,7 +382,7 @@ class TestMaxCyclicFactor:
     def test_matches_exhaustive_scan(self):
         # every side/direction on every element, n <= 7: 5,360 cases
         cases = 0
-        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]:
+        for n, maxlen in FACTOR_GRID:
             for level in elements_by_length(n, maxlen):
                 for w in level:
                     for side in ("right", "left"):
@@ -369,7 +408,9 @@ class TestMaxCyclicFactor:
         assert max_cyclic_factor(w).members == frozenset({1, 9})
         assert max_cyclic_factor(w, "right", "increasing").members == frozenset({0, 1, 8, 9})
         assert max_cyclic_factor(w, "left", "decreasing").members == frozenset({0, 8})
-        assert shape_of(w) == (2, 2)
+        v, p = grassmannianize(w)
+        v0 = rotate(v, -p)  # the tail the expansion starts from
+        assert shape_of(v0) == maximal_cdd(v0)[1] == (1,) * 7
         assert in_A(w, CylType(8, 16)) and not in_A(w, CylType(2, 16))
         assert cyclic_factors(w, 2) == [frozenset({1, 9})]
         # F_w = e_2 * e_2, as oracle_expand finds in test_stanley
@@ -382,7 +423,7 @@ class TestCyclicFactors:
     def test_matches_exhaustive_scan(self):
         # every size, side and direction on every element, n <= 7: 29,624 cases
         cases = 0
-        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]:
+        for n, maxlen in FACTOR_GRID:
             for level in elements_by_length(n, maxlen):
                 for w in level:
                     for size in range(n):
@@ -445,6 +486,32 @@ class TestMaximalCdd:
             assert tuple(sorted(lam, reverse=True)) == lam
 
 
+class TestShapeOf:
+    def test_matches_maximal_cdd(self):
+        cases = 0
+        for n in range(2, 8):
+            for total in range(11):
+                for lam in partitions_of(total, max_part=n - 1):
+                    w = grassmannian_from_kbounded(n, lam)
+                    assert shape_of(w) == maximal_cdd(w)[1] == lam
+                    cases += 1
+        assert cases == 446
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, n - 1), max_size=10))))
+    def test_matches_maximal_cdd_on_random_partitions(self, case):
+        n, parts = case
+        lam = tuple(sorted(parts, reverse=True))
+        w = grassmannian_from_kbounded(n, lam)
+        assert shape_of(w) == maximal_cdd(w)[1] == lam
+
+    def test_rejects_non_grassmannian(self):
+        for w in (W(4, 0, 1), W(16, 0, 8, 1, 9)):
+            with pytest.raises(InvalidInputError):
+                shape_of(w)
+
+
 class TestKBoundedBijection:
     def test_example2(self):
         v = grassmannian_from_kbounded(6, (2, 1))
@@ -469,7 +536,7 @@ class TestKBoundedBijection:
             for lam in partitions_of(total, max_part=n - 1):
                 w = grassmannian_from_kbounded(n, lam)
                 assert w.is_grassmannian(0)
-                assert kbounded_from_grassmannian(w) == lam
+                assert shape_of(w) == lam
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_image_is_all_grassmannians(self, n):

@@ -179,6 +179,39 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert "unknown suite" in err
 
+    def test_maxlen_reaches_the_suite_at_every_value(self, capsys, monkeypatch):
+        from cylkit import verify as verify_mod
+
+        seen = []
+
+        def record(**kwargs):
+            seen.append(kwargs)
+            return verify_mod.SuiteResult("dual-pieri", True, 0, 0.0)
+
+        monkeypatch.setitem(verify_mod.ALL_SUITES, "dual-pieri", record)
+        for extra in (["--maxlen", "4"], ["--maxlen", "5"], []):
+            code, _, _ = run(capsys, "verify", "--suite", "dual-pieri",
+                             "--n", "3", *extra)
+            assert code == EXIT_OK
+        # no --maxlen: the suite keeps its own default length
+        assert seen == [{"max_n": 3, "max_len": 4}, {"max_n": 3, "max_len": 5},
+                        {"max_n": 3}]
+
+    def test_runs_all_suites_in_registry_order(self, capsys, monkeypatch):
+        from cylkit import verify as verify_mod
+
+        order = ["example2", "affine-core", "add-box-relations", "dual-pieri",
+                 "grassmannianize-bounds", "phi-bijection", "expansion-oracle",
+                 "shift-property", "nilcoxeter"]
+        assert list(verify_mod.ALL_SUITES) == order
+        for name in order:
+            def passed(name=name):
+                return verify_mod.SuiteResult(name, True, 0, 0.0)
+            monkeypatch.setitem(verify_mod.ALL_SUITES, name, passed)
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_OK
+        assert [line.split()[1].rstrip(":") for line in out.splitlines()] == order
+
 
 class TestCorpus:
     def test_small_exhaustive_and_deterministic(self, tmp_path, capsys):
@@ -230,6 +263,18 @@ class TestCorpus:
                            "--cache", str(path))
         assert code == EXIT_IO
         assert ":" in err and "corrupted" in err
+
+    def test_duplicate_window_reports_lineno(self, tmp_path, capsys):
+        path = tmp_path / "dup.jsonl"
+        run(capsys, "corpus", "--n", "3", "--maxlen", "2", "--cache", str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        with open(path, "a") as handle:
+            handle.write(lines[2])  # the second record, appended again
+        code, out, err = run(capsys, "corpus", "--n", "3", "--maxlen", "2",
+                             "--cache", str(path))
+        assert code == EXIT_IO
+        assert f":{len(lines) + 1}: duplicate window" in err
+        assert out == ""
 
     def test_torn_final_line_is_redone(self, tmp_path, capsys):
         path = tmp_path / "torn.jsonl"

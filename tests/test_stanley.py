@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylkit.affine import (
     AffinePermutation,
@@ -28,7 +30,11 @@ from cylkit.stanley import (
 )
 from cylkit.symfunc import SymmetricPolynomial, lr_coeff
 
-from oracles import dual_pieri_branches_exhaustive, stanley_coefficient_brute
+from oracles import (
+    dual_pieri_branches_exhaustive,
+    grassmannianize_by_elements,
+    stanley_coefficient_brute,
+)
 
 T36 = CylType(3, 6)
 T24 = CylType(2, 4)
@@ -99,6 +105,24 @@ class TestGrassmannianize:
                 assert wv.length == w.length + v.length
                 assert wv.is_grassmannian(p)
                 assert v.length <= bound
+
+    def test_matches_sweep_on_elements(self):
+        # every element of the cyclic-factor grid, n <= 7: 1,340 elements
+        cases = 0
+        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    assert grassmannianize(w) == grassmannianize_by_elements(w), w
+                    cases += 1
+        assert cases == 1340
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 32).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=12))))
+    def test_matches_sweep_on_random_words(self, case):
+        n, word = case
+        w = AffinePermutation.from_word(n, word)
+        assert grassmannianize(w) == grassmannianize_by_elements(w)
 
 
 class TestGrassmannianize321:
