@@ -15,8 +15,9 @@ Layout:
                     codes, cyclically decreasing elements and cyclic
                     factors, the bijection between 0-Grassmannian elements
                     and bounded partitions (read off the code).
-- ``cylindric``  -- cylindric shapes and tableaux, the box-adding action,
-                    the bijection between Grassmannian elements and shapes.
+- ``cylindric``  -- cylindric shapes, the box-adding action, the cylindric
+                    Schur polynomial, the bijection between Grassmannian
+                    elements and shapes.
 - ``symfunc``    -- exact symmetric-polynomial arithmetic in the monomial
                     basis; classical (skew) Schur polynomials and the
                     Littlewood-Richardson oracle.

@@ -17,7 +17,7 @@ elements and partitions with parts < n, read off the code.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,19 +148,6 @@ class AffinePermutation:
             length += -1 if left > right else 1
         return AffinePermutation._trusted(n, tuple(win), length)
 
-    def s_times(self, i: int) -> "AffinePermutation":
-        """Left multiplication ``s_i * w`` (swap window values).
-
-        The length is not carried: it moves by the left descent at ``i``,
-        which the window swap does not test.
-        """
-        n = self.n
-        i = i % n
-        j = (i + 1) % n
-        win = tuple(v + 1 if v % n == i else (v - 1 if v % n == j else v)
-                    for v in self.window)
-        return AffinePermutation._trusted(n, win)
-
     # -- length and descents -----------------------------------------------
 
     @cached_property
@@ -222,30 +209,6 @@ class AffinePermutation:
         return tuple(sum((wb - wi + n - 1) // n for wb in win[:i] if wb > wi)
                      + sum((wb - wi) // n for wb in win[i + 1:] if wb > wi)
                      for i, wi in enumerate(win))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "window": list(self.window)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "AffinePermutation":
-        return AffinePermutation(int(obj["n"]), tuple(int(v) for v in obj["window"]))
-
-
-def word_to_json(n: int, letters: Sequence[int]) -> dict:
-    """Generator-word schema: ``{"n": ..., "letters": [...]}``."""
-    if not all(0 <= i < n for i in letters):
-        raise InvalidInputError(f"letters must lie in 0..{n - 1}: {letters}")
-    return {"n": n, "letters": list(letters)}
-
-
-def word_from_json(obj: dict) -> tuple[int, Word]:
-    n = int(obj["n"])
-    letters = tuple(int(i) for i in obj["letters"])
-    if not all(0 <= i < n for i in letters):
-        raise InvalidInputError(f"letters must lie in 0..{n - 1}: {letters}")
-    return n, letters
 
 
 def enumerate_reduced_words(w: AffinePermutation, cap: int) -> tuple[Word, ...]:
@@ -352,9 +315,6 @@ class CyclicSet:
 
     def element(self) -> AffinePermutation:
         return AffinePermutation.from_word(self.n, self.word())
-
-    def reversed(self) -> "CyclicSet":
-        return CyclicSet(self.n, self.members, not self.decreasing)
 
 
 def interval_set(n: int, lo: int, hi: int, decreasing: bool = True) -> CyclicSet:

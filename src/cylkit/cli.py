@@ -58,7 +58,7 @@ CORPUS_VERSION = 1
 @dataclass
 class RunConfig:
     command: str
-    n: int = 0
+    n: int | None = None
     m: int | None = None
     word: tuple[int, ...] = ()
     lam: tuple[int, ...] = ()
@@ -104,7 +104,7 @@ def cmd_expand(config: RunConfig) -> int:
         raise InvalidInputError(
             f"word letters must lie in 0..{config.n - 1}: {list(config.word)}")
     w = AffinePermutation.from_word(config.n, config.word)
-    ctype = CylType(config.m, config.n) if config.m else None
+    ctype = CylType(config.m, config.n) if config.m is not None else None
     expansion = expand_affine_schur(w, ctype=ctype, cap=config.cap)
     rows = expansion.to_rows(ctype if ctype and in_A(w, ctype) else None)
     payload = {"command": "expand", "n": config.n,
@@ -122,8 +122,6 @@ def cmd_expand(config: RunConfig) -> int:
 
 
 def cmd_cylindric(config: RunConfig) -> int:
-    if not config.m:
-        raise InvalidInputError("cylindric requires --m")
     ctype = CylType(config.m, config.n)
     shape = shape_new(ctype, config.lam, config.d, config.mu)
     w = skew_word(shape)
@@ -145,8 +143,6 @@ def cmd_cylindric(config: RunConfig) -> int:
 
 
 def cmd_gw(config: RunConfig) -> int:
-    if not config.m:
-        raise InvalidInputError("gw requires --m")
     ctype = CylType(config.m, config.n)
     value = gromov_witten(ctype, config.lam, config.d, config.mu, config.nu)
     degree_ok = (sum(config.lam) + config.n * config.d
@@ -183,6 +179,8 @@ def cmd_verify(config: RunConfig) -> int:
         names = [config.suite]
     else:
         names = list(verify_mod.ALL_SUITES)
+    if config.n is not None and config.n < 2:
+        raise InvalidInputError(f"verify needs a period n >= 2, got {config.n}")
 
     overrides = _suite_overrides(config)
     all_ok = True
@@ -200,7 +198,7 @@ def cmd_verify(config: RunConfig) -> int:
 def _suite_overrides(config: RunConfig) -> dict:
     """Scale the configurable suites down from CLI flags."""
     overrides: dict[str, dict] = {}
-    if config.n:
+    if config.n is not None:
         overrides["dual-pieri"] = {"max_n": config.n}
         overrides["affine-core"] = {"max_n": config.n}
         overrides["grassmannianize-bounds"] = {"max_n": config.n}
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default=None)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--maxlen", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 

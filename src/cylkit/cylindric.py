@@ -179,25 +179,6 @@ class CylindricShape:
     def inner(self) -> PeriodicSequence:
         return PeriodicSequence.from_partition(self.ctype, self.mu, 0)
 
-    def cells(self) -> list[tuple[int, int]]:
-        """Canonical representatives, one per cell class: rows ``1..m``."""
-        inner, outer = self.inner(), self.outer()
-        return [(p, q)
-                for p in range(1, self.ctype.m + 1)
-                for q in range(inner.row_bound(p) + 1, outer.row_bound(p) + 1)]
-
-    def diagonal(self, p: int, q: int) -> int:
-        return (q - p) % self.ctype.n
-
-    def to_json(self) -> dict:
-        return {"m": self.ctype.m, "n": self.ctype.n,
-                "lambda": list(self.lam), "d": self.d, "mu": list(self.mu)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "CylindricShape":
-        return shape_new(CylType(int(obj["m"]), int(obj["n"])),
-                         tuple(obj["lambda"]), int(obj["d"]), tuple(obj["mu"]))
-
 
 def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     """Validated shape ``lam/d/mu``.
@@ -303,54 +284,6 @@ def cylindric_schur_poly(shape: CylindricShape, nvars: int,
         raise CapExceededError(f"{total} cells exceeds tableau cap {cap}")
     table = _cyl_weight_table(shape, nvars)
     return SymmetricPolynomial.from_weight_table(nvars, total, table)
-
-
-@dataclass(frozen=True)
-class CylTableau:
-    """A cylindric SSYT: entries on the canonical cell representatives."""
-
-    shape: CylindricShape
-    entries: tuple  # ((p, q), value) pairs, sorted
-
-    def value(self, p: int, q: int) -> int | None:
-        m, n = self.shape.ctype.m, self.shape.ctype.n
-        pp = (p - 1) % m + 1
-        qq = q + ((p - pp) // m) * (n - m)
-        return dict(self.entries).get((pp, qq))
-
-    def weight(self, nvars: int) -> tuple[int, ...]:
-        counts = [0] * nvars
-        for _, v in self.entries:
-            counts[v - 1] += 1
-        return tuple(counts)
-
-    def check(self) -> None:
-        """Row weak increase, column strict increase, on the cylinder."""
-        for (p, q), v in self.entries:
-            right = self.value(p, q + 1)
-            if right is not None and right < v:
-                raise AssertionError(f"row violation at {(p, q)}")
-            below = self.value(p + 1, q)
-            if below is not None and below <= v:
-                raise AssertionError(f"column violation at {(p, q)}")
-
-
-def cylindric_tableaux(shape: CylindricShape, nvars: int) -> Iterator[CylTableau]:
-    """All cylindric SSYT with entries ``<= nvars``, one at a time."""
-    outer = shape.outer()
-
-    def rec(cur: PeriodicSequence, step: int, acc: list):
-        if step > nvars:
-            if cur == outer:
-                yield CylTableau(shape, tuple(sorted(acc)))
-            return
-        for nxt in _strip_extensions_cyl(cur, outer):
-            fresh = [((p, q), step)
-                     for p in range(1, shape.ctype.m + 1)
-                     for q in range(cur.row_bound(p) + 1, nxt.row_bound(p) + 1)]
-            yield from rec(nxt, step + 1, acc + fresh)
-
-    yield from rec(shape.inner(), 1, [])
 
 
 # -- boundary words and the bijection -----------------------------------------

@@ -30,7 +30,7 @@ from cylkit.stanley import expand_affine_schur
 DEFAULT_KSCHUR_CAP = 8
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NilCoxeterElement:
     """Finite integer combination of ``A_w`` symbols, homogeneous in length."""
 
@@ -110,11 +110,6 @@ class NilCoxeterElement:
                     out[vw] = out.get(vw, 0) + a * b
         return NilCoxeterElement(self.n, out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NilCoxeterElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"NilCoxeterElement(n={self.n}, 0)"
@@ -123,11 +118,6 @@ class NilCoxeterElement:
             for w, c in sorted(self.terms.items(),
                                key=lambda t: (t[0].length, t[0].window)))
         return f"NilCoxeterElement(n={self.n}: {body})"
-
-    def to_json(self) -> list[dict]:
-        return [{"window": list(w.window), "coeff": c}
-                for w, c in sorted(self.terms.items(),
-                                   key=lambda t: (t[0].length, t[0].window))]
 
 
 def hh(i: int, n: int) -> NilCoxeterElement:

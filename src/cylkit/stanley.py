@@ -256,7 +256,7 @@ def grassmannianize_321(w: AffinePermutation,
 # -- the expansion -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AffineSchurExpansion:
     """Integer coefficients on 0-Grassmannian keys."""
 
@@ -273,11 +273,6 @@ class AffineSchurExpansion:
     def items_sorted(self) -> list[tuple[AffinePermutation, int]]:
         return sorted(self.coeffs.items(),
                       key=lambda item: (item[0].length, item[0].window))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineSchurExpansion):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
 
     def to_rows(self, ctype: CylType | None = None) -> list[dict]:
         """Keys rendered as window, k-bounded partition, and (with a type)
@@ -456,7 +451,7 @@ def oracle_expand(w: AffinePermutation,
 # -- cylindric wrapper -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SchurExpansion:
     """Coefficients on shapes ``nu/e/()``, keys ``(nu, e)``."""
 
@@ -466,11 +461,6 @@ class SchurExpansion:
     def items_sorted(self) -> list[tuple[tuple[Partition, int], int]]:
         return sorted(self.coeffs.items(),
                       key=lambda item: (item[0][1], sum(item[0][0]), item[0][0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.ctype == other.ctype and self.coeffs == other.coeffs
 
     def to_rows(self) -> list[dict]:
         return [{"partition": list(nu), "e": e, "coeff": c}

@@ -41,7 +41,7 @@ def _orbit_size(lam: Partition, nvars: int) -> int:
     return factorial(nvars) // denom
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SymmetricPolynomial:
     """Homogeneous symmetric polynomial, monomial-basis coefficient table."""
 
@@ -70,10 +70,6 @@ class SymmetricPolynomial:
     @staticmethod
     def zero(nvars: int, degree: int) -> "SymmetricPolynomial":
         return SymmetricPolynomial(nvars, degree, {})
-
-    @staticmethod
-    def one(nvars: int) -> "SymmetricPolynomial":
-        return SymmetricPolynomial(nvars, 0, {(): 1})
 
     @staticmethod
     def from_weight_table(nvars: int, degree: int,
@@ -129,12 +125,6 @@ class SymmetricPolynomial:
         return SymmetricPolynomial(
             self.nvars, self.degree,
             {lam: scalar * c for lam, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetricPolynomial):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.degree == other.degree
-                and self.coeffs == other.coeffs)
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*m{list(lam)}" for lam, c in

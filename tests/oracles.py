@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from cylkit.affine import (
     AffinePermutation,
@@ -16,6 +18,11 @@ from cylkit.affine import (
     interval_set,
     max_cyclic_factor,
     proper_subsets,
+)
+from cylkit.cylindric import (
+    CylindricShape,
+    PeriodicSequence,
+    _strip_extensions_cyl,
 )
 from cylkit.partitions import Partition, check_partition
 
@@ -30,6 +37,16 @@ def unfolded_inversions(w: AffinePermutation, periods: int = 6) -> int:
             if w.value(j) < wi:
                 total += 1
     return total
+
+
+def s_times(w: AffinePermutation, i: int) -> AffinePermutation:
+    """Left multiplication ``s_i * w`` by swapping the window *values*
+    ``i + kn`` and ``i + 1 + kn``, through the validating constructor."""
+    n = w.n
+    i = i % n
+    j = (i + 1) % n
+    return AffinePermutation(n, tuple(
+        v + 1 if v % n == i else (v - 1 if v % n == j else v) for v in w.window))
 
 
 def bfs_word_length(w: AffinePermutation, cap: int) -> int | None:
@@ -124,7 +141,7 @@ def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:
         J = max_cyclic_factor(cur, "right", "decreasing")
         sets.append(J)
         sizes.append(len(J.members))
-        cur = cur * J.reversed().element()
+        cur = cur * CyclicSet(J.n, J.members, not J.decreasing).element()
     return sets, check_partition(tuple(sizes))
 
 
@@ -205,7 +222,7 @@ def stanley_coefficient_brute(w: AffinePermutation, alpha: tuple[int, ...]) -> i
         total = 0
         for members in proper_subsets(n, size):
             d = CyclicSet(n, members, True)
-            rest = d.reversed().element() * u
+            rest = CyclicSet(n, d.members, not d.decreasing).element() * u
             if rest.length == u.length - size:
                 total += rec(rest, remaining[1:])
         return total
@@ -294,3 +311,62 @@ def poly_mul_monomial_tables(nvars: int, p: dict, q: dict) -> dict:
             key = tuple(v for v in expo if v)
             out[key] = c
     return out
+
+
+# -- cylindric tableaux, cell by cell ----------------------------------------
+
+
+def shape_cells(shape: CylindricShape) -> list[tuple[int, int]]:
+    """Canonical representatives, one per cell class: rows ``1..m``."""
+    inner, outer = shape.inner(), shape.outer()
+    return [(p, q)
+            for p in range(1, shape.ctype.m + 1)
+            for q in range(inner.row_bound(p) + 1, outer.row_bound(p) + 1)]
+
+
+@dataclass(frozen=True)
+class CylTableau:
+    """A cylindric SSYT: entries on the canonical cell representatives."""
+
+    shape: CylindricShape
+    entries: tuple  # ((p, q), value) pairs, sorted
+
+    def value(self, p: int, q: int) -> int | None:
+        m, n = self.shape.ctype.m, self.shape.ctype.n
+        pp = (p - 1) % m + 1
+        qq = q + ((p - pp) // m) * (n - m)
+        return dict(self.entries).get((pp, qq))
+
+    def weight(self, nvars: int) -> tuple[int, ...]:
+        counts = [0] * nvars
+        for _, v in self.entries:
+            counts[v - 1] += 1
+        return tuple(counts)
+
+    def check(self) -> None:
+        """Row weak increase, column strict increase, on the cylinder."""
+        for (p, q), v in self.entries:
+            right = self.value(p, q + 1)
+            if right is not None and right < v:
+                raise AssertionError(f"row violation at {(p, q)}")
+            below = self.value(p + 1, q)
+            if below is not None and below <= v:
+                raise AssertionError(f"column violation at {(p, q)}")
+
+
+def cylindric_tableaux(shape: CylindricShape, nvars: int) -> Iterator[CylTableau]:
+    """All cylindric SSYT with entries ``<= nvars``, one at a time."""
+    outer = shape.outer()
+
+    def rec(cur: PeriodicSequence, step: int, acc: list):
+        if step > nvars:
+            if cur == outer:
+                yield CylTableau(shape, tuple(sorted(acc)))
+            return
+        for nxt in _strip_extensions_cyl(cur, outer):
+            fresh = [((p, q), step)
+                     for p in range(1, shape.ctype.m + 1)
+                     for q in range(cur.row_bound(p) + 1, nxt.row_bound(p) + 1)]
+            yield from rec(nxt, step + 1, acc + fresh)
+
+    yield from rec(shape.inner(), 1, [])

@@ -2,7 +2,16 @@
 
 import json
 
-from cylkit.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_PARSE, main
+import pytest
+
+from cylkit.cli import (
+    EXIT_CAP,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -63,6 +72,12 @@ class TestExpand:
                          "--cap", "0")
         assert code == EXIT_PARSE
 
+    def test_type_m_zero_is_rejected(self, capsys):
+        code, out, err = run(capsys, "expand", "--n", "5", "--word", "0,1",
+                             "--m", "0")
+        assert code == EXIT_PARSE
+        assert out == "" and "0 < m < n" in err
+
     def test_cap_exceeded(self, capsys):
         code, _, _ = run(capsys, "expand", "--n", "3", "--word", "0,1,0",
                          "--cap", "2")
@@ -121,6 +136,12 @@ class TestCylindric:
             assert term["e"] == 0
             assert term["coeff"] == lr_coeff((2, 1), (1,), tuple(term["partition"]))
 
+    def test_type_m_zero_is_rejected(self, capsys):
+        for command in ("cylindric", "gw"):
+            code, _, err = run(capsys, command, "--m", "0", "--n", "4")
+            assert code == EXIT_PARSE
+            assert "0 < m < n" in err
+
     def test_containment_error_is_parse_exit(self, capsys):
         code, _, _ = run(capsys, "cylindric", "--m", "3", "--n", "6",
                          "--lambda", "1", "--mu", "2")
@@ -173,6 +194,19 @@ class TestVerify:
                            "--n", "4", "--maxlen", "6")
         assert code == EXIT_OK
         assert "PASS dual-pieri" in out
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_period_below_two_is_rejected(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--suite", "dual-pieri", "--n", n)
+        assert code == EXIT_PARSE
+        assert out == "" and "n >= 2" in err
+
+    def test_suite_without_checks_fails(self, capsys):
+        # at n = 2 the oracle suite has no period to run on
+        code, out, _ = run(capsys, "verify", "--suite", "expansion-oracle",
+                           "--n", "2")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.startswith("FAIL expansion-oracle: 0 checks")
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")

@@ -1,17 +1,16 @@
 """Cylindric shapes, the box-adding action, tableaux, and the bijection."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from cylkit.affine import AffinePermutation, CyclicSet, proper_subsets
 from cylkit.cylindric import (
     CylType,
-    CylindricShape,
     PeriodicSequence,
     cell_count,
     cylindric_schur_poly,
-    cylindric_tableaux,
     empty_boundary,
     in_A,
     in_A0,
@@ -27,6 +26,8 @@ from cylkit.cylindric import (
 from cylkit.errors import InvalidInputError, ShapeError
 from cylkit.partitions import partitions_in_box
 from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
+
+from oracles import cylindric_tableaux, shape_cells
 
 T36 = CylType(3, 6)
 T24 = CylType(2, 4)
@@ -58,7 +59,7 @@ class TestShapes:
 
     def test_empty_shape(self):
         s = shape_new(T36, (), 0, ())
-        assert cell_count(s) == 0 and s.cells() == []
+        assert cell_count(s) == 0 and shape_cells(s) == []
 
     def test_containment_error(self):
         with pytest.raises(ShapeError):
@@ -72,15 +73,11 @@ class TestShapes:
 
     def test_nine_cell_shape(self):
         s = shape_new(T36, (2, 1), 1, ())
-        assert cell_count(s) == 9 == len(s.cells())
+        assert cell_count(s) == 9 == len(shape_cells(s))
 
     def test_cell_count_formula_vs_enumeration(self):
         for s in all_shapes(T24, 8):
-            assert cell_count(s) == len(s.cells())
-
-    def test_json_round_trip(self):
-        s = shape_new(T36, (2, 1), 1, (2, 1))
-        assert CylindricShape.from_json(s.to_json()) == s
+            assert cell_count(s) == len(shape_cells(s))
 
 
 class TestBoundaries:
@@ -186,7 +183,7 @@ class TestToric:
 class TestCylindricSchurPoly:
     def test_empty(self):
         p = cylindric_schur_poly(shape_new(T36, (), 0, ()), 3)
-        assert p == SymmetricPolynomial.one(3)
+        assert p == SymmetricPolynomial(3, 0, {(): 1})
 
     def test_single_cell(self):
         p = cylindric_schur_poly(shape_new(T36, (1,), 0, ()), 2)
@@ -216,6 +213,11 @@ class TestCylindricSchurPoly:
             total = sum(poly.coeff(lam) * orbit
                         for lam, orbit in _orbit_counts(poly, nvars))
             assert total == len(tabs)
+            # each weight vector counts the tableaux of that content
+            weights = Counter(t.weight(nvars) for t in tabs)
+            for expo, count in weights.items():
+                key = tuple(sorted((e for e in expo if e), reverse=True))
+                assert poly.coeff(key) == count
 
 
 def _orbit_counts(poly, nvars):

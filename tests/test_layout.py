@@ -1,0 +1,63 @@
+"""Package layout: every definition in ``src/cylkit`` has a caller there.
+
+A module-level function or class, or a method that is not a dunder, must
+be referenced by name (a ``Name``, an ``Attribute`` or an import) somewhere
+in ``src/cylkit`` or in the benchmark scripts ``bench/*.py``.  Helpers that
+only tests call belong in ``tests/oracles.py``, not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cylkit"
+
+# Public API with no internal caller, documented in README.
+ALLOWED = {"memo.clear_caches"}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module, module: str):
+    """``(qualified name, bare name)`` of top-level defs and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(item.name)):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_definition_in_src_has_a_caller_outside_tests():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    used = set().union(*(references(tree) for tree in trees.values()))
+    unused = [qualified
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for qualified, name in definitions(tree, path.stem)
+              if name not in used and qualified not in ALLOWED]
+    assert unused == []
+
+
+def test_allowlist_names_live_definitions():
+    defined = {qualified
+               for path in PACKAGE.glob("*.py")
+               for qualified, _ in definitions(
+                   ast.parse(path.read_text(encoding="utf-8")), path.stem)}
+    assert ALLOWED <= defined
