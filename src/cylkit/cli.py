@@ -203,7 +203,9 @@ def _suite_overrides(config: RunConfig) -> dict:
         overrides["affine-core"] = {"max_n": config.n}
         overrides["grassmannianize-bounds"] = {"max_n": config.n}
         overrides["expansion-oracle"] = {
-            "exhaustive_n": tuple(v for v in (3, 4) if v <= config.n),
+            # below period 3, run exhaustively at the given period
+            "exhaustive_n": (tuple(v for v in (3, 4) if v <= config.n)
+                             or (config.n,)),
             "sampled_n": tuple(v for v in (5, 6) if v <= config.n)}
     if config.maxlen is not None:
         overrides.setdefault("dual-pieri", {})["max_len"] = config.maxlen

@@ -4,11 +4,9 @@ Geometry.  Cells live on the cylinder ``Z^2 / (row, col) ~ (row - m,
 col + n - m)``; the diagonal of a cell is ``(col - row) mod n``.  A boundary
 is an order ideal, recorded by its row bounds ``R_p`` (cells of row ``p`` are
 the columns ``q <= R_p``), which weakly decrease with ``R_{p+m} = R_p -
-(n-m)``.  The stored :class:`PeriodicSequence` keeps one period in the
-increasing orientation mandated by the type contract (``base[0] <= ... <=
-base[m-1] <= base[0] + n - m``); row bounds read the stored period backwards,
-``R_p = base`` evaluated at index ``m + 1 - p``.  Derived row lengths, not
-the raw orientation, are what every algorithm consumes.
+(n-m)``.  A :class:`PeriodicSequence` stores one period of them, ``rows =
+(R_1, ..., R_m)`` with ``R_1 >= ... >= R_m >= R_1 - (n-m)``, and every
+algorithm reads the boundary through these row bounds.
 
 A shape ``lam/d/mu`` is the region between the boundaries of ``mu[0]``
 (inner) and ``lam[d]`` (outer), where ``lam[d]`` places window ``lam_j + d``
@@ -19,6 +17,7 @@ attach, so the action is either a single increment or zero.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -54,39 +53,32 @@ class CylType:
 
 @dataclass(frozen=True)
 class PeriodicSequence:
-    """A boundary on the cylinder: one stored period, increasing orientation."""
+    """A boundary on the cylinder: its row bounds ``(R_1, ..., R_m)``.
+
+    >>> b = PeriodicSequence.from_partition(CylType(3, 6), (2, 1), 0)
+    >>> b.rows
+    (2, 1, 0)
+    >>> b.add_box(4).rows
+    (2, 1, 1)
+    """
 
     ctype: CylType
-    base: tuple[int, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         m, n = self.ctype.m, self.ctype.n
-        if len(self.base) != m:
-            raise InvalidInputError(f"base must have {m} entries: {self.base}")
-        ext = self.base + (self.base[0] + n - m,)
-        if any(ext[i] > ext[i + 1] for i in range(m)):
+        if len(self.rows) != m:
+            raise InvalidInputError(f"rows must have {m} entries: {self.rows}")
+        ext = self.rows + (self.rows[0] - (n - m),)
+        if any(ext[i] < ext[i + 1] for i in range(m)):
             raise InvalidInputError(
-                f"base must satisfy a1 <= ... <= am <= a1 + (n-m): {self.base}")
-
-    # -- evaluation ----------------------------------------------------------
-
-    def _ext(self, i: int) -> int:
-        """Stored sequence at any integer index, ``a_{i+m} = a_i + (n-m)``."""
-        m, n = self.ctype.m, self.ctype.n
-        j = (i - 1) % m
-        return self.base[j] + ((i - 1 - j) // m) * (n - m)
+                f"rows must satisfy R1 >= ... >= Rm >= R1 - (n-m): {self.rows}")
 
     def row_bound(self, p: int) -> int:
         """Right edge of row ``p``; decreases with ``R_{p+m} = R_p - (n-m)``."""
-        return self._ext(self.ctype.m + 1 - p)
-
-    def rows(self) -> tuple[int, ...]:
-        """``(R_1, ..., R_m)``, the canonical window of row bounds."""
-        return tuple(reversed(self.base))
-
-    @staticmethod
-    def from_rows(ctype: CylType, rows) -> "PeriodicSequence":
-        return PeriodicSequence(ctype, tuple(reversed(tuple(rows))))
+        m, n = self.ctype.m, self.ctype.n
+        j = (p - 1) % m
+        return self.rows[j] - ((p - 1 - j) // m) * (n - m)
 
     # -- box moves -----------------------------------------------------------
 
@@ -96,19 +88,19 @@ class PeriodicSequence:
         At most one period position can carry diagonal ``i``, so the outcome
         is forced.
         """
-        m, n = self.ctype.m, self.ctype.n
+        n = self.ctype.n
         i = i % n
-        spots = [j for j in range(1, m + 1)
-                 if (self.base[j - 1] + j - m) % n == i]
+        spots = [p for p, bound in enumerate(self.rows, 1)
+                 if (bound + 1 - p) % n == i]
         if len(spots) > 1:
             raise AssertionError(f"diagonal {i} not unique on {self}")
         if not spots:
             return None
-        j = spots[0]
-        if not self.base[j - 1] < self._ext(j + 1):
+        p = spots[0]
+        if not self.rows[p - 1] < self.row_bound(p - 1):
             return None
-        grown = list(self.base)
-        grown[j - 1] += 1
+        grown = list(self.rows)
+        grown[p - 1] += 1
         return PeriodicSequence(self.ctype, tuple(grown))
 
     def apply_word(self, word: Word) -> "PeriodicSequence | None":
@@ -124,7 +116,7 @@ class PeriodicSequence:
 
     def contains(self, other: "PeriodicSequence") -> bool:
         """Ideal containment: every row bound of ``other`` is below ours."""
-        return all(o <= s for s, o in zip(self.rows(), other.rows()))
+        return all(o <= s for s, o in zip(self.rows, other.rows))
 
     def to_shape(self) -> tuple[Partition, int]:
         """The unique ``(lam, d)`` with this boundary equal to ``lam[d]``.
@@ -133,9 +125,8 @@ class PeriodicSequence:
         ``lam`` in the (m, n) box.
         """
         m, n = self.ctype.m, self.ctype.n
-        rows = self.rows()
         found = []
-        for d in range(min(rows) - 2 * n, max(rows) + 2 * n + 1):
+        for d in range(min(self.rows) - 2 * n, max(self.rows) + 2 * n + 1):
             lam = tuple(self.row_bound(d + j) - d for j in range(1, m + 1))
             if lam[-1] >= 0 and lam[0] <= n - m:
                 found.append((tuple(v for v in lam if v), d))
@@ -154,7 +145,7 @@ class PeriodicSequence:
             j = (p - d - 1) % m + 1
             t = (d + j - p) // m
             rows.append(part(lam, j) + d + t * (n - m))
-        return PeriodicSequence.from_rows(ctype, rows)
+        return PeriodicSequence(ctype, tuple(rows))
 
 
 def empty_boundary(ctype: CylType) -> PeriodicSequence:
@@ -218,7 +209,7 @@ def is_toric(shape: CylindricShape) -> bool:
     for q in range(top - (n - m) + 1, top + 1):
         # column q: rows p with inner R_p < q <= outer R_p; both bounds move
         # by (n-m) every m rows, so a window of m*(2n) rows is ample.
-        span = m * (abs(q) + 2 * n + max(abs(v) for v in outer.rows()) + 1)
+        span = m * (abs(q) + 2 * n + max(abs(v) for v in outer.rows) + 1)
         count = sum(1 for p in range(-span, span + 1)
                     if inner.row_bound(p) < q <= outer.row_bound(p))
         if count > m:
@@ -234,27 +225,18 @@ def _strip_extensions_cyl(cur: PeriodicSequence,
     """Boundaries ``nxt`` between ``cur`` and ``outer`` with ``nxt/cur`` a
     horizontal strip (at most one new cell per column): ``nxt_p`` ranges over
     ``[cur_p, min(outer_p, cur_{p-1})]`` independently per row."""
-    m = cur.ctype.m
     ranges = [range(cur.row_bound(p), min(outer.row_bound(p),
                                           cur.row_bound(p - 1)) + 1)
-              for p in range(1, m + 1)]
-
-    def rec(p: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if p > m:
-            yield acc
-            return
-        for v in ranges[p - 1]:
-            yield from rec(p + 1, acc + (v,))
-
-    for rows in rec(1, ()):
-        yield PeriodicSequence.from_rows(cur.ctype, rows)
+              for p in range(1, cur.ctype.m + 1)]
+    for rows in itertools.product(*ranges):
+        yield PeriodicSequence(cur.ctype, rows)
 
 
 def _cyl_weight_table(shape: CylindricShape, nvars: int) -> dict:
     outer = shape.outer()
 
     def rec(cur: PeriodicSequence, steps: int) -> dict:
-        key = (cur.ctype, outer.base, cur.base, steps)
+        key = (cur.ctype, outer.rows, cur.rows, steps)
         hit = _CHAIN_MEMO.get(key)
         if hit is not None:
             return hit
@@ -263,7 +245,7 @@ def _cyl_weight_table(shape: CylindricShape, nvars: int) -> dict:
             return _CHAIN_MEMO.setdefault(key, out)
         out: dict = {}
         for nxt in _strip_extensions_cyl(cur, outer):
-            added = sum(nxt.rows()) - sum(cur.rows())
+            added = sum(nxt.rows) - sum(cur.rows)
             for suffix, c in rec(nxt, steps - 1).items():
                 k = (added,) + suffix
                 out[k] = out.get(k, 0) + c
@@ -308,10 +290,8 @@ def boundary_word(inner: PeriodicSequence,
             bound = cur.row_bound(p)
             if bound > inner.row_bound(p) and bound > cur.row_bound(p + 1):
                 letters.append((bound - p) % n)
-                cur = PeriodicSequence.from_rows(
-                    cur.ctype,
-                    tuple(bound - 1 if r == p else cur.row_bound(r)
-                          for r in range(1, m + 1)))
+                cur = PeriodicSequence(
+                    cur.ctype, cur.rows[:p - 1] + (bound - 1,) + cur.rows[p:])
                 break
         else:
             raise AssertionError("peeling stuck: boundaries not nested?")

@@ -62,10 +62,6 @@ class NilCoxeterElement:
         return NilCoxeterElement(n, {})
 
     @staticmethod
-    def unit(n: int) -> "NilCoxeterElement":
-        return NilCoxeterElement(n, {AffinePermutation.identity(n): 1})
-
-    @staticmethod
     def basis(w: AffinePermutation) -> "NilCoxeterElement":
         return NilCoxeterElement(w.n, {w: 1})
 

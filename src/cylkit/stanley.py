@@ -192,16 +192,15 @@ def grassmannianize(w: AffinePermutation) -> tuple[AffinePermutation, int]:
 
 
 def _candidate_boundaries(ctype: CylType):
-    """All boundaries up to value translation by n (offset x gap profiles)."""
+    """All boundaries up to value translation by n: ``R_m = offset`` and the
+    gaps ``R_{p-1} - R_p`` read from the bottom row up."""
     m, n = ctype.m, ctype.n
     for offset in range(n):
         for gaps in itertools.product(range(n - m + 1), repeat=m - 1):
             if sum(gaps) > n - m:
                 continue
-            base = [offset]
-            for g in gaps:
-                base.append(base[-1] + g)
-            yield PeriodicSequence(ctype, tuple(base))
+            rows = tuple(itertools.accumulate(gaps, initial=offset))[::-1]
+            yield PeriodicSequence(ctype, rows)
 
 
 def grassmannianize_321(w: AffinePermutation,
@@ -238,7 +237,7 @@ def grassmannianize_321(w: AffinePermutation,
     a = min(range(1, m + 1), key=lambda cand: (flat_cells(cand), cand))
     floor = beta.row_bound(a + m - 1)
     rows = tuple(floor + (n - m) if p < a else floor for p in range(1, m + 1))
-    alpha = PeriodicSequence.from_rows(ctype, rows)
+    alpha = PeriodicSequence(ctype, rows)
 
     v = boundary_word(alpha, beta)
     p = (floor + 1 - a) % n

@@ -509,34 +509,32 @@ def suite_add_box(max_n: int = 6, max_cells: int = 8) -> SuiteResult:
     for n in range(2, max_n + 1):
         for m in range(1, n):
             ctype = CylType(m, n)
-            seen = {empty_boundary(ctype).base}
             frontier = [empty_boundary(ctype)]
+            boundaries = set(frontier)
             for _ in range(max_cells):
                 nxt = []
                 for b in frontier:
                     for i in range(n):
                         g = b.add_box(i)
-                        if g is not None and g.base not in seen:
-                            seen.add(g.base)
+                        if g is not None and g not in boundaries:
+                            boundaries.add(g)
                             nxt.append(g)
                 frontier = nxt
-            boundaries = [empty_boundary(ctype).__class__(ctype, base)
-                          for base in seen]
             for b in boundaries:
                 for i in range(n):
                     checks += 1
                     if b.apply_word((i, i)) is not None:
-                        failures.append(("square", (m, n), b.base, i))
+                        failures.append(("square", (m, n), b.rows, i))
                     # braid words only exist for n >= 3 (mod 2, i+1 == i-1
                     # and the length-3 word is reduced)
                     if n >= 3 and (
                             b.apply_word((i, (i + 1) % n, i)) is not None
                             or b.apply_word(((i + 1) % n, i, (i + 1) % n)) is not None):
-                        failures.append(("braid", (m, n), b.base, i))
+                        failures.append(("braid", (m, n), b.rows, i))
                     for j in range(n):
                         if (i - j) % n not in (1, n - 1):
                             if b.apply_word((i, j)) != b.apply_word((j, i)):
-                                failures.append(("commute", (m, n), b.base, i, j))
+                                failures.append(("commute", (m, n), b.rows, i, j))
             for size in (n - m + 1, m + 1):
                 if size >= n:
                     continue
@@ -546,9 +544,9 @@ def suite_add_box(max_n: int = 6, max_cells: int = 8) -> SuiteResult:
                     for b in boundaries:
                         checks += 1
                         if size > n - m and b.apply_word(dec) is not None:
-                            failures.append(("long-decreasing", (m, n), b.base))
+                            failures.append(("long-decreasing", (m, n), b.rows))
                         if size > m and b.apply_word(inc) is not None:
-                            failures.append(("long-increasing", (m, n), b.base))
+                            failures.append(("long-increasing", (m, n), b.rows))
     return _finish("add-box-relations", start, checks, failures)
 
 

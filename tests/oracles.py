@@ -19,11 +19,7 @@ from cylkit.affine import (
     max_cyclic_factor,
     proper_subsets,
 )
-from cylkit.cylindric import (
-    CylindricShape,
-    PeriodicSequence,
-    _strip_extensions_cyl,
-)
+from cylkit.cylindric import CylindricShape
 from cylkit.partitions import Partition, check_partition
 
 
@@ -355,18 +351,13 @@ class CylTableau:
 
 
 def cylindric_tableaux(shape: CylindricShape, nvars: int) -> Iterator[CylTableau]:
-    """All cylindric SSYT with entries ``<= nvars``, one at a time."""
-    outer = shape.outer()
-
-    def rec(cur: PeriodicSequence, step: int, acc: list):
-        if step > nvars:
-            if cur == outer:
-                yield CylTableau(shape, tuple(sorted(acc)))
-            return
-        for nxt in _strip_extensions_cyl(cur, outer):
-            fresh = [((p, q), step)
-                     for p in range(1, shape.ctype.m + 1)
-                     for q in range(cur.row_bound(p) + 1, nxt.row_bound(p) + 1)]
-            yield from rec(nxt, step + 1, acc + fresh)
-
-    yield from rec(shape.inner(), 1, [])
+    """All cylindric SSYT with entries ``<= nvars``: every filling of the
+    cells that :meth:`CylTableau.check` accepts."""
+    cells = shape_cells(shape)
+    for values in itertools.product(range(1, nvars + 1), repeat=len(cells)):
+        tableau = CylTableau(shape, tuple(zip(cells, values)))
+        try:
+            tableau.check()
+        except AssertionError:
+            continue
+        yield tableau

@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes, cache behavior."""
 
 import json
+import time
 
 import pytest
 
@@ -201,12 +202,23 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert out == "" and "n >= 2" in err
 
-    def test_suite_without_checks_fails(self, capsys):
-        # at n = 2 the oracle suite has no period to run on
-        code, out, _ = run(capsys, "verify", "--suite", "expansion-oracle",
-                           "--n", "2")
+    def test_suite_without_checks_fails(self, capsys, monkeypatch):
+        from cylkit import verify as verify_mod
+
+        def nothing_checked(**kwargs):
+            return verify_mod._finish("expansion-oracle", time.time(), 0, [])
+
+        monkeypatch.setitem(verify_mod.ALL_SUITES, "expansion-oracle",
+                            nothing_checked)
+        code, out, _ = run(capsys, "verify", "--suite", "expansion-oracle")
         assert code == EXIT_VERIFY_FAILED
         assert out.startswith("FAIL expansion-oracle: 0 checks")
+
+    def test_oracle_suite_runs_at_period_two(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "expansion-oracle",
+                           "--n", "2")
+        assert code == EXIT_OK
+        assert out.startswith("PASS expansion-oracle: 13 checks")
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")

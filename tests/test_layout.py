@@ -1,9 +1,11 @@
 """Package layout: every definition in ``src/cylkit`` has a caller there.
 
-A module-level function or class, or a method that is not a dunder, must
-be referenced by name (a ``Name``, an ``Attribute`` or an import) somewhere
-in ``src/cylkit`` or in the benchmark scripts ``bench/*.py``.  Helpers that
-only tests call belong in ``tests/oracles.py``, not in the package.
+A module-level function or class must be referenced by name (a ``Name``,
+an ``Attribute`` or an import), and a method that is not a dunder by an
+attribute access, somewhere in ``src/cylkit`` or in the benchmark scripts
+``bench/*.py``.  A local variable or builtin that shares a method's name
+does not count.  Helpers that only tests call belong in
+``tests/oracles.py``, not in the package.
 """
 
 import ast
@@ -21,43 +23,48 @@ def _is_dunder(name: str) -> bool:
 
 
 def definitions(tree: ast.Module, module: str):
-    """``(qualified name, bare name)`` of top-level defs and their methods."""
+    """``(qualified name, bare name, is method)`` of top-level defs and their
+    methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not _is_dunder(item.name)):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
-def references(tree: ast.Module) -> set[str]:
-    names = set()
+def references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every referenced name, and the names referenced as attributes."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rpartition(".")[2] for alias in node.names)
-    return names
+    return names | attrs, attrs
 
 
 def test_every_definition_in_src_has_a_caller_outside_tests():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    used = set().union(*(references(tree) for tree in trees.values()))
+    refs = [references(tree) for tree in trees.values()]
+    used = set().union(*(names for names, _ in refs))
+    used_as_attr = set().union(*(attrs for _, attrs in refs))
     unused = [qualified
               for path, tree in trees.items() if path.parent == PACKAGE
-              for qualified, name in definitions(tree, path.stem)
-              if name not in used and qualified not in ALLOWED]
+              for qualified, name, method in definitions(tree, path.stem)
+              if name not in (used_as_attr if method else used)
+              and qualified not in ALLOWED]
     assert unused == []
 
 
 def test_allowlist_names_live_definitions():
     defined = {qualified
                for path in PACKAGE.glob("*.py")
-               for qualified, _ in definitions(
+               for qualified, _, _ in definitions(
                    ast.parse(path.read_text(encoding="utf-8")), path.stem)}
     assert ALLOWED <= defined

@@ -57,7 +57,7 @@ class TestProduct:
 
 class TestGenerators:
     def test_h0_unit(self):
-        assert hh(0, 4) == NilCoxeterElement.unit(4)
+        assert hh(0, 4) == NilCoxeterElement.basis(AffinePermutation.identity(4))
 
     def test_h_negative_is_zero(self):
         assert hh(-1, 4).is_zero()
@@ -131,7 +131,7 @@ class TestQuotient:
 
         types = [CylType(m, n) for m in range(1, n)]
         for word in words():
-            prod = NilCoxeterElement.unit(n)
+            prod = NilCoxeterElement.basis(AffinePermutation.identity(n))
             for i in word:
                 prod = prod * NilCoxeterElement.basis(
                     AffinePermutation.simple(n, i))
@@ -153,7 +153,8 @@ class TestKSchur:
                 assert nc_kschur(u) == hh(i, n)
 
     def test_identity_gives_unit(self):
-        assert nc_kschur(AffinePermutation.identity(3)) == NilCoxeterElement.unit(3)
+        e = AffinePermutation.identity(3)
+        assert nc_kschur(e) == NilCoxeterElement.basis(e)
 
     def test_unique_grassmannian_term(self):
         from cylkit.affine import grassmannians_of_length
