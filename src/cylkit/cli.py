@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from cylkit.affine import AffinePermutation, is_321_avoiding, shape_of
 from cylkit.cylindric import (
@@ -55,25 +54,6 @@ CORPUS_FORMAT = "cylkit-corpus"
 CORPUS_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    m: int | None = None
-    word: tuple[int, ...] = ()
-    lam: tuple[int, ...] = ()
-    d: int = 0
-    mu: tuple[int, ...] = ()
-    nu: tuple[int, ...] = ()
-    cap: int = DEFAULT_EXPAND_CAP
-    maxlen: int | None = None
-    output: str = "text"
-    cache_path: str | None = None
-    suite: str | None = None
-    seed: int | None = None
-    diagram: bool = False
-
-
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -89,43 +69,43 @@ def _word_header(word: tuple[int, ...]) -> str:
     return f"input word (left to right): {joined}"
 
 
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.output == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
-def cmd_expand(config: RunConfig) -> int:
-    if config.n < 2:
+def cmd_expand(args: argparse.Namespace) -> int:
+    if args.n < 2:
         raise InvalidInputError("need a period n >= 2")
-    if any(not 0 <= i < config.n for i in config.word):
+    if any(not 0 <= i < args.n for i in args.word):
         raise InvalidInputError(
-            f"word letters must lie in 0..{config.n - 1}: {list(config.word)}")
-    w = AffinePermutation.from_word(config.n, config.word)
-    ctype = CylType(config.m, config.n) if config.m is not None else None
-    expansion = expand_affine_schur(w, ctype=ctype, cap=config.cap)
+            f"word letters must lie in 0..{args.n - 1}: {list(args.word)}")
+    w = AffinePermutation.from_word(args.n, args.word)
+    ctype = CylType(args.m, args.n) if args.m is not None else None
+    expansion = expand_affine_schur(w, ctype=ctype, cap=args.cap)
     rows = expansion.to_rows(ctype if ctype and in_A(w, ctype) else None)
-    payload = {"command": "expand", "n": config.n,
-               "word": list(config.word), "window": list(w.window),
+    payload = {"command": "expand", "n": args.n,
+               "word": list(args.word), "window": list(w.window),
                "terms": rows}
-    lines = [_word_header(config.word),
+    lines = [_word_header(args.word),
              f"window: {list(w.window)}  length: {w.length}"]
     for row in rows:
         label = f"  coeff {row['coeff']:>3}  word {row['word']}  kbounded {row['kbounded']}"
         if "nu" in row:
             label += f"  shape {row['nu']}/{row['e']}/[]"
         lines.append(label)
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_cylindric(config: RunConfig) -> int:
-    ctype = CylType(config.m, config.n)
-    shape = shape_new(ctype, config.lam, config.d, config.mu)
+def cmd_cylindric(args: argparse.Namespace) -> int:
+    ctype = CylType(args.m, args.n)
+    shape = shape_new(ctype, args.lam, args.d, args.mu)
     w = skew_word(shape)
-    table = expand_cylindric(shape, cap=config.cap)
+    table = expand_cylindric(shape, cap=args.cap)
     payload = {"command": "cylindric", "m": ctype.m, "n": ctype.n,
                "lambda": list(shape.lam), "d": shape.d, "mu": list(shape.mu),
                "skew_word": list(w.reduced_word()),
@@ -133,88 +113,65 @@ def cmd_cylindric(config: RunConfig) -> int:
     lines = [f"shape {list(shape.lam)}/{shape.d}/{list(shape.mu)} "
              f"of type ({ctype.m},{ctype.n}); {cell_count(shape)} cells",
              f"skew word: {list(w.reduced_word())}"]
-    if config.diagram:
+    if args.diagram:
         lines.append(render_shape(shape))
         payload["diagram"] = render_shape(shape)
     for row in table.to_rows():
         lines.append(f"  coeff {row['coeff']:>3}  nu {row['partition']}  e {row['e']}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_gw(config: RunConfig) -> int:
-    ctype = CylType(config.m, config.n)
-    value = gromov_witten(ctype, config.lam, config.d, config.mu, config.nu)
-    degree_ok = (sum(config.lam) + config.n * config.d
-                 == sum(config.mu) + sum(config.nu))
-    shape = shape_new(ctype, config.lam, config.d, config.mu)
+def cmd_gw(args: argparse.Namespace) -> int:
+    ctype = CylType(args.m, args.n)
+    value = gromov_witten(ctype, args.lam, args.d, args.mu, args.nu)
+    degree_ok = (sum(args.lam) + args.n * args.d
+                 == sum(args.mu) + sum(args.nu))
+    shape = shape_new(ctype, args.lam, args.d, args.mu)
     toric = None
     if is_toric(shape):
-        oracle = toric_gw_oracle(ctype, config.lam, config.d, config.mu)
-        nu_key = tuple(v for v in config.nu if v)
+        oracle = toric_gw_oracle(ctype, args.lam, args.d, args.mu)
+        nu_key = tuple(v for v in args.nu if v)
         toric = oracle.get(nu_key, 0) == value
     payload = {"command": "gw", "m": ctype.m, "n": ctype.n,
-               "lambda": list(config.lam), "d": config.d,
-               "mu": list(config.mu), "nu": list(config.nu),
+               "lambda": list(args.lam), "d": args.d,
+               "mu": list(args.mu), "nu": list(args.nu),
                "value": value, "degree_constraint_met": degree_ok,
                "toric_oracle_agrees": toric}
-    lines = [f"C^(lambda={list(config.lam)}, d={config.d})_"
-             f"(mu={list(config.mu)}, nu={list(config.nu)}) = {value}",
+    lines = [f"C^(lambda={list(args.lam)}, d={args.d})_"
+             f"(mu={list(args.mu)}, nu={list(args.nu)}) = {value}",
              f"degree constraint |lambda| + n*d == |mu| + |nu|: "
              f"{'met' if degree_ok else 'violated (value is 0)'}"]
     if toric is not None:
         lines.append(f"toric oracle agreement: {toric}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from cylkit import verify as verify_mod
 
-    if config.suite:
-        if config.suite not in verify_mod.ALL_SUITES:
+    if args.suite:
+        if args.suite not in verify_mod.ALL_SUITES:
             raise InvalidInputError(
-                f"unknown suite {config.suite!r}; known: "
+                f"unknown suite {args.suite!r}; known: "
                 f"{sorted(verify_mod.ALL_SUITES)}")
-        names = [config.suite]
+        names = [args.suite]
     else:
         names = list(verify_mod.ALL_SUITES)
-    if config.n is not None and config.n < 2:
-        raise InvalidInputError(f"verify needs a period n >= 2, got {config.n}")
+    if args.n is not None and args.n < 2:
+        raise InvalidInputError(f"verify needs a period n >= 2, got {args.n}")
 
-    overrides = _suite_overrides(config)
     all_ok = True
     for name in names:
         fn = verify_mod.ALL_SUITES[name]
-        result = fn(**overrides.get(name, {}))
+        result = fn(max_n=args.n, max_len=args.maxlen, seed=args.seed)
         print(result.summary())
         if not result.passed:
             all_ok = False
             for failure in result.failures[:10]:
                 print(f"    counterexample: {failure}")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
-
-
-def _suite_overrides(config: RunConfig) -> dict:
-    """Scale the configurable suites down from CLI flags."""
-    overrides: dict[str, dict] = {}
-    if config.n is not None:
-        overrides["dual-pieri"] = {"max_n": config.n}
-        overrides["affine-core"] = {"max_n": config.n}
-        overrides["grassmannianize-bounds"] = {"max_n": config.n}
-        overrides["expansion-oracle"] = {
-            # below period 3, run exhaustively at the given period
-            "exhaustive_n": (tuple(v for v in (3, 4) if v <= config.n)
-                             or (config.n,)),
-            "sampled_n": tuple(v for v in (5, 6) if v <= config.n)}
-    if config.maxlen is not None:
-        overrides.setdefault("dual-pieri", {})["max_len"] = config.maxlen
-        overrides.setdefault("affine-core", {})["max_len"] = config.maxlen
-        overrides.setdefault("grassmannianize-bounds", {})["max_len"] = config.maxlen
-        overrides.setdefault("expansion-oracle", {})["exhaustive_len"] = config.maxlen
-    if config.seed is not None:
-        overrides.setdefault("expansion-oracle", {})["seed"] = config.seed
-    return overrides
 
 
 def _corpus_elements(n: int, maxlen: int) -> list[AffinePermutation]:
@@ -250,12 +207,12 @@ def _drop_torn_tail(path: str) -> None:
             handle.truncate(complete)
 
 
-def cmd_corpus(config: RunConfig) -> int:
-    path = config.cache_path or os.environ.get(CACHE_ENV_VAR)
+def cmd_corpus(args: argparse.Namespace) -> int:
+    path = args.cache_path or os.environ.get(CACHE_ENV_VAR)
     if not path:
         raise InvalidInputError("corpus requires --cache or $" + CACHE_ENV_VAR)
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION,
-              "n": config.n, "maxlen": config.maxlen}
+              "n": args.n, "maxlen": args.maxlen}
 
     done: set[tuple[int, ...]] = set()
     if os.path.exists(path):
@@ -283,7 +240,7 @@ def cmd_corpus(config: RunConfig) -> int:
                     raise OSError(f"{path}:{lineno}: duplicate window {list(window)}")
                 done.add(window)
 
-    todo = [w for w in _corpus_elements(config.n, config.maxlen)
+    todo = [w for w in _corpus_elements(args.n, args.maxlen)
             if w.window not in done]
     needs_header = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as handle:
@@ -347,18 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in ("n", "m", "d", "cap", "maxlen", "output", "cache_path",
-                 "suite", "seed", "diagram"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
+def _parse_args(parser: argparse.ArgumentParser,
+                argv: list[str] | None) -> argparse.Namespace:
+    """``parser.parse_args`` plus the checks argparse cannot state: the
+    comma-separated fields become integer tuples, and caps are positive."""
+    args = parser.parse_args(argv)
+    fields = vars(args)
     for name in ("word", "lam", "mu", "nu"):
-        if hasattr(args, name):
-            setattr(config, name, _parse_csv_ints(getattr(args, name)))
-    if config.cap <= 0 or (config.maxlen is not None and config.maxlen <= 0):
+        if name in fields:
+            fields[name] = _parse_csv_ints(fields[name])
+    if any(fields.get(name) is not None and fields[name] <= 0
+           for name in ("cap", "maxlen")):
         raise InvalidInputError("caps must be positive")
-    return config
+    return args
 
 
 COMMANDS = {
@@ -373,9 +331,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-        return COMMANDS[config.command](config)
+        args = _parse_args(parser, argv)
+        return COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -122,11 +122,13 @@ class PeriodicSequence:
         """The unique ``(lam, d)`` with this boundary equal to ``lam[d]``.
 
         ``lam[d]`` has window ``lam_j + d`` at rows ``d+1 .. d+m`` with
-        ``lam`` in the (m, n) box.
+        ``lam`` in the (m, n) box.  The rows of ``lam[d]`` sum to
+        ``|lam| + n*d`` with ``0 <= |lam| <= m(n-m)``, which brackets ``d``.
         """
         m, n = self.ctype.m, self.ctype.n
+        total = sum(self.rows)
         found = []
-        for d in range(min(self.rows) - 2 * n, max(self.rows) + 2 * n + 1):
+        for d in range(-((m * (n - m) - total) // n), total // n + 1):
             lam = tuple(self.row_bound(d + j) - d for j in range(1, m + 1))
             if lam[-1] >= 0 and lam[0] <= n - m:
                 found.append((tuple(v for v in lam if v), d))

@@ -1,10 +1,17 @@
-"""Property suites at configurable scale.
+"""Property suites and the nilCoxeter identity battery.
 
 Each suite re-derives a family of identities and returns a
 :class:`SuiteResult` with counterexample dumps instead of raising, so the
-CLI can print a report and the acceptance tests can assert.  The scales at
-which the suites run by default match the acceptance criteria of the
-project.
+CLI can print a report and the acceptance tests can assert.
+
+Every suite takes the same keywords ``max_n``, ``max_len`` and ``seed``;
+``None`` means the scale of the acceptance criteria.  ``max_n = N`` keeps
+the periods ``n <= N`` of every period or type list a suite enumerates, and
+a list left empty runs at period ``N`` instead (for types: every ``(m, N)``).
+The sampled periods of ``expansion-oracle`` are only cut.  ``max_len = L``
+turns every length or cell bound ``B`` into ``min(B, L)``.  Neither raises a
+bound, ``example2`` is one fixed instance, and only ``expansion-oracle``
+reads ``seed``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from cylkit.affine import (
     elements_by_length,
     enumerate_reduced_words,
     grassmannian_from_kbounded,
+    grassmannians_of_length,
     is_321_avoiding,
     letter_multiplicities,
     proper_subsets,
@@ -37,18 +45,22 @@ from cylkit.cylindric import (
     phi,
     phi_inv,
     ribbon_decomposition,
+    ribbon_r,
     shape_new,
     skew_word,
 )
 from cylkit.errors import ShapeError
 from cylkit.nilcoxeter import (
+    DEFAULT_KSCHUR_CAP,
+    NilCoxeterElement,
+    ee,
     hh,
-    kschur_product_coefficient_checks,
     nc_kschur,
-    verify_identities,
+    quotient_project,
 )
 from cylkit.partitions import partitions_in_box, partitions_of
 from cylkit.stanley import (
+    dual_pieri_branches,
     expand_affine_schur,
     expand_cylindric,
     grassmannianize,
@@ -57,9 +69,16 @@ from cylkit.stanley import (
     stanley_monomials,
     toric_gw_oracle,
 )
-from cylkit.symfunc import SymmetricPolynomial, lr_coeff, schur_poly, skew_schur_poly
+from cylkit.symfunc import (
+    SymmetricPolynomial,
+    expand_in_schur,
+    lr_coeff,
+    schur_poly,
+    skew_schur_poly,
+)
 
 DEFAULT_SEED = 20240811
+SHAPE_TYPES = ((2, 4), (2, 5), (3, 6))
 
 
 @dataclass
@@ -84,6 +103,43 @@ def _finish(name: str, start: float, checks: int, failures: list) -> SuiteResult
                        time.time() - start, failures)
 
 
+class _Tally:
+    """The checks one suite ran and the failures it found."""
+
+    def __init__(self):
+        self.start, self.checks, self.failures = time.time(), 0, []
+
+    def check(self, ok: bool, *failure) -> None:
+        """Count one check, and record ``failure`` unless ``ok``."""
+        self.checks += 1
+        if not ok:
+            self.failures.append(failure)
+
+    def finish(self, name: str) -> SuiteResult:
+        return _finish(name, self.start, self.checks, self.failures)
+
+
+def _cut(items, max_n: int | None) -> list:
+    """The periods ``n`` (or types ``(m, n)``) of ``items`` with ``n <= max_n``.
+
+    If none is left, period ``max_n`` itself: ``[max_n]``, or every type
+    ``(m, max_n)``.  ``max_n=None`` keeps all of ``items``.
+    """
+    items = list(items)
+    if max_n is None:
+        return items
+    types = isinstance(items[0], tuple)
+    kept = [x for x in items if (x[1] if types else x) <= max_n]
+    if kept:
+        return kept
+    return [(m, max_n) for m in range(1, max_n)] if types else [max_n]
+
+
+def _cap(bound: int, max_len: int | None) -> int:
+    """A length or cell bound, lowered to ``max_len``."""
+    return bound if max_len is None else min(bound, max_len)
+
+
 def _w(n: int, digits: str) -> AffinePermutation:
     return AffinePermutation.from_word(n, [int(c) for c in digits])
 
@@ -91,79 +147,72 @@ def _w(n: int, digits: str) -> AffinePermutation:
 # -- golden example -------------------------------------------------------------
 
 
-def suite_example2() -> SuiteResult:
+def suite_example2(max_n: int | None = None, max_len: int | None = None,
+                   seed: int | None = None) -> SuiteResult:
     """The worked six-letter example: branch sets, skew-Schur detours,
     the final table, and the cylindric wrapper."""
-    from cylkit.stanley import dual_pieri_branches
-    from cylkit.symfunc import expand_in_schur
-
-    start = time.time()
-    failures: list = []
-    checks = 0
+    tally = _Tally()
     T = CylType(3, 6)
     w = _w(6, "531420")
 
-    def check(label: str, ok: bool):
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(label)
-
     v, p = grassmannianize_321(w, T)
-    check("tight v = 510", v == _w(6, "510") and p == 0 and v.length == 3)
-    check("phi(w v) = (2,1)/1/()",
-          phi(w * v, T) == shape_new(T, (2, 1), 1, ()))
-    check("skew word of (2,1)/1/(2,1)",
-          skew_word(shape_new(T, (2, 1), 1, (2, 1))) == w)
+    tally.check(v == _w(6, "510") and p == 0 and v.length == 3, "tight v = 510")
+    tally.check(phi(w * v, T) == shape_new(T, (2, 1), 1, ()),
+                "phi(w v) = (2,1)/1/()")
+    tally.check(skew_word(shape_new(T, (2, 1), 1, (2, 1))) == w,
+                "skew word of (2,1)/1/(2,1)")
 
     b_plus, b_minus = dual_pieri_branches(w, 1, 2)
-    check("B+", {x.window for x in b_plus}
-          == {_w(6, d).window for d in ("541052", "341052", "354052")})
-    check("B-", {y.window for _, y in b_minus} == {_w(6, "354105").window})
+    tally.check({x.window for x in b_plus}
+                == {_w(6, d).window for d in ("541052", "341052", "354052")},
+                "B+")
+    tally.check({y.window for _, y in b_minus} == {_w(6, "354105").window},
+                "B-")
 
-    check("F_541052 = s_(3,3,2)/(2)",
-          stanley_monomials(_w(6, "541052"), 6)
-          == skew_schur_poly((3, 3, 2), (2,), 6))
-    check("F_354052 = s_(3,3,2)/(1,1)",
-          stanley_monomials(_w(6, "354052"), 6)
-          == skew_schur_poly((3, 3, 2), (1, 1), 6))
-    check("F_354105 = s_(3,2,1)",
-          stanley_monomials(_w(6, "354105"), 6) == schur_poly((3, 2, 1), 6))
+    tally.check(stanley_monomials(_w(6, "541052"), 6)
+                == skew_schur_poly((3, 3, 2), (2,), 6),
+                "F_541052 = s_(3,3,2)/(2)")
+    tally.check(stanley_monomials(_w(6, "354052"), 6)
+                == skew_schur_poly((3, 3, 2), (1, 1), 6),
+                "F_354052 = s_(3,3,2)/(1,1)")
+    tally.check(stanley_monomials(_w(6, "354105"), 6)
+                == schur_poly((3, 2, 1), 6), "F_354105 = s_(3,2,1)")
     combo = (skew_schur_poly((3, 3, 2), (1, 1), 6)
              + skew_schur_poly((3, 3, 2), (2,), 6)
              - schur_poly((3, 2, 1), 6))
-    check("schur resolution",
-          expand_in_schur(combo) == {(2, 2, 2): 1, (3, 3): 1, (3, 2, 1): 1})
+    tally.check(expand_in_schur(combo)
+                == {(2, 2, 2): 1, (3, 3): 1, (3, 2, 1): 1}, "schur resolution")
 
     expected = {_w(6, "345210"): 1, _w(6, "405210"): 2,
                 _w(6, "540510"): 1, _w(6, "105210"): 1}
-    check("golden expansion", expand_affine_schur(w).coeffs == expected)
-    check("oracle agrees", oracle_expand(w).coeffs == expected)
+    tally.check(expand_affine_schur(w).coeffs == expected, "golden expansion")
+    tally.check(oracle_expand(w).coeffs == expected, "oracle agrees")
 
     cyl = expand_cylindric(shape_new(T, (2, 1), 1, (2, 1)))
     pushed = {(phi(u, T).lam, phi(u, T).d): c for u, c in expected.items()}
-    check("cylindric table via phi", cyl.coeffs == pushed)
-    check("coefficient 2 sits on phi(405210)",
-          cyl.coeffs.get((phi(_w(6, "405210"), T).lam,
-                          phi(_w(6, "405210"), T).d)) == 2)
-    return _finish("example2", start, checks, failures)
+    tally.check(cyl.coeffs == pushed, "cylindric table via phi")
+    tally.check(cyl.coeffs.get((phi(_w(6, "405210"), T).lam,
+                                phi(_w(6, "405210"), T).d)) == 2,
+                "coefficient 2 sits on phi(405210)")
+    return tally.finish("example2")
 
 
 # -- oracle equivalence -----------------------------------------------------------
 
 
-def suite_expansion_oracle(exhaustive_n=(3, 4), exhaustive_len: int = 6,
-                           sampled_n=(5, 6), samples: int = 200,
-                           sampled_len: int = 7,
-                           seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Expansion == oracle; positivity; support inside the basis."""
-    start = time.time()
-    failures: list = []
-    checks = 0
+def suite_expansion_oracle(max_n: int | None = None, max_len: int | None = None,
+                           seed: int | None = None) -> SuiteResult:
+    """Expansion == oracle; positivity; support inside the basis.
+
+    Every element of period 3 and 4 up to length 6, and 200 seeded samples
+    each at periods 5 and 6 up to length 7.
+    """
+    exhaustive_len, sampled_len = _cap(6, max_len), _cap(7, max_len)
+    tally = _Tally()
+    failures = tally.failures
 
     def run_one(w: AffinePermutation):
-        nonlocal checks
-        checks += 1
+        tally.checks += 1
         exp = expand_affine_schur(w)
         if exp != oracle_expand(w, cap=max(sampled_len, exhaustive_len)):
             failures.append(("oracle mismatch", w.n, w.window))
@@ -175,30 +224,32 @@ def suite_expansion_oracle(exhaustive_n=(3, 4), exhaustive_len: int = 6,
                 if not all(in_A0(u, ctype) for u in exp.coeffs):
                     failures.append(("support escape", m, w.n, w.window))
 
-    for n in exhaustive_n:
+    for n in _cut((3, 4), max_n):
         for level in elements_by_length(n, exhaustive_len):
             for w in level:
                 run_one(w)
 
-    rng = random.Random(seed)
-    for n in sampled_n:
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    for n in (5, 6):
+        if max_n is not None and n > max_n:
+            continue  # cut, not replaced: the exhaustive part covers max_n
         pool = [w for level in elements_by_length(n, sampled_len)[1:]
                 for w in level]
-        for w in rng.sample(pool, min(samples, len(pool))):
+        for w in rng.sample(pool, min(200, len(pool))):
             run_one(w)
-    return _finish("expansion-oracle", start, checks, failures)
+    return tally.finish("expansion-oracle")
 
 
 # -- dual Pieri rule ---------------------------------------------------------------
 
 
-def suite_dual_pieri(max_n: int = 5, max_len: int = 6) -> SuiteResult:
-    """Left and right factor sums agree as monomial polynomials."""
-    start = time.time()
-    failures: list = []
-    checks = 0
-    for n in range(2, max_n + 1):
-        for level in elements_by_length(n, max_len):
+def suite_dual_pieri(max_n: int | None = None, max_len: int | None = None,
+                     seed: int | None = None) -> SuiteResult:
+    """Left and right factor sums agree as monomial polynomials, at periods
+    2..5 up to length 6."""
+    tally = _Tally()
+    for n in _cut(range(2, 6), max_n):
+        for level in elements_by_length(n, _cap(6, max_len)):
             for w in level:
                 nvars = max(1, w.length)
                 for q in range(1, min(n, w.length + 1)):
@@ -212,10 +263,8 @@ def suite_dual_pieri(max_n: int = 5, max_len: int = 6) -> SuiteResult:
                         v = w * u_j
                         if v.length == w.length - q:
                             right = right + stanley_monomials(v, nvars)
-                    checks += 1
-                    if left != right:
-                        failures.append((n, w.window, q))
-    return _finish("dual-pieri", start, checks, failures)
+                    tally.check(left == right, n, w.window, q)
+    return tally.finish("dual-pieri")
 
 
 # -- offset shift property and Gromov-Witten slices -----------------------------
@@ -237,14 +286,14 @@ def _valid_shapes(ctype: CylType, max_cells: int, max_d: int | None = None):
                 continue
 
 
-def suite_shift_property(types=((2, 4), (2, 5), (3, 6)), max_cells: int = 9,
-                         toric_max_d: int = 2) -> SuiteResult:
+def suite_shift_property(max_n: int | None = None, max_len: int | None = None,
+                         seed: int | None = None) -> SuiteResult:
     """Offset shift of coefficients; degree-0 slice against the toric oracle
-    and against Littlewood-Richardson at d = 0."""
-    start = time.time()
-    failures: list = []
-    checks = 0
-    for m, n in types:
+    and against Littlewood-Richardson at d = 0; shapes of up to 9 cells."""
+    max_cells = _cap(9, max_len)
+    tally = _Tally()
+    failures = tally.failures
+    for m, n in _cut(SHAPE_TYPES, max_n):
         ctype = CylType(m, n)
         box = partitions_in_box(m, n - m)
         for shape in _valid_shapes(ctype, max_cells):
@@ -256,7 +305,7 @@ def suite_shift_property(types=((2, 4), (2, 5), (3, 6)), max_cells: int = 9,
                     lower = None
                 if lower is not None:
                     low = expand_cylindric(lower).coeffs
-                    checks += 1
+                    tally.checks += 1
                     for (nu, e), c in table.items():
                         if e >= 1 and low.get((nu, e - 1), 0) != c:
                             failures.append(("shift", shape, nu, e))
@@ -264,17 +313,17 @@ def suite_shift_property(types=((2, 4), (2, 5), (3, 6)), max_cells: int = 9,
                         if table.get((nu, e + 1), 0) != c:
                             failures.append(("shift-back", shape, nu, e))
             if shape.d == 0:
-                checks += 1
+                tally.checks += 1
                 for nu in box:
                     got = table.get((nu, 0), 0)
                     if got != lr_coeff(shape.lam, shape.mu, nu):
                         failures.append(("lr", shape, nu))
 
-        # toric shapes with offsets up to toric_max_d
-        for shape in _valid_shapes(ctype, max_cells, toric_max_d):
+        # toric shapes with offsets up to 2
+        for shape in _valid_shapes(ctype, max_cells, 2):
             if not is_toric(shape):
                 continue
-            checks += 1
+            tally.checks += 1
             lam, d, mu = shape.lam, shape.d, shape.mu
             oracle = toric_gw_oracle(ctype, lam, d, mu)
             degree_zero = {nu: c for (nu, e), c in
@@ -285,115 +334,246 @@ def suite_shift_property(types=((2, 4), (2, 5), (3, 6)), max_cells: int = 9,
                 for nu in box:
                     if oracle.get(nu, 0) != lr_coeff(lam, mu, nu):
                         failures.append(("toric-lr", shape, nu))
-    return _finish("shift-property", start, checks, failures)
+    return tally.finish("shift-property")
 
 
 # -- nilCoxeter battery ---------------------------------------------------------------
 
 
-def suite_nilcoxeter(types=((1, 3), (2, 4), (2, 5), (3, 6)),
-                     commute_max_n: int = 5, kschur_max_len: int = 6,
-                     kschur_n=(3, 4), symmetry_len: int = 7) -> SuiteResult:
-    """Commutativity, dual-basis uniqueness, the ribbon theorem, the
-    ribbon-power factorization and coefficient symmetries."""
-    start = time.time()
-    failures: list = []
-    checks = 0
+def _check_identities(ctype: CylType, max_len: int, check) -> None:
+    """Run ``check(ok, *failure)`` once per identity of the nilCoxeter
+    algebra and its type quotient.
 
-    for n in range(2, commute_max_n + 1):
+    Covers: commutativity of the ``hh`` family; vanishing of ``A_{d_J} A_i``
+    (all four one-sided variants) for ``i`` in ``J``; vanishing of mixed
+    increasing/decreasing products over intersecting subsets; the ribbon
+    element of the quotient; the ribbon-power factorization of dual basis
+    elements; and the two-sided coefficient symmetry.
+    """
+    m, n = ctype.m, ctype.n
+
+    # h_i h_j = h_j h_i
+    bad = [(i, j) for i in range(n) for j in range(i + 1, n)
+           if hh(i, n) * hh(j, n) != hh(j, n) * hh(i, n)]
+    check(not bad, "hh-commute", (m, n), bad)
+
+    # A_{d_J} A_i and friends vanish in the quotient for i in J
+    bad = []
+    for size in range(1, n):
+        for members in proper_subsets(n, size):
+            d = NilCoxeterElement.basis(CyclicSet(n, members, True).element())
+            u = NilCoxeterElement.basis(CyclicSet(n, members, False).element())
+            for i in members:
+                a_i = NilCoxeterElement.basis(AffinePermutation.simple(n, i))
+                for combo in (d * a_i, a_i * d, u * a_i, a_i * u):
+                    if not quotient_project(combo, ctype).is_zero():
+                        bad.append((sorted(members), i))
+    check(not bad, "letter-in-set-vanishes", (m, n), bad[:3])
+
+    # mixed products over intersecting subsets vanish in the quotient
+    bad = []
+    for s1 in range(1, n):
+        for J in proper_subsets(n, s1):
+            uj = NilCoxeterElement.basis(CyclicSet(n, J, False).element())
+            for s2 in range(1, n):
+                for K in proper_subsets(n, s2):
+                    if not J & K:
+                        continue
+                    dk = NilCoxeterElement.basis(CyclicSet(n, K, True).element())
+                    if not quotient_project(uj * dk, ctype).is_zero():
+                        bad.append((sorted(J), sorted(K), "ud"))
+                    if not quotient_project(dk * uj, ctype).is_zero():
+                        bad.append((sorted(J), sorted(K), "du"))
+    check(not bad, "intersecting-mixed-vanishes", (m, n), bad[:3])
+
+    # the projected dual element of the ribbon is the sum of n-connected
+    # ribbons u_{J^c} d_J with |J| = n - m, and equals the projection of
+    # e_m h_{n-m} (either order)
+    rm = ribbon_r(ctype)
+    projected = quotient_project(nc_kschur(rm, cap=max(n, DEFAULT_KSCHUR_CAP)), ctype)
+    expected_terms = {}
+    complete = True
+    for members in proper_subsets(n, n - m):
+        w = (CyclicSet(n, frozenset(range(n)) - members, False).element()
+             * CyclicSet(n, members, True).element())
+        if w.length == n and in_A(w, ctype):
+            expected_terms[w] = 1
+        else:
+            complete = False
+    expected = NilCoxeterElement(n, expected_terms)
+    check(projected == expected and complete, "ribbon-support", (m, n), projected)
+    eh = quotient_project(ee(m, n) * hh(n - m, n), ctype)
+    he = quotient_project(hh(n - m, n) * ee(m, n), ctype)
+    check(eh == expected and he == expected, "ribbon-eh-factorization", (m, n),
+          eh, he)
+
+    # s_w = s_{w0} * s_{ribbon}^d after projection, over small nu/e/() shapes
+    # (the cell bound of 9 admits the (2,1)/1/() instance of type (3,6))
+    bad = []
+    for nu in partitions_in_box(m, n - m):
+        for e in (0, 1):
+            if sum(nu) + n * e > min(max_len + n - 1, 9):
+                continue
+            if e == 0 and sum(nu) > 2:
+                continue  # d = 0 factorization is vacuous; keep two spot cases
+            w = phi_inv(shape_new(ctype, nu, e, ()))
+            w0, dpow = ribbon_decomposition(w, ctype)
+            lhs = quotient_project(nc_kschur(w, cap=12), ctype)
+            rhs = quotient_project(nc_kschur(w0, cap=12), ctype)
+            rib = quotient_project(nc_kschur(rm, cap=12), ctype)
+            for _ in range(dpow):
+                rhs = quotient_project(rhs * rib, ctype)
+            if lhs != rhs:
+                bad.append((nu, e))
+    check(not bad, "ribbon-power-factorization", (m, n), bad)
+
+    # coefficient symmetry c^{w1}_{v2} = c^{v1}_{w2} over split Grassmannians
+    bad = _symmetry_failures(n, max_len)
+    check(not bad, "coefficient-symmetry", (m, n), bad[:3])
+
+
+def _symmetry_failures(n: int, max_len: int) -> list[tuple]:
+    """Violations of the two-sided coefficient symmetry, empty if none.
+
+    For a 0-Grassmannian ``alpha`` split length-additively both as
+    ``w1 * w2`` and ``v1 * v2`` with cross-equal lengths, the coefficient of
+    ``F_{v2}`` in ``F_{w1}`` must equal that of ``F_{w2}`` in ``F_{v1}``.
+    """
+    bad = []
+    for ell in range(2, max_len + 1):
+        for alpha in grassmannians_of_length(n, ell):
+            splits: dict[int, set] = {}
+            for word in enumerate_reduced_words(alpha, max_len):
+                for cut in range(ell + 1):
+                    left = AffinePermutation.from_word(n, word[:cut])
+                    right = AffinePermutation.from_word(n, word[cut:])
+                    splits.setdefault(cut, set()).add((left, right))
+            for cut, pairs in splits.items():
+                for w1, w2 in pairs:
+                    for v1, v2 in splits.get(ell - cut, ()):
+                        lhs = expand_affine_schur(w1).coeffs.get(v2, 0)
+                        rhs = expand_affine_schur(v1).coeffs.get(w2, 0)
+                        if lhs != rhs:
+                            bad.append((alpha, w1, w2, v1, v2, lhs, rhs))
+    return bad
+
+
+def _kschur_product_failures(n: int, max_len: int) -> list[tuple]:
+    """Violations of ``c^{u'}_u == d^w_{u,v}``, empty if none.
+
+    For ``w`` 0-Grassmannian split as ``u' * v`` with ``v`` 0-Grassmannian
+    and lengths adding, the coefficient of ``F_u`` in ``F_{u'}`` must equal
+    the coefficient of ``A_w`` in ``nc_kschur(u) * nc_kschur(v)``.
+    """
+    bad = []
+    for ell in range(2, max_len + 1):
+        for w in grassmannians_of_length(n, ell):
+            seen = set()
+            for word in enumerate_reduced_words(w, max_len):
+                for cut in range(1, ell):
+                    v = AffinePermutation.from_word(n, word[cut:])
+                    if not v.is_grassmannian(0) or (cut, v) in seen:
+                        continue
+                    seen.add((cut, v))
+                    uprime = AffinePermutation.from_word(n, word[:cut])
+                    for u in grassmannians_of_length(n, cut):
+                        lhs = expand_affine_schur(uprime).coeffs.get(u, 0)
+                        rhs = (nc_kschur(u) * nc_kschur(v)).coeff(w)
+                        if lhs != rhs:
+                            bad.append((w, uprime, v, u, lhs, rhs))
+    return bad
+
+
+def suite_nilcoxeter(max_n: int | None = None, max_len: int | None = None,
+                     seed: int | None = None) -> SuiteResult:
+    """Commutativity, dual-basis uniqueness, the identity battery, the
+    k-Schur product coefficients and coefficient symmetries.
+
+    Default scale: ``hh`` commutativity at periods 2..5; dual-basis
+    uniqueness at periods 3, 4 up to length 6; the identities at types
+    (1,3), (2,4), (2,5), (3,6) up to length 5; products up to length 4 and
+    symmetry up to length 7 (period 3) or 6 (period 4).
+    """
+    tally = _Tally()
+    check = tally.check
+    for n in _cut(range(2, 6), max_n):
         for i in range(n):
             for j in range(i, n):
-                checks += 1
-                if hh(i, n) * hh(j, n) != hh(j, n) * hh(i, n):
-                    failures.append(("hh-commute", n, i, j))
+                check(hh(i, n) * hh(j, n) == hh(j, n) * hh(i, n),
+                      "hh-commute", n, i, j)
 
+    kschur_n, kschur_len = _cut((3, 4), max_n), _cap(6, max_len)
     for n in kschur_n:
-        for ell in range(kschur_max_len + 1):
+        for ell in range(kschur_len + 1):
             for lam in partitions_of(ell, max_part=n - 1):
                 u = grassmannian_from_kbounded(n, lam)
-                elem = nc_kschur(u, cap=kschur_max_len)
+                elem = nc_kschur(u, cap=kschur_len)
                 grass = [x for x in elem.terms if x.is_grassmannian(0)]
-                checks += 1
-                if grass != [u] or elem.coeff(u) != 1:
-                    failures.append(("kschur-unique", n, lam))
+                check(grass == [u] and elem.coeff(u) == 1, "kschur-unique", n, lam)
 
-    for m, n in types:
-        ctype = CylType(m, n)
-        for check in verify_identities(ctype, max_len=5):
-            checks += 1
-            if not check.passed:
-                failures.append((f"identity:{check.name}", (m, n), check.details))
+    for m, n in _cut(((1, 3), (2, 4), (2, 5), (3, 6)), max_n):
+        _check_identities(CylType(m, n), _cap(5, max_len), check)
 
     for n in kschur_n:
-        checks += 1
-        bad = kschur_product_coefficient_checks(n, 4)
-        if bad:
-            failures.append(("kschur-product", n, bad[:2]))
-        checks += 1
-        from cylkit.nilcoxeter import symmetry_counterexamples
-
-        bad = symmetry_counterexamples(n, symmetry_len if n == 3 else 6)
-        if bad:
-            failures.append(("symmetry", n, bad[:2]))
-    return _finish("nilcoxeter", start, checks, failures)
+        bad = _kschur_product_failures(n, _cap(4, max_len))
+        check(not bad, "kschur-product", n, bad[:2])
+        bad = _symmetry_failures(n, _cap(7 if n == 3 else 6, max_len))
+        check(not bad, "symmetry", n, bad[:2])
+    return tally.finish("nilcoxeter")
 
 
 # -- Grassmannianization bounds ----------------------------------------------------------
 
 
-def suite_grassmannianize_bounds(max_n: int = 5, max_len: int = 6,
-                                 types=((2, 4), (2, 5), (3, 6)),
-                                 max_cells: int = 8) -> SuiteResult:
-    """Length bounds and postconditions of both constructions, plus the
-    worked instance 531420 -> 510."""
-    start = time.time()
-    failures: list = []
-    checks = 0
+def suite_grassmannianize_bounds(max_n: int | None = None,
+                                 max_len: int | None = None,
+                                 seed: int | None = None) -> SuiteResult:
+    """Length bounds and postconditions of both constructions (the generic
+    one at periods 2..5 up to length 6, the tight one on shapes of up to 8
+    cells), plus the worked instance 531420 -> 510."""
+    tally = _Tally()
 
-    for n in range(2, max_n + 1):
+    for n in _cut(range(2, 6), max_n):
         k = n - 1
         bound = sum(i * (k - i) for i in range(1, k))
-        for level in elements_by_length(n, max_len):
+        for level in elements_by_length(n, _cap(6, max_len)):
             for w in level:
                 v, p = grassmannianize(w)
                 wv = w * v
-                checks += 1
-                if (v.length > bound or wv.length != w.length + v.length
-                        or not wv.is_grassmannian(p)):
-                    failures.append(("generic", n, w.window))
+                tally.check(v.length <= bound
+                            and wv.length == w.length + v.length
+                            and wv.is_grassmannian(p), "generic", n, w.window)
 
-    for m, n in types:
+    for m, n in _cut(SHAPE_TYPES, max_n):
         ctype = CylType(m, n)
         bound = (n - m) * (m - 1) // 2
-        for shape in _valid_shapes(ctype, max_cells):
+        for shape in _valid_shapes(ctype, _cap(8, max_len)):
             w = skew_word(shape)
             if any(c == 0 for c in letter_multiplicities(w).values()):
                 continue
             v, p = grassmannianize_321(w, ctype)
             wv = w * v
-            checks += 1
-            if (v.length > bound or wv.length != w.length + v.length
-                    or not wv.is_grassmannian(p) or not in_A(v, ctype)
-                    or not rotate(v, -p).is_grassmannian(0)):
-                failures.append(("tight", (m, n), shape))
+            tally.check(v.length <= bound and wv.length == w.length + v.length
+                        and wv.is_grassmannian(p) and in_A(v, ctype)
+                        and rotate(v, -p).is_grassmannian(0),
+                        "tight", (m, n), shape)
 
     v, p = grassmannianize_321(_w(6, "531420"), CylType(3, 6))
-    checks += 1
-    if not (v == _w(6, "510") and p == 0 and v.length == 3):
-        failures.append(("worked-instance", v.window, p))
-    return _finish("grassmannianize-bounds", start, checks, failures)
+    tally.check(v == _w(6, "510") and p == 0 and v.length == 3,
+                "worked-instance", v.window, p)
+    return tally.finish("grassmannianize-bounds")
 
 
 # -- the bijection ------------------------------------------------------------------------
 
 
-def suite_phi(types=((2, 4), (2, 5), (3, 6)), max_cells: int = 9,
-              skew_cells: int = 7, skew_nvars: int = 4) -> SuiteResult:
-    """Round trips, order equivalence, and both function equalities."""
-    start = time.time()
-    failures: list = []
-    checks = 0
-    for m, n in types:
+def suite_phi(max_n: int | None = None, max_len: int | None = None,
+              seed: int | None = None) -> SuiteResult:
+    """Round trips, order equivalence, and both function equalities: straight
+    shapes of up to 9 cells, skew shapes of up to 7 in up to 4 variables."""
+    max_cells, skew_cells = _cap(9, max_len), _cap(7, max_len)
+    tally = _Tally()
+    for m, n in _cut(SHAPE_TYPES, max_n):
         ctype = CylType(m, n)
         shapes = []
         for nu in partitions_in_box(m, n - m):
@@ -406,36 +586,33 @@ def suite_phi(types=((2, 4), (2, 5), (3, 6)), max_cells: int = 9,
         for s in shapes:
             w = phi_inv(s)
             elems[s] = w
-            checks += 1
-            if not in_A0(w, ctype) or phi(w, ctype) != s:
-                failures.append(("round-trip", (m, n), s))
+            tally.check(in_A0(w, ctype) and phi(w, ctype) == s,
+                        "round-trip", (m, n), s)
             w0, dpow = ribbon_decomposition(w, ctype)
             if dpow != s.d or phi(w0, ctype).lam != s.lam:
-                failures.append(("ribbon-offset", (m, n), s))
+                tally.failures.append(("ribbon-offset", (m, n), s))
 
         for s1, s2 in itertools.product(shapes, repeat=2):
             w1, w2 = elems[s1], elems[s2]
             contained = s2.outer().contains(s1.outer())
             ratio = w2 * w1.inverse()
             below = ratio.length == w2.length - w1.length
-            checks += 1
-            if contained != below:
-                failures.append(("order", (m, n), s1, s2))
+            tally.check(contained == below, "order", (m, n), s1, s2)
 
         for s in shapes:
             w = elems[s]
             for nvars in range(1, cell_count(s) + 1):
-                checks += 1
-                if stanley_monomials(w, nvars) != cylindric_schur_poly(s, nvars):
-                    failures.append(("function-equality", (m, n), s, nvars))
+                tally.check(stanley_monomials(w, nvars)
+                            == cylindric_schur_poly(s, nvars),
+                            "function-equality", (m, n), s, nvars)
 
         for shape in _valid_shapes(ctype, skew_cells):
             w = skew_word(shape)
-            for nvars in range(1, skew_nvars + 1):
-                checks += 1
-                if stanley_monomials(w, nvars) != cylindric_schur_poly(shape, nvars):
-                    failures.append(("skew-equality", (m, n), shape, nvars))
-    return _finish("phi-bijection", start, checks, failures)
+            for nvars in range(1, 5):
+                tally.check(stanley_monomials(w, nvars)
+                            == cylindric_schur_poly(shape, nvars),
+                            "skew-equality", (m, n), shape, nvars)
+    return tally.finish("phi-bijection")
 
 
 # -- affine core + action batteries ---------------------------------------------------------
@@ -458,60 +635,55 @@ def _bfs_distances(n: int, max_dist: int) -> dict[tuple, int]:
     return dist
 
 
-def suite_affine_core(max_n: int = 5, max_len: int = 7) -> SuiteResult:
-    """Length vs word search, 321 window criterion vs word scan, inverse of
-    cyclic elements, factor maximality, the bounded-partition bijection."""
-    start = time.time()
-    failures: list = []
-    checks = 0
-    for n in range(2, max_n + 1):
-        levels = elements_by_length(n, max_len)
-        bfs = _bfs_distances(n, max_len)
+def suite_affine_core(max_n: int | None = None, max_len: int | None = None,
+                      seed: int | None = None) -> SuiteResult:
+    """Length vs word search and 321 window criterion vs word scan (periods
+    2..5, length 7), inverse of cyclic elements (periods 2..8), the
+    bounded-partition bijection (periods 2..6, length 8)."""
+    length = _cap(7, max_len)
+    tally = _Tally()
+    for n in _cut(range(2, 6), max_n):
+        levels = elements_by_length(n, length)
+        bfs = _bfs_distances(n, length)
         for ell, level in enumerate(levels):
             for w in level:
-                checks += 1
-                if bfs.get(w.window) != ell:
-                    failures.append(("length-bfs", n, w.window))
+                tally.check(bfs.get(w.window) == ell, "length-bfs", n, w.window)
                 if n < 3:
                     continue  # braid factors are not a pattern notion mod 2
-                words = enumerate_reduced_words(w, max_len)
+                words = enumerate_reduced_words(w, length)
                 braid = any(
                     word[a] == word[a + 2] and (word[a + 1] - word[a]) % n in (1, n - 1)
                     for word in words for a in range(len(word) - 2))
-                checks += 1
-                if is_321_avoiding(w) != (not braid):
-                    failures.append(("321-criterion", n, w.window))
+                tally.check(is_321_avoiding(w) == (not braid),
+                            "321-criterion", n, w.window)
 
-    for n in range(2, 9):
+    for n in _cut(range(2, 9), max_n):
         for size in range(n):
             for members in proper_subsets(n, size):
-                checks += 1
                 d = CyclicSet(n, members, True).element()
                 u = CyclicSet(n, members, False).element()
-                if d.inverse() != u:
-                    failures.append(("dJ-inverse", n, sorted(members)))
+                tally.check(d.inverse() == u, "dJ-inverse", n, sorted(members))
 
-    for n in range(2, 7):
-        for total in range(9):
+    for n in _cut(range(2, 7), max_n):
+        for total in range(_cap(8, max_len) + 1):
             for lam in partitions_of(total, max_part=n - 1):
-                checks += 1
                 w = grassmannian_from_kbounded(n, lam)
-                if shape_of(w) != lam:
-                    failures.append(("kbounded-bijection", n, lam))
-    return _finish("affine-core", start, checks, failures)
+                tally.check(shape_of(w) == lam, "kbounded-bijection", n, lam)
+    return tally.finish("affine-core")
 
 
-def suite_add_box(max_n: int = 6, max_cells: int = 8) -> SuiteResult:
-    """The generator-action relations on every small boundary."""
-    start = time.time()
-    failures: list = []
-    checks = 0
-    for n in range(2, max_n + 1):
+def suite_add_box(max_n: int | None = None, max_len: int | None = None,
+                  seed: int | None = None) -> SuiteResult:
+    """The generator-action relations on every boundary of up to 8 cells at
+    periods 2..6."""
+    tally = _Tally()
+    failures = tally.failures
+    for n in _cut(range(2, 7), max_n):
         for m in range(1, n):
             ctype = CylType(m, n)
             frontier = [empty_boundary(ctype)]
             boundaries = set(frontier)
-            for _ in range(max_cells):
+            for _ in range(_cap(8, max_len)):
                 nxt = []
                 for b in frontier:
                     for i in range(n):
@@ -522,7 +694,7 @@ def suite_add_box(max_n: int = 6, max_cells: int = 8) -> SuiteResult:
                 frontier = nxt
             for b in boundaries:
                 for i in range(n):
-                    checks += 1
+                    tally.checks += 1
                     if b.apply_word((i, i)) is not None:
                         failures.append(("square", (m, n), b.rows, i))
                     # braid words only exist for n >= 3 (mod 2, i+1 == i-1
@@ -542,12 +714,12 @@ def suite_add_box(max_n: int = 6, max_cells: int = 8) -> SuiteResult:
                     dec = CyclicSet(n, members, True).word()
                     inc = CyclicSet(n, members, False).word()
                     for b in boundaries:
-                        checks += 1
+                        tally.checks += 1
                         if size > n - m and b.apply_word(dec) is not None:
                             failures.append(("long-decreasing", (m, n), b.rows))
                         if size > m and b.apply_word(inc) is not None:
                             failures.append(("long-increasing", (m, n), b.rows))
-    return _finish("add-box-relations", start, checks, failures)
+    return tally.finish("add-box-relations")
 
 
 ALL_SUITES = {  # in the order `cylkit verify` runs them

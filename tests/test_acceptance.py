@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criteria with stated wall-clock budgets assert them.
+Each suite runs at its default scale, and each criterion pins that scale by
+asserting the suite's check count: a change that shrinks a suite fails here.
 """
 
 import time
@@ -35,9 +37,7 @@ def _report(number: int, label: str, ok: bool, seconds: float, detail: str = "")
 def oracle_suite():
     # shared by criteria 3 and 4: exhaustive n in {3,4} up to length 6,
     # 200 seeded samples each for n in {5,6} up to length 7
-    return suite_expansion_oracle(
-        exhaustive_n=(3, 4), exhaustive_len=6,
-        sampled_n=(5, 6), samples=200, sampled_len=7)
+    return suite_expansion_oracle()
 
 
 def test_criterion_1_example2_golden():
@@ -61,56 +61,61 @@ def test_criterion_2_example2_intermediates():
     result = suite_example2()
     elapsed = time.time() - start
     _report(2, "worked-example intermediates",
-            result.passed and elapsed < 5.0, elapsed, str(result.failures))
+            result.passed and result.checks == 13 and elapsed < 5.0, elapsed,
+            f"{result.checks} checks; {result.failures}")
 
 
 def test_criterion_3_oracle_equivalence(oracle_suite):
     mismatches = [f for f in oracle_suite.failures if f[0] == "oracle mismatch"]
-    ok = not mismatches and oracle_suite.seconds < 600
+    ok = (not mismatches and oracle_suite.checks == 659
+          and oracle_suite.seconds < 600)
     _report(3, "oracle equivalence", ok, oracle_suite.seconds,
-            str(mismatches[:3]))
+            f"{oracle_suite.checks} checks; {mismatches[:3]}")
 
 
 def test_criterion_4_positivity_and_support(oracle_suite):
     bad = [f for f in oracle_suite.failures
            if f[0] in ("negative coefficient", "support escape")]
-    _report(4, "positivity and support", not bad, oracle_suite.seconds,
-            str(bad[:3]))
+    _report(4, "positivity and support",
+            not bad and oracle_suite.checks == 659, oracle_suite.seconds,
+            f"{oracle_suite.checks} checks; {bad[:3]}")
 
 
 def test_criterion_5_shift_property_and_gw():
-    result = suite_shift_property(types=((2, 4), (2, 5), (3, 6)),
-                                  max_cells=9, toric_max_d=2)
-    ok = result.passed and result.seconds < 900
+    # types (2,4), (2,5), (3,6), shapes of up to 9 cells, toric offsets <= 2
+    result = suite_shift_property()
+    ok = result.passed and result.checks == 1079 and result.seconds < 900
     _report(5, "offset shift and Gromov-Witten slices", ok, result.seconds,
-            str(result.failures[:3]))
+            f"{result.checks} checks; {result.failures[:3]}")
 
 
 def test_criterion_6_dual_pieri():
-    result = suite_dual_pieri(max_n=5, max_len=6)
-    _report(6, "dual Pieri identity", result.passed, result.seconds,
-            str(result.failures[:3]))
+    # periods 2..5 up to length 6
+    result = suite_dual_pieri()
+    _report(6, "dual Pieri identity", result.passed and result.checks == 2439,
+            result.seconds, f"{result.checks} checks; {result.failures[:3]}")
 
 
 def test_criterion_7_nilcoxeter():
-    result = suite_nilcoxeter(types=((1, 3), (2, 4), (2, 5), (3, 6)),
-                              commute_max_n=5, kschur_max_len=6,
-                              kschur_n=(3, 4), symmetry_len=7)
-    ok = result.passed and result.seconds < 600
+    # identities at (1,3), (2,4), (2,5), (3,6); k-Schur checks at n = 3, 4
+    result = suite_nilcoxeter()
+    ok = result.passed and result.checks == 105 and result.seconds < 600
     _report(7, "nilCoxeter battery", ok, result.seconds,
-            str(result.failures[:3]))
+            f"{result.checks} checks; {result.failures[:3]}")
 
 
 def test_criterion_8_grassmannianize_bounds():
-    result = suite_grassmannianize_bounds(max_n=5, max_len=6,
-                                          types=((2, 4), (2, 5), (3, 6)),
-                                          max_cells=8)
-    _report(8, "grassmannianization bounds", result.passed, result.seconds,
-            str(result.failures[:3]))
+    # periods 2..5 up to length 6; types (2,4), (2,5), (3,6) up to 8 cells
+    result = suite_grassmannianize_bounds()
+    _report(8, "grassmannianization bounds",
+            result.passed and result.checks == 898, result.seconds,
+            f"{result.checks} checks; {result.failures[:3]}")
 
 
 def test_criterion_9_phi_bijection():
-    result = suite_phi(types=((2, 4), (2, 5), (3, 6)), max_cells=9,
-                       skew_cells=7, skew_nvars=4)
-    _report(9, "shape bijection and function equality", result.passed,
-            result.seconds, str(result.failures[:3]))
+    # types (2,4), (2,5), (3,6): straight shapes of up to 9 cells, skew
+    # shapes of up to 7 cells in up to 4 variables
+    result = suite_phi()
+    _report(9, "shape bijection and function equality",
+            result.passed and result.checks == 3960, result.seconds,
+            f"{result.checks} checks; {result.failures[:3]}")

@@ -137,6 +137,15 @@ class TestCylindric:
             assert term["e"] == 0
             assert term["coeff"] == lr_coeff((2, 1), (1,), tuple(term["partition"]))
 
+    def test_large_offset_at_small_m_over_n(self, capsys):
+        # 11 cells of type (1,4): the normal form of the grown boundary
+        # lies far from its row bound
+        code, out, _ = run(capsys, "cylindric", "--m", "1", "--n", "4",
+                           "--lambda", "3", "--d", "2", "--output", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["terms"] == [
+            {"partition": [3], "e": 2, "coeff": 1}]
+
     def test_type_m_zero_is_rejected(self, capsys):
         for command in ("cylindric", "gw"):
             code, _, err = run(capsys, command, "--m", "0", "--n", "4")
@@ -194,7 +203,48 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "dual-pieri",
                            "--n", "4", "--maxlen", "6")
         assert code == EXIT_OK
-        assert "PASS dual-pieri" in out
+        assert out.startswith("PASS dual-pieri: 699 checks")
+
+    def test_every_suite_takes_the_same_three_keywords(self):
+        import inspect
+
+        from cylkit import verify as verify_mod
+
+        for name, fn in verify_mod.ALL_SUITES.items():
+            params = inspect.signature(fn).parameters
+            assert list(params) == ["max_n", "max_len", "seed"], name
+            assert all(p.default is None for p in params.values()), name
+
+    @pytest.mark.parametrize("suite, n, maxlen, checks", [
+        ("dual-pieri", "8", "12", 2439),
+        ("affine-core", "9", "10", 3006),
+        ("add-box-relations", "9", "10", 3794)])
+    def test_flags_never_scale_a_suite_up(self, capsys, suite, n, maxlen,
+                                          checks):
+        # periods and lengths above the defaults run the default scale
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--n", n, "--maxlen", maxlen)
+        assert code == EXIT_OK
+        assert out.startswith(f"PASS {suite}: {checks} checks")
+
+    @pytest.mark.parametrize("flags", [("--n", "2"),
+                                       ("--n", "3", "--maxlen", "4")])
+    def test_small_scale_runs_every_suite(self, capsys, flags):
+        from cylkit import verify as verify_mod
+
+        code, out, _ = run(capsys, "verify", *flags)
+        assert code == EXIT_OK
+        counts = {}
+        for line in out.splitlines():
+            status, name, checks = line.split()[:3]
+            assert status == "PASS"
+            counts[name.rstrip(":")] = int(checks)
+        assert list(counts) == list(verify_mod.ALL_SUITES)
+        assert all(c >= 1 for c in counts.values())
+        defaults = {"add-box-relations": 3794, "phi-bijection": 3960,
+                    "shift-property": 1079, "nilcoxeter": 105}
+        for name, default in defaults.items():
+            assert counts[name] < default, name
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_period_below_two_is_rejected(self, capsys, n):
@@ -239,9 +289,10 @@ class TestVerify:
             code, _, _ = run(capsys, "verify", "--suite", "dual-pieri",
                              "--n", "3", *extra)
             assert code == EXIT_OK
-        # no --maxlen: the suite keeps its own default length
-        assert seen == [{"max_n": 3, "max_len": 4}, {"max_n": 3, "max_len": 5},
-                        {"max_n": 3}]
+        # no --maxlen: None, and the suite keeps its own default length
+        assert seen == [{"max_n": 3, "max_len": 4, "seed": None},
+                        {"max_n": 3, "max_len": 5, "seed": None},
+                        {"max_n": 3, "max_len": None, "seed": None}]
 
     def test_runs_all_suites_in_registry_order(self, capsys, monkeypatch):
         from cylkit import verify as verify_mod
@@ -251,7 +302,7 @@ class TestVerify:
                  "shift-property", "nilcoxeter"]
         assert list(verify_mod.ALL_SUITES) == order
         for name in order:
-            def passed(name=name):
+            def passed(max_n, max_len, seed, name=name):
                 return verify_mod.SuiteResult(name, True, 0, 0.0)
             monkeypatch.setitem(verify_mod.ALL_SUITES, name, passed)
         code, out, _ = run(capsys, "verify")

@@ -82,11 +82,15 @@ class TestShapes:
 
 class TestBoundaries:
     def test_to_shape_round_trip(self):
-        for ctype in (T24, T36, CylType(2, 5)):
-            for lam in partitions_in_box(ctype.m, ctype.n - ctype.m):
-                for d in range(-2, 4):
-                    b = PeriodicSequence.from_partition(ctype, lam, d)
-                    assert b.to_shape() == (lam, d)
+        # every type up to n = 7; at small m/n the offset d lies far from
+        # the row bounds
+        for n in range(2, 8):
+            for m in range(1, n):
+                ctype = CylType(m, n)
+                for lam in partitions_in_box(m, n - m):
+                    for d in range(-2, 4 * n):
+                        b = PeriodicSequence.from_partition(ctype, lam, d)
+                        assert b.to_shape() == (lam, d)
 
     def test_base_orientation_invariant(self):
         b = PeriodicSequence.from_partition(T36, (2, 1), 0)

@@ -9,12 +9,10 @@ from cylkit.nilcoxeter import (
     NilCoxeterElement,
     ee,
     hh,
-    kschur_product_coefficient_checks,
     nc_kschur,
     quotient_project,
-    symmetry_counterexamples,
-    verify_identities,
 )
+from cylkit.verify import suite_nilcoxeter
 
 
 def W(n, *letters):
@@ -187,15 +185,23 @@ class TestRibbonTheorem:
         assert set(projected.terms) == expected
 
 
+@pytest.fixture(scope="module")
+def small_battery():
+    """The nilCoxeter suite at periods up to 4 and length 5: identities at
+    (1,3) and (2,4), symmetry to length 5 and products to length 4 at
+    n = 3 and 4."""
+    return suite_nilcoxeter(max_n=4, max_len=5)
+
+
 class TestIdentityBattery:
-    def test_verify_identities_24(self):
-        checks = verify_identities(CylType(2, 4), max_len=5)
-        failures = [c for c in checks if not c.passed]
-        assert not failures, failures
+    def test_verify_identities_24(self, small_battery):
+        assert small_battery.passed, small_battery.failures
+        # 19 hh commutations, 28 dual-basis checks, 7 identities at each of
+        # (1,3) and (2,4), a product and a symmetry check at n = 3 and 4
+        assert small_battery.checks == 19 + 28 + 2 * 7 + 2 * 2
 
-    def test_symmetry_small(self):
-        assert symmetry_counterexamples(3, 5) == []
+    def test_symmetry_small(self, small_battery):
+        assert small_battery.passed, small_battery.failures
 
-    def test_kschur_product_coefficients(self):
-        assert kschur_product_coefficient_checks(3, 4) == []
-        assert kschur_product_coefficient_checks(4, 4) == []
+    def test_kschur_product_coefficients(self, small_battery):
+        assert small_battery.passed, small_battery.failures
