@@ -105,18 +105,18 @@ def cmd_cylindric(args: argparse.Namespace) -> int:
     ctype = CylType(args.m, args.n)
     shape = shape_new(ctype, args.lam, args.d, args.mu)
     w = skew_word(shape)
-    table = expand_cylindric(shape, cap=args.cap)
+    rows = expand_cylindric(shape, cap=args.cap).to_rows()
+    word = list(w.reduced_word())
     payload = {"command": "cylindric", "m": ctype.m, "n": ctype.n,
                "lambda": list(shape.lam), "d": shape.d, "mu": list(shape.mu),
-               "skew_word": list(w.reduced_word()),
-               "terms": table.to_rows()}
+               "skew_word": word, "terms": rows}
     lines = [f"shape {list(shape.lam)}/{shape.d}/{list(shape.mu)} "
              f"of type ({ctype.m},{ctype.n}); {cell_count(shape)} cells",
-             f"skew word: {list(w.reduced_word())}"]
+             f"skew word: {word}"]
     if args.diagram:
-        lines.append(render_shape(shape))
         payload["diagram"] = render_shape(shape)
-    for row in table.to_rows():
+        lines.append(payload["diagram"])
+    for row in rows:
         lines.append(f"  coeff {row['coeff']:>3}  nu {row['partition']}  e {row['e']}")
     _emit(args, payload, lines)
     return EXIT_OK

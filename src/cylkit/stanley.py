@@ -35,6 +35,7 @@ boundary word from a flat boundary, with the much smaller bound
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +83,8 @@ _STANLEY_MEMO: dict = memo.table()
 _EXPAND_MEMO: dict = memo.table()
 _TOP_MEMO: dict = memo.table()
 _CYCLIC_ELEMENT_CACHE: dict = memo.table()
+_HEAD_ELEMENT_CACHE: dict = memo.table()
+_ORACLE_BASIS_MEMO: dict = memo.table()
 
 
 def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutation:
@@ -90,6 +93,14 @@ def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutat
     if hit is None:
         hit = _CYCLIC_ELEMENT_CACHE.setdefault(
             key, CyclicSet(n, members, decreasing).element())
+    return hit
+
+
+def _head_element(n: int, head: Partition) -> AffinePermutation:
+    hit = _HEAD_ELEMENT_CACHE.get((n, head))
+    if hit is None:
+        hit = _HEAD_ELEMENT_CACHE.setdefault(
+            (n, head), grassmannian_from_kbounded(n, head))
     return hit
 
 
@@ -339,7 +350,7 @@ def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
     head = tail[:-1]
     branches = [(x, +1, head) for x in b_plus]
     if b_minus:  # only the minus branches read the head's element
-        vprime = grassmannian_from_kbounded(n, head)
+        vprime = _head_element(n, head)
         for members, y in b_minus:
             new_tail_elem = _cyclic(n, members, True) * vprime
             if new_tail_elem.length != tail[-1] + vprime.length:
@@ -394,55 +405,112 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
 # -- brute-force oracle ----------------------------------------------------------
 
 
-def _solve_exact_integer(columns: list[dict], target: dict) -> list[int]:
-    """Solve ``sum x_j * columns[j] == target`` exactly; unique solution
-    required.  Gauss-Jordan over fractions, integrality enforced."""
-    keys = sorted(set().union(target, *columns))
-    rows = [[Fraction(col.get(k, 0)) for col in columns] + [Fraction(target.get(k, 0))]
-            for k in keys]
-    ncols = len(columns)
-    pivot_rows: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            raise SolveError("singular system: basis columns not independent")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivot_rows.append(r)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
+@dataclass(frozen=True)
+class FactoredColumns:
+    """Integer columns (dicts key -> int) with an exact factorization.
+
+    ``pivots`` are ``len(columns)`` keys on which the columns form an
+    invertible square block ``B``; ``inverse / denominator`` is ``B^-1``
+    with integer entries over one common denominator.
+    """
+
+    columns: tuple[dict, ...]
+    pivots: tuple
+    inverse: tuple[tuple[int, ...], ...]
+    denominator: int
+
+    @staticmethod
+    def factor(columns: list[dict]) -> "FactoredColumns":
+        """Gauss-Jordan over fractions, once, on the key-by-column matrix
+        with the row operations carried alongside.  Raises
+        :class:`SolveError` if the columns are not independent."""
+        keys = sorted(set().union(*columns))
+        ncols, nkeys = len(columns), len(keys)
+        # row i: the columns' entries at keys[i], then the unit vector e_i
+        rows = [[Fraction(col.get(k, 0)) for col in columns]
+                + [Fraction(int(i == j)) for j in range(nkeys)]
+                for i, k in enumerate(keys)]
+        origin = list(range(nkeys))
+        for c in range(ncols):
+            pr = next((i for i in range(c, nkeys) if rows[i][c] != 0), None)
+            if pr is None:
+                raise SolveError("singular system: basis columns not independent")
+            rows[c], rows[pr] = rows[pr], rows[c]
+            origin[c], origin[pr] = origin[pr], origin[c]
+            piv = rows[c][c]
+            rows[c] = [v / piv for v in rows[c]]
+            for i in range(nkeys):
+                if i != c and rows[i][c] != 0:
+                    factor = rows[i][c]
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+        # Pivot row c is original row origin[c] less multiples of the other
+        # pivot rows, so its carried part is supported on the pivot keys and
+        # is row c of B^-1.
+        inverse = [[rows[c][ncols + origin[i]] for i in range(ncols)]
+                   for c in range(ncols)]
+        denominator = math.lcm(*(v.denominator for row in inverse for v in row))
+        return FactoredColumns(
+            tuple(columns), tuple(keys[origin[i]] for i in range(ncols)),
+            tuple(tuple(int(v * denominator) for v in row) for row in inverse),
+            denominator)
+
+    def solve(self, target: dict) -> list[int]:
+        """The unique integer ``x`` with ``sum x_j * columns[j] == target``.
+
+        ``x`` is read off the pivot entries of ``target``, then accepted only
+        if the exact residual vanishes on every key: a target outside the
+        span raises :class:`SolveError` (inconsistent), and so does a
+        consistent target whose solution is not integral."""
+        d = self.denominator
+        t = [target.get(k, 0) for k in self.pivots]
+        scaled = [sum(a * b for a, b in zip(row, t)) for row in self.inverse]
+        residual = {k: d * c for k, c in target.items()}
+        for xj, col in zip(scaled, self.columns):
+            if xj:
+                for k, c in col.items():
+                    residual[k] = residual.get(k, 0) - xj * c
+        if any(residual.values()):
             raise SolveError("inconsistent system: target not in the span")
-    out = []
-    for c in range(ncols):
-        val = rows[pivot_rows[c]][ncols]
-        if val.denominator != 1:
-            raise SolveError(f"non-integral solution component {val}")
-        out.append(int(val))
-    return out
+        for xj in scaled:
+            if xj % d:
+                raise SolveError(
+                    f"non-integral solution component {Fraction(xj, d)}")
+        return [xj // d for xj in scaled]
+
+
+def _oracle_basis(n: int, ell: int) -> tuple[list[AffinePermutation],
+                                             FactoredColumns]:
+    """The affine Schur basis of degree ``ell`` and its factored monomial
+    columns in ``ell`` variables, built on first use per ``(n, ell)``."""
+    hit = _ORACLE_BASIS_MEMO.get((n, ell))
+    if hit is None:
+        basis = grassmannians_of_length(n, ell)
+        columns = [stanley_monomials(u, ell).coeffs for u in basis]
+        hit = _ORACLE_BASIS_MEMO.setdefault(
+            (n, ell), (basis, FactoredColumns.factor(columns)))
+    return hit
 
 
 def oracle_expand(w: AffinePermutation,
                   cap: int = DEFAULT_ORACLE_CAP) -> AffineSchurExpansion:
     """Expansion coefficients by exact linear solve of monomial tables
     against the affine Schur basis of the same degree, independent of the
-    recursion above."""
+    recursion above.
+
+    The basis columns are factored once per ``(n, len(w))``
+    (:class:`FactoredColumns`); each call computes only the monomial table
+    of ``w``, solves against the factorization and checks the exact integer
+    residual on every key.  :class:`SolveError` is raised if the basis
+    columns are singular, if the table of ``w`` is not in their span
+    (inconsistent), or if the solution is not integral.
+    """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds oracle cap {cap}")
     n, ell = w.n, w.length
     if ell == 0:
         return AffineSchurExpansion(n, {w: 1})
-    nvars = ell
-    basis = grassmannians_of_length(n, ell)
-    columns = [stanley_monomials(u, nvars).coeffs for u in basis]
-    target = stanley_monomials(w, nvars).coeffs
-    solution = _solve_exact_integer(columns, target)
+    basis, factored = _oracle_basis(n, ell)
+    solution = factored.solve(stanley_monomials(w, ell).coeffs)
     return AffineSchurExpansion(
         n, {u: c for u, c in zip(basis, solution) if c})
 

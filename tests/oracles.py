@@ -11,16 +11,20 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
+    grassmannians_of_length,
     interval_set,
     max_cyclic_factor,
     proper_subsets,
 )
 from cylkit.cylindric import CylindricShape
+from cylkit.errors import SolveError
 from cylkit.partitions import Partition, check_partition
+from cylkit.stanley import stanley_monomials
 
 
 def unfolded_inversions(w: AffinePermutation, periods: int = 6) -> int:
@@ -361,3 +365,57 @@ def cylindric_tableaux(shape: CylindricShape, nvars: int) -> Iterator[CylTableau
         except AssertionError:
             continue
         yield tableau
+
+
+def solve_exact_integer(columns: list[dict], target: dict) -> list[int]:
+    """Solve ``sum x_j * columns[j] == target`` exactly; unique solution
+    required.  Gauss-Jordan over fractions on the augmented matrix, once per
+    target, integrality enforced."""
+    keys = sorted(set().union(target, *columns))
+    rows = [[Fraction(col.get(k, 0)) for col in columns] + [Fraction(target.get(k, 0))]
+            for k in keys]
+    ncols = len(columns)
+    pivot_rows: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            raise SolveError("singular system: basis columns not independent")
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot_rows.append(r)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][ncols] != 0:
+            raise SolveError("inconsistent system: target not in the span")
+    out = []
+    for c in range(ncols):
+        val = rows[pivot_rows[c]][ncols]
+        if val.denominator != 1:
+            raise SolveError(f"non-integral solution component {val}")
+        out.append(int(val))
+    return out
+
+
+def oracle_expand_per_element(w: AffinePermutation,
+                              columns_memo: dict | None = None) -> dict:
+    """Affine Schur coefficients of ``F_w`` by a fresh Gauss-Jordan solve of
+    its monomial table against the degree-``len(w)`` basis columns.
+
+    ``columns_memo`` may keep the basis and its monomial columns across
+    calls; the solve itself always runs in full."""
+    n, ell = w.n, w.length
+    if ell == 0:
+        return {w: 1}
+    memo = {} if columns_memo is None else columns_memo
+    if (n, ell) not in memo:
+        basis = grassmannians_of_length(n, ell)
+        memo[(n, ell)] = basis, [stanley_monomials(u, ell).coeffs for u in basis]
+    basis, columns = memo[(n, ell)]
+    solution = solve_exact_integer(columns, stanley_monomials(w, ell).coeffs)
+    return {u: c for u, c in zip(basis, solution) if c}

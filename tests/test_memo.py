@@ -7,7 +7,7 @@ import cylkit
 from cylkit.affine import AffinePermutation, enumerate_reduced_words
 from cylkit.cylindric import CylType, cylindric_schur_poly, shape_new
 from cylkit.memo import clear_caches
-from cylkit.stanley import expand_cylindric, stanley_monomials
+from cylkit.stanley import expand_cylindric, oracle_expand, stanley_monomials
 from cylkit.symfunc import lr_coeff
 
 
@@ -27,10 +27,11 @@ def test_clear_caches_empties_every_table():
     expand_cylindric(shape)
     cylindric_schur_poly(shape, 3)
     stanley_monomials(AffinePermutation.from_word(4, [1, 0]), 2)
+    oracle_expand(AffinePermutation.from_word(4, [1, 0, 2]))
     lr_coeff((2, 1), (1,), (1, 1))
     enumerate_reduced_words(AffinePermutation.from_word(4, [1, 0, 2]), 6)
     tables = memo_tables()
-    assert len(tables) == 8
+    assert len(tables) == 10
     assert all(tables.values()), [name for name, t in tables.items() if not t]
     clear_caches()
     assert not any(tables.values()), [name for name, t in tables.items() if t]

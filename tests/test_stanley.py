@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylkit import stanley
 from cylkit.affine import (
     AffinePermutation,
     elements_by_length,
@@ -15,9 +16,11 @@ from cylkit.affine import (
     rotate,
 )
 from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, in_A, shape_new
-from cylkit.errors import CapExceededError, InvalidInputError
+from cylkit.errors import CapExceededError, InvalidInputError, SolveError
+from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_in_box, schedule_less
 from cylkit.stanley import (
+    FactoredColumns,
     dual_pieri_branches,
     expand_affine_schur,
     expand_cylindric,
@@ -33,6 +36,8 @@ from cylkit.symfunc import SymmetricPolynomial, lr_coeff
 from oracles import (
     dual_pieri_branches_exhaustive,
     grassmannianize_by_elements,
+    oracle_expand_per_element,
+    solve_exact_integer,
     stanley_coefficient_brute,
 )
 
@@ -322,6 +327,101 @@ class TestOracle:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             oracle_expand(W(3, 0, 1, 2, 0, 1, 2), cap=3)
+
+    # The factored solve against a fresh Gauss-Jordan solve per element.
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_factored_matches_per_element_solve_exhaustive(self, n):
+        columns_memo: dict = {}
+        for level in elements_by_length(n, 6):
+            for w in level:
+                assert (oracle_expand(w).coeffs
+                        == oracle_expand_per_element(w, columns_memo)), w
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_factored_matches_per_element_solve_sampled(self, n):
+        pool = [w for level in elements_by_length(n, 7) for w in level]
+        columns_memo: dict = {}
+        for w in random.Random(n).sample(pool, 100):
+            assert (oracle_expand(w).coeffs
+                    == oracle_expand_per_element(w, columns_memo)), w
+
+    def test_oracle_does_not_reach_the_dual_pieri_route(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oracle reached the route it checks")
+
+        for name in ("cyclic_factors", "dual_pieri_branches", "_expand_state",
+                     "expand_affine_schur", "grassmannianize", "shape_of"):
+            monkeypatch.setattr(stanley, name, unreachable)
+        clear_caches()
+        w = W(6, 5, 3, 1, 4, 2, 0)
+        assert oracle_expand(w).coeffs == oracle_expand_per_element(w)
+
+    # Every SolveError path, on hand-built columns.
+
+    def test_singular_columns(self):
+        columns = [{(2,): 1, (1, 1): 2}, {(2,): 2, (1, 1): 4}]
+        with pytest.raises(SolveError, match="singular"):
+            FactoredColumns.factor(columns)
+        with pytest.raises(SolveError, match="singular"):
+            solve_exact_integer(columns, {(2,): 1, (1, 1): 2})
+
+    @pytest.mark.parametrize("target", [
+        {(2,): 1, (1, 1): 1},  # a key outside the columns' support
+        {(2,): 1, (1, 1): 1, (3,): 0},
+        {(3,): 1, (2, 1): 2},  # the columns' keys, off their span
+        {(3,): 1, (2, 1): 1, (1, 1, 1): 5},
+    ])
+    def test_target_outside_the_span(self, target):
+        columns = [{(3,): 1, (2, 1): 1}, {(2, 1): 1, (1, 1, 1): 3}]
+        with pytest.raises(SolveError, match="inconsistent"):
+            FactoredColumns.factor(columns).solve(target)
+        with pytest.raises(SolveError, match="inconsistent"):
+            solve_exact_integer(columns, target)
+
+    def test_non_integral_solution(self):
+        columns = [{(2,): 2, (1, 1): 1}, {(1, 1): 1}]
+        target = {(2,): 1, (1, 1): 1}  # x = (1/2, 1/2)
+        with pytest.raises(SolveError, match="non-integral"):
+            FactoredColumns.factor(columns).solve(target)
+        with pytest.raises(SolveError, match="non-integral"):
+            solve_exact_integer(columns, target)
+        assert FactoredColumns.factor(columns).solve({(2,): 4, (1, 1): 3}) == [2, 1]
+
+    def test_random_systems_match_per_target_solve(self):
+        rng = random.Random(5)
+        keys = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+        def outcome(solve):
+            try:
+                return solve()
+            except SolveError as exc:
+                return str(exc)
+
+        seen = set()
+        for _ in range(3000):
+            ncols = rng.randint(0, 3)
+            support = rng.sample(keys, rng.randint(ncols, len(keys)))
+            columns = [{k: rng.randint(-2, 2) for k in support}
+                       for _ in range(ncols)]
+            xs = [rng.randint(-3, 3) for _ in range(ncols)]
+            target = {k: sum(x * col.get(k, 0) for x, col in zip(xs, columns))
+                      for k in keys}
+            kind = rng.randrange(3)
+            if kind == 1 and ncols:  # doubling column j halves x_j
+                j = rng.randrange(ncols)
+                columns[j] = {k: 2 * c for k, c in columns[j].items()}
+            elif kind == 2:  # perturb one key
+                k = rng.choice(keys)
+                target[k] = target.get(k, 0) + rng.choice((-1, 1))
+
+            def fast():
+                return FactoredColumns.factor(columns).solve(target)
+
+            expected = outcome(lambda: solve_exact_integer(columns, target))
+            assert outcome(fast) == expected, (columns, target)
+            seen.add(expected.split()[0] if isinstance(expected, str) else "ok")
+        assert seen == {"ok", "singular", "inconsistent", "non-integral"}
 
 
 class TestExpandCylindric:
