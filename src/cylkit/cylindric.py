@@ -1,4 +1,4 @@
-"""Cylindric shapes of type (m, n) and the box-adding action.
+"""Cylindric shapes of type (m, n) and the action of ``A_w`` on boundaries.
 
 Geometry.  Cells live on the cylinder ``Z^2 / (row, col) ~ (row - m,
 col + n - m)``; the diagonal of a cell is ``(col - row) mod n``.  A boundary
@@ -10,9 +10,10 @@ algorithm reads the boundary through these row bounds.
 
 A shape ``lam/d/mu`` is the region between the boundaries of ``mu[0]``
 (inner) and ``lam[d]`` (outer), where ``lam[d]`` places window ``lam_j + d``
-at rows ``d+1 .. d+m``.  Generators act by adding a box on a fixed diagonal:
-on a boundary there is at most one position per diagonal where a box can
-attach, so the action is either a single increment or zero.
+at rows ``d+1 .. d+m``.  The nilCoxeter element ``A_w`` acts by permuting
+the addable diagonals: row ``p`` can take a box on diagonal ``a_p = R_p + 1
+- p``, and ``A_w`` moves each ``a_p`` to ``w(a_p)``.  The result is a
+boundary with ``len(w)`` more cells per period, or zero.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class PeriodicSequence:
     >>> b = PeriodicSequence.from_partition(CylType(3, 6), (2, 1), 0)
     >>> b.rows
     (2, 1, 0)
-    >>> b.add_box(4).rows
+    >>> b.apply_word((4,)).rows
     (2, 1, 1)
     """
 
@@ -80,34 +81,37 @@ class PeriodicSequence:
         j = (p - 1) % m
         return self.rows[j] - ((p - 1 - j) // m) * (n - m)
 
-    # -- box moves -----------------------------------------------------------
+    # -- the action of A_w ----------------------------------------------------
 
-    def add_box(self, i: int) -> "PeriodicSequence | None":
-        """Attach a box on diagonal ``i``; None when no cell is addable there.
+    def act(self, w: AffinePermutation) -> "PeriodicSequence | None":
+        """``A_w`` on this boundary: ``R'_p = w(R_p + 1 - p) + p - 1``, or None.
 
-        At most one period position can carry diagonal ``i``, so the outcome
-        is forced.
+        The addable diagonal ``a_p = R_p + 1 - p`` of row ``p`` moves to
+        ``w(a_p)``; the action is nonzero iff the rows gain ``len(w)`` cells.
+        Proof: ``w(a) - a`` counts the inversions of ``w`` with ``a`` on the
+        left minus those with ``a`` on the right, so the gain over one period
+        counts the inversions carrying an addable position past a non-addable
+        one minus those going the other way; it reaches ``len(w)`` iff every
+        inversion is of the first kind, i.e. iff each letter of a reduced
+        word adds one box.
         """
         n = self.ctype.n
-        i = i % n
-        spots = [p for p, bound in enumerate(self.rows, 1)
-                 if (bound + 1 - p) % n == i]
-        if len(spots) > 1:
-            raise AssertionError(f"diagonal {i} not unique on {self}")
-        if not spots:
+        if w.n != n:
+            raise InvalidInputError(f"period mismatch: {w.n} vs {n}")
+        rows = tuple(w.value(bound + 1 - p) + p - 1
+                     for p, bound in enumerate(self.rows, 1))
+        if sum(rows) - sum(self.rows) != w.length:
             return None
-        p = spots[0]
-        if not self.rows[p - 1] < self.row_bound(p - 1):
-            return None
-        grown = list(self.rows)
-        grown[p - 1] += 1
-        return PeriodicSequence(self.ctype, tuple(grown))
+        return PeriodicSequence(self.ctype, rows)
 
     def apply_word(self, word: Word) -> "PeriodicSequence | None":
-        """Act by ``A_w`` for the given reduced word (letters right to left)."""
+        """The nilCoxeter word action, one letter at a time (right to left).
+
+        Unlike :meth:`act`, a word that is not reduced acts by zero.
+        """
         cur = self
         for i in reversed(word):
-            cur = cur.add_box(i)
+            cur = cur.act(AffinePermutation.simple(self.ctype.n, i))
             if cur is None:
                 return None
         return cur
@@ -201,22 +205,14 @@ def cell_count(shape: CylindricShape) -> int:
 
 
 def is_toric(shape: CylindricShape) -> bool:
-    """Every row has at most ``n - m`` cells and every column at most ``m``."""
+    """Every row has at most ``n - m`` cells, hence every column at most ``m``.
+
+    A column holds consecutive rows, so one with more than ``m`` cells holds
+    rows ``p`` and ``p + m``, and then row ``p`` has more than ``n - m``.
+    """
     m, n = shape.ctype.m, shape.ctype.n
     inner, outer = shape.inner(), shape.outer()
-    if any(outer.row_bound(p) - inner.row_bound(p) > n - m
-           for p in range(1, m + 1)):
-        return False
-    top = outer.row_bound(1)
-    for q in range(top - (n - m) + 1, top + 1):
-        # column q: rows p with inner R_p < q <= outer R_p; both bounds move
-        # by (n-m) every m rows, so a window of m*(2n) rows is ample.
-        span = m * (abs(q) + 2 * n + max(abs(v) for v in outer.rows) + 1)
-        count = sum(1 for p in range(-span, span + 1)
-                    if inner.row_bound(p) < q <= outer.row_bound(p))
-        if count > m:
-            return False
-    return True
+    return all(o - i <= n - m for o, i in zip(outer.rows, inner.rows))
 
 
 # -- cylindric tableaux -------------------------------------------------------
@@ -332,7 +328,7 @@ def phi(w: AffinePermutation, ctype: CylType) -> CylindricShape:
     if not in_A0(w, ctype):
         raise InvalidInputError(f"{w} is not a 321-avoiding 0-Grassmannian "
                                 f"element of type ({ctype.m},{ctype.n})")
-    grown = empty_boundary(ctype).apply_word(w.reduced_word())
+    grown = empty_boundary(ctype).act(w)
     if grown is None:
         raise AssertionError(f"action of {w} on the empty boundary vanished")
     nu, e = grown.to_shape()

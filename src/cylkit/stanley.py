@@ -235,9 +235,8 @@ def grassmannianize_321(w: AffinePermutation,
         raise InvalidInputError(
             "some generator never occurs; use the generic grassmannianize")
 
-    word = w.reduced_word()
     beta = next((b for b in _candidate_boundaries(ctype)
-                 if b.apply_word(word) is not None), None)
+                 if b.act(w) is not None), None)
     if beta is None:
         raise AssertionError(f"no boundary admits the action of {w}")
 

@@ -21,7 +21,7 @@ from cylkit.affine import (
     max_cyclic_factor,
     proper_subsets,
 )
-from cylkit.cylindric import CylindricShape
+from cylkit.cylindric import CylindricShape, PeriodicSequence
 from cylkit.errors import SolveError
 from cylkit.partitions import Partition, check_partition
 from cylkit.stanley import stanley_monomials
@@ -311,6 +311,62 @@ def poly_mul_monomial_tables(nvars: int, p: dict, q: dict) -> dict:
             key = tuple(v for v in expo if v)
             out[key] = c
     return out
+
+
+# -- boundaries, one box and one column at a time --------------------------
+
+
+def add_box_by_diagonal(b: PeriodicSequence, i: int) -> PeriodicSequence | None:
+    """Attach a box on diagonal ``i``; None when no cell is addable there.
+
+    At most one period position can carry diagonal ``i``, so the outcome
+    is forced.
+    """
+    n = b.ctype.n
+    i = i % n
+    spots = [p for p, bound in enumerate(b.rows, 1)
+             if (bound + 1 - p) % n == i]
+    if len(spots) > 1:
+        raise AssertionError(f"diagonal {i} not unique on {b}")
+    if not spots:
+        return None
+    p = spots[0]
+    if not b.rows[p - 1] < b.row_bound(p - 1):
+        return None
+    grown = list(b.rows)
+    grown[p - 1] += 1
+    return PeriodicSequence(b.ctype, tuple(grown))
+
+
+def apply_word_by_boxes(b: PeriodicSequence,
+                        word: tuple[int, ...]) -> PeriodicSequence | None:
+    """Act by the word (letters right to left), one box per letter."""
+    cur = b
+    for i in reversed(word):
+        cur = add_box_by_diagonal(cur, i)
+        if cur is None:
+            return None
+    return cur
+
+
+def is_toric_by_columns(shape: CylindricShape) -> bool:
+    """Every row has at most ``n - m`` cells and every column at most ``m``,
+    each column counted over a window of rows."""
+    m, n = shape.ctype.m, shape.ctype.n
+    inner, outer = shape.inner(), shape.outer()
+    if any(outer.row_bound(p) - inner.row_bound(p) > n - m
+           for p in range(1, m + 1)):
+        return False
+    top = outer.row_bound(1)
+    for q in range(top - (n - m) + 1, top + 1):
+        # column q: rows p with inner R_p < q <= outer R_p; both bounds move
+        # by (n-m) every m rows, so a window of m*(2n) rows is ample.
+        span = m * (abs(q) + 2 * n + max(abs(v) for v in outer.rows) + 1)
+        count = sum(1 for p in range(-span, span + 1)
+                    if inner.row_bound(p) < q <= outer.row_bound(p))
+        if count > m:
+            return False
+    return True
 
 
 # -- cylindric tableaux, cell by cell ----------------------------------------

@@ -168,7 +168,7 @@ class TestTrustedConstructor:
                 assert w._known_length() == ell
                 assert_operations_valid(w, short, ell)
 
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=150)
     @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.integers(0, n - 1), max_size=14),
@@ -284,7 +284,7 @@ class TestCStat:
                     assert list(code) == [code_unfolded(w, i) for i in range(1, n + 1)]
                     assert sum(code) == w.length
 
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(2, 32).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(0, n - 1), max_size=16))))
     def test_matches_unfolded_count_on_random_words(self, case):
@@ -497,7 +497,7 @@ class TestShapeOf:
                     cases += 1
         assert cases == 446
 
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(1, n - 1), max_size=10))))
     def test_matches_maximal_cdd_on_random_partitions(self, case):

@@ -242,7 +242,7 @@ class TestVerify:
         assert list(counts) == list(verify_mod.ALL_SUITES)
         assert all(c >= 1 for c in counts.values())
         defaults = {"add-box-relations": 3794, "phi-bijection": 3960,
-                    "shift-property": 1079, "nilcoxeter": 105}
+                    "shift-property": 1079, "nilcoxeter": 122}
         for name, default in defaults.items():
             assert counts[name] < default, name
 

@@ -1,11 +1,20 @@
-"""Cylindric shapes, the box-adding action, tableaux, and the bijection."""
+"""Cylindric shapes, the action of ``A_w`` on boundaries, tableaux, and the
+bijection."""
 
 import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cylkit.affine import AffinePermutation, CyclicSet, proper_subsets
+from cylkit.affine import (
+    AffinePermutation,
+    CyclicSet,
+    elements_by_length,
+    enumerate_reduced_words,
+    proper_subsets,
+)
 from cylkit.cylindric import (
     CylType,
     PeriodicSequence,
@@ -27,7 +36,12 @@ from cylkit.errors import InvalidInputError, ShapeError
 from cylkit.partitions import partitions_in_box
 from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
 
-from oracles import cylindric_tableaux, shape_cells
+from oracles import (
+    apply_word_by_boxes,
+    cylindric_tableaux,
+    is_toric_by_columns,
+    shape_cells,
+)
 
 T36 = CylType(3, 6)
 T24 = CylType(2, 4)
@@ -106,11 +120,11 @@ class TestBoundaries:
 
 class TestAddBox:
     def test_empty_diag0(self):
-        grown = empty_boundary(T36).add_box(0)
+        grown = empty_boundary(T36).apply_word((0,))
         assert grown is not None and grown.to_shape() == ((1,), 0)
 
     def test_empty_diag1_vanishes(self):
-        assert empty_boundary(T36).add_box(1) is None
+        assert empty_boundary(T36).apply_word((1,)) is None
 
     def test_example2_word_application(self):
         inner = PeriodicSequence.from_partition(T36, (2, 1), 0)
@@ -125,7 +139,7 @@ class TestAddBox:
             nxt = []
             for b in frontier:
                 for i in range(ctype.n):
-                    g = b.add_box(i)
+                    g = b.apply_word((i,))
                     if g is not None and g.rows not in seen:
                         seen.add(g.rows)
                         nxt.append(g)
@@ -162,6 +176,48 @@ class TestAddBox:
                         assert act(b, inc) is None
 
 
+class TestAct:
+    def test_matches_box_by_box_on_every_small_boundary(self):
+        # every element up to the grid's length against every boundary
+        # lam[d], lam in the box and d in {0, 1}, of every type (m, n)
+        cases = nonzero = 0
+        for n, maxlen in [(2, 8), (3, 6), (4, 5), (5, 4), (6, 4)]:
+            elements = [w for level in elements_by_length(n, maxlen)
+                        for w in level]
+            for m in range(1, n):
+                ctype = CylType(m, n)
+                for lam in partitions_in_box(m, n - m):
+                    for d in (0, 1):
+                        b = PeriodicSequence.from_partition(ctype, lam, d)
+                        for w in elements:
+                            got = b.act(w)
+                            assert got == apply_word_by_boxes(
+                                b, w.reduced_word()), (b, w)
+                            cases += 1
+                            nonzero += got is not None
+        assert (cases, nonzero) == (37824, 1940)
+
+    @given(st.integers(2, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1),
+        st.lists(st.integers(0, n - 1), max_size=14),
+        st.lists(st.integers(0, n - 1), max_size=16), st.integers(0, 2))))
+    def test_matches_box_by_box_on_random_words(self, case):
+        n, m, letters, rows, d = case
+        ctype = CylType(m, n)
+        w, word = AffinePermutation.identity(n), ()
+        for i in letters:  # keep the ascents: a random reduced word
+            if not w.has_right_descent(i):
+                w, word = w.times_s(i), word + (i,)
+        lam = tuple(sorted((min(v, n - m) for v in rows[:m] if v),
+                           reverse=True))
+        b = PeriodicSequence.from_partition(ctype, lam, d)
+        assert b.act(w) == apply_word_by_boxes(b, word)
+
+    def test_period_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            empty_boundary(T36).act(AffinePermutation.identity(4))
+
+
 class TestToric:
     def test_box_shapes_toric(self):
         for nu in partitions_in_box(3, 3):
@@ -174,6 +230,23 @@ class TestToric:
     def test_example2_shape(self):
         # rows all 2 <= 3, columns at most 2 <= 3: toric by direct count
         assert is_toric(shape_new(T36, (2, 1), 1, (2, 1)))
+
+    def test_row_test_matches_column_scan(self):
+        shapes = toric = 0
+        for n in range(2, 8):
+            for m in range(1, n):
+                ctype = CylType(m, n)
+                box = partitions_in_box(m, n - m)
+                for lam, mu in itertools.product(box, box):
+                    for d in range(3):
+                        try:
+                            s = shape_new(ctype, lam, d, mu)
+                        except ShapeError:
+                            continue
+                        assert is_toric(s) == is_toric_by_columns(s), s
+                        shapes += 1
+                        toric += is_toric(s)
+        assert (shapes, toric) == (10968, 5613)
 
     def test_toric_iff_offset_zero_on_mu_empty(self):
         for ctype in (T24, T36):
@@ -261,15 +334,23 @@ class TestPhi:
             phi(W(6, 0, 1, 0), T36)  # not 321-avoiding
 
     def test_word_independence(self):
-        from cylkit.affine import enumerate_reduced_words
-
-        w = W(6, 5, 1, 0) * W(6, 3, 2)
-        if in_A0(w, T36):
-            shapes = set()
-            for word in enumerate_reduced_words(w, 8):
-                b = empty_boundary(T36).apply_word(word)
-                shapes.add(b.to_shape())
-            assert len(shapes) == 1
+        # every reduced word of every phi_inv(nu/e/()) with at most 7 cells
+        # acts on the empty boundary as the element does
+        most_words = 0
+        for nu in partitions_in_box(3, 3):
+            for e in (0, 1):
+                s = shape_new(T36, nu, e, ())
+                if cell_count(s) > 7:
+                    continue
+                w = phi_inv(s)
+                assert in_A0(w, T36)
+                grown = empty_boundary(T36).act(w)
+                assert grown == s.outer()
+                words = enumerate_reduced_words(w, 7)
+                for word in words:
+                    assert empty_boundary(T36).apply_word(word) == grown
+                most_words = max(most_words, len(words))
+        assert most_words >= 2
 
     @pytest.mark.parametrize("ctype", [T24, CylType(2, 5), T36])
     def test_round_trip_small(self, ctype):

@@ -196,9 +196,9 @@ def small_battery():
 class TestIdentityBattery:
     def test_verify_identities_24(self, small_battery):
         assert small_battery.passed, small_battery.failures
-        # 19 hh commutations, 28 dual-basis checks, 7 identities at each of
+        # 19 hh commutations, 28 dual-basis checks, 6 identities at each of
         # (1,3) and (2,4), a product and a symmetry check at n = 3 and 4
-        assert small_battery.checks == 19 + 28 + 2 * 7 + 2 * 2
+        assert small_battery.checks == 19 + 28 + 2 * 6 + 2 * 2
 
     def test_symmetry_small(self, small_battery):
         assert small_battery.passed, small_battery.failures

@@ -121,7 +121,7 @@ class TestGrassmannianize:
                     cases += 1
         assert cases == 1340
 
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(2, 32).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(0, n - 1), max_size=12))))
     def test_matches_sweep_on_random_words(self, case):
