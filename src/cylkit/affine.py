@@ -259,14 +259,17 @@ def is_321_avoiding(w: AffinePermutation) -> bool:
 def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
     """Occurrences of each generator in a reduced word of ``w``.
 
-    Well-defined for 321-avoiding elements, where all reduced words share one
-    letter multiset (only commutation moves apply); computed from the greedy
-    word.
+    ``c_i = #{j <= i : w(j) > i}``, the values carried across the cut
+    between ``i`` and ``i + 1``, counted over the window: position ``t``'s
+    translates ``t + kn`` qualify for ``floor((i - w(t))/n) < k <=
+    floor((i - t)/n)``.  For 321-avoiding ``w``, where all reduced words
+    share one letter multiset, this is the multiplicity of ``s_i``; for any
+    ``w`` it is 0 exactly when ``s_i`` is absent.
     """
-    counts: dict[int, int] = {i: 0 for i in range(w.n)}
-    for i in w.reduced_word():
-        counts[i] += 1
-    return counts
+    n, win = w.n, w.window
+    return {i: sum(max(0, (i - t) // n - (i - v) // n)
+                   for t, v in enumerate(win, 1))
+            for i in range(n)}
 
 
 # -- cyclically decreasing / increasing elements -----------------------------

@@ -13,7 +13,9 @@ A shape ``lam/d/mu`` is the region between the boundaries of ``mu[0]``
 at rows ``d+1 .. d+m``.  The nilCoxeter element ``A_w`` acts by permuting
 the addable diagonals: row ``p`` can take a box on diagonal ``a_p = R_p + 1
 - p``, and ``A_w`` moves each ``a_p`` to ``w(a_p)``.  The result is a
-boundary with ``len(w)`` more cells per period, or zero.
+boundary with ``len(w)`` more cells per period, or zero.  Read backwards,
+the same map gives the boundary word of two nested boundaries, from which
+come skew words and the inverse of the bijection ``phi``.
 """
 
 from __future__ import annotations
@@ -271,32 +273,33 @@ def cylindric_schur_poly(shape: CylindricShape, nvars: int,
 
 def boundary_word(inner: PeriodicSequence,
                   outer: PeriodicSequence) -> AffinePermutation:
-    """The element ``x`` with ``A_x . inner = outer``.
+    """The element ``x`` with ``A_x . inner = outer``: the action inverted.
 
-    Peels removable cells of the outer boundary greedily (smallest row
-    first); the letters in removal order spell a reduced word of ``x``.
+    ``x`` moves each addable diagonal ``a_p`` of ``inner`` to the one
+    ``a'_p`` of ``outer`` and keeps the other positions in order, so they
+    go onto the residues not yet hit at the one shift that gives the window
+    sum ``n(n+1)/2`` (each step adds ``n``).  The check that ``x`` acts as
+    required also proves ``len(x)`` is the cell gain.
     """
     if inner.ctype != outer.ctype:
         raise InvalidInputError("type mismatch")
     if not outer.contains(inner):
         raise InvalidInputError("outer boundary must contain inner")
-    m, n = inner.ctype.m, inner.ctype.n
-    letters: list[int] = []
-    cur = outer
-    while cur != inner:
-        for p in range(1, m + 1):
-            bound = cur.row_bound(p)
-            if bound > inner.row_bound(p) and bound > cur.row_bound(p + 1):
-                letters.append((bound - p) % n)
-                cur = PeriodicSequence(
-                    cur.ctype, cur.rows[:p - 1] + (bound - 1,) + cur.rows[p:])
-                break
-        else:
-            raise AssertionError("peeling stuck: boundaries not nested?")
-    w = AffinePermutation.from_word(n, letters)
-    if w.length != len(letters):
-        raise AssertionError("peeled word is not reduced")
-    return w
+    n = inner.ctype.n
+    fixed = {}  # window index j of a_p -> x(j + 1) = a'_p - a_p + j + 1
+    for p, (bound, grown) in enumerate(zip(inner.rows, outer.rows), 1):
+        j = (bound - p) % n
+        fixed[j] = grown - bound + j + 1
+    hit = {v % n for v in fixed.values()}
+    free = [t for t in range(1, n + 1) if t % n not in hit]
+    k = (n * (n + 1) // 2 - sum(fixed.values()) - sum(free)) // n
+    rest = iter(free[i % len(free)] + (i // len(free)) * n
+                for i in range(k, k + len(free)))
+    window = tuple(fixed[j] if j in fixed else next(rest) for j in range(n))
+    x = AffinePermutation(n, window)
+    if inner.act(x) != outer:
+        raise AssertionError(f"boundary word of {inner} -> {outer} is not {x}")
+    return x
 
 
 def in_A(w: AffinePermutation, ctype: CylType) -> bool:
@@ -321,6 +324,9 @@ def in_A0(w: AffinePermutation, ctype: CylType) -> bool:
 def phi(w: AffinePermutation, ctype: CylType) -> CylindricShape:
     """The bijection onto shapes ``nu/e/()``: act on the empty boundary.
 
+    Its inverse is :func:`skew_word`; ``to_shape`` has already put ``nu``
+    in the box, so the shape needs no re-validation.
+
     >>> from cylkit.affine import AffinePermutation
     >>> phi(AffinePermutation.from_word(6, [5, 1, 0]), CylType(3, 6)).lam
     (2, 1)
@@ -334,29 +340,16 @@ def phi(w: AffinePermutation, ctype: CylType) -> CylindricShape:
     nu, e = grown.to_shape()
     if e < 0:
         raise AssertionError("negative offset out of the empty boundary")
-    return shape_new(ctype, nu, e, ())
-
-
-def phi_inv(shape: CylindricShape) -> AffinePermutation:
-    """Inverse bijection: peel ``nu[e]`` down to the empty boundary."""
-    if shape.mu != ():
-        raise InvalidInputError(f"phi_inv expects a shape nu/e/(): {shape}")
-    w = boundary_word(empty_boundary(shape.ctype), shape.outer())
-    if not in_A0(w, shape.ctype):
-        raise AssertionError(f"phi_inv left the basis: {w}")
-    return w
+    return CylindricShape(ctype, nu, e, ())
 
 
 def skew_word(shape: CylindricShape) -> AffinePermutation:
     """The element whose Stanley function is the cylindric Schur function.
 
-    ``w = phi_inv(lam/d/()) * phi_inv(mu/0/())^{-1}``, equal to the direct
-    peel from ``lam[d]`` down to ``mu[0]``; its length is the cell count.
+    The boundary word from ``mu[0]`` to ``lam[d]``, of length the cell
+    count; on ``nu/e/()`` it is the element that :func:`phi` maps there.
     """
-    w = boundary_word(shape.inner(), shape.outer())
-    if w.length != cell_count(shape):
-        raise AssertionError("skew word length != cell count")
-    return w
+    return boundary_word(shape.inner(), shape.outer())
 
 
 # -- ribbons -------------------------------------------------------------------

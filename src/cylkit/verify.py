@@ -43,7 +43,6 @@ from cylkit.cylindric import (
     in_A0,
     is_toric,
     phi,
-    phi_inv,
     ribbon_decomposition,
     ribbon_r,
     shape_new,
@@ -412,7 +411,7 @@ def _check_identities(ctype: CylType, max_len: int, check) -> None:
                 continue
             if e == 0 and sum(nu) > 2:
                 continue  # d = 0 factorization is vacuous; keep two spot cases
-            w = phi_inv(shape_new(ctype, nu, e, ()))
+            w = skew_word(shape_new(ctype, nu, e, ()))
             w0, dpow = ribbon_decomposition(w, ctype)
             lhs = quotient_project(nc_kschur(w, cap=12), ctype)
             rhs = quotient_project(nc_kschur(w0, cap=12), ctype)
@@ -581,7 +580,7 @@ def suite_phi(max_n: int | None = None, max_len: int | None = None,
 
         elems = {}
         for s in shapes:
-            w = phi_inv(s)
+            w = skew_word(s)
             elems[s] = w
             tally.check(in_A0(w, ctype) and phi(w, ctype) == s,
                         "round-trip", (m, n), s)

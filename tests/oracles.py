@@ -21,9 +21,9 @@ from cylkit.affine import (
     max_cyclic_factor,
     proper_subsets,
 )
-from cylkit.cylindric import CylindricShape, PeriodicSequence
-from cylkit.errors import SolveError
-from cylkit.partitions import Partition, check_partition
+from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence, shape_new
+from cylkit.errors import ShapeError, SolveError
+from cylkit.partitions import Partition, check_partition, partitions_in_box
 from cylkit.stanley import stanley_monomials
 
 
@@ -47,6 +47,14 @@ def s_times(w: AffinePermutation, i: int) -> AffinePermutation:
     j = (i + 1) % n
     return AffinePermutation(n, tuple(
         v + 1 if v % n == i else (v - 1 if v % n == j else v) for v in w.window))
+
+
+def letter_multiplicities_greedy(w: AffinePermutation) -> dict[int, int]:
+    """Occurrences of each generator in the greedy reduced word of ``w``."""
+    counts = {i: 0 for i in range(w.n)}
+    for i in w.reduced_word():
+        counts[i] += 1
+    return counts
 
 
 def bfs_word_length(w: AffinePermutation, cap: int) -> int | None:
@@ -349,6 +357,32 @@ def apply_word_by_boxes(b: PeriodicSequence,
     return cur
 
 
+def boundary_word_peel(inner: PeriodicSequence,
+                       outer: PeriodicSequence) -> AffinePermutation:
+    """The element ``x`` with ``A_x . inner = outer``, cell by cell.
+
+    Peels removable cells of the outer boundary greedily (smallest row
+    first); the letters in removal order spell a reduced word of ``x``.
+    """
+    m, n = inner.ctype.m, inner.ctype.n
+    letters: list[int] = []
+    cur = outer
+    while cur != inner:
+        for p in range(1, m + 1):
+            bound = cur.row_bound(p)
+            if bound > inner.row_bound(p) and bound > cur.row_bound(p + 1):
+                letters.append((bound - p) % n)
+                cur = PeriodicSequence(
+                    cur.ctype, cur.rows[:p - 1] + (bound - 1,) + cur.rows[p:])
+                break
+        else:
+            raise AssertionError("peeling stuck: boundaries not nested?")
+    w = AffinePermutation.from_word(n, letters)
+    if w.length != len(letters):
+        raise AssertionError("peeled word is not reduced")
+    return w
+
+
 def is_toric_by_columns(shape: CylindricShape) -> bool:
     """Every row has at most ``n - m`` cells and every column at most ``m``,
     each column counted over a window of rows."""
@@ -370,6 +404,26 @@ def is_toric_by_columns(shape: CylindricShape) -> bool:
 
 
 # -- cylindric tableaux, cell by cell ----------------------------------------
+
+
+def all_shapes(ctype: CylType, max_cells: int,
+               max_d: int | None = None) -> list[CylindricShape]:
+    """Every valid shape ``lam/d/mu`` with at most ``max_cells`` cells and
+    offset ``d <= max_d`` (default ``max_cells // n``): every triple in the
+    box is tried, and ``shape_new`` refuses the invalid ones."""
+    if max_d is None:
+        max_d = max_cells // ctype.n
+    out = []
+    box = partitions_in_box(ctype.m, ctype.n - ctype.m)
+    for lam, mu in itertools.product(box, box):
+        for d in range(max_d + 1):
+            if not 0 <= sum(lam) - sum(mu) + ctype.n * d <= max_cells:
+                continue
+            try:
+                out.append(shape_new(ctype, lam, d, mu))
+            except ShapeError:
+                continue
+    return out
 
 
 def shape_cells(shape: CylindricShape) -> list[tuple[int, int]]:

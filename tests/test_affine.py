@@ -20,17 +20,19 @@ from cylkit.affine import (
     rotate,
     shape_of,
 )
-from cylkit.cylindric import CylType, in_A
+from cylkit.cylindric import CylType, in_A, phi, skew_word
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_of
-from cylkit.stanley import expand_affine_schur, grassmannianize
+from cylkit.stanley import expand_affine_schur, expand_cylindric, grassmannianize
 
 from oracles import (
+    all_shapes,
     all_words_brute,
     bfs_word_length,
     code_unfolded,
     cyclic_factors_exhaustive,
+    letter_multiplicities_greedy,
     max_cyclic_factor_exhaustive,
     maximal_cdd,
     s_times,
@@ -419,6 +421,44 @@ class TestMaxCyclicFactor:
             (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1}
 
 
+class TestCylindricHotPath:
+    """The cylindric layer reads skew words, phi and letter counts off the
+    window: it builds no reduced word and multiplies out no word."""
+
+    @staticmethod
+    def _shapes():
+        shapes = all_shapes(CylType(3, 6), 8)
+        assert len(shapes) == 447
+        return shapes
+
+    @staticmethod
+    def _refuse(what):
+        def refuse(*args):
+            raise AssertionError(f"{what} reached")
+        return refuse
+
+    def test_expansion_builds_no_reduced_word(self, monkeypatch):
+        shapes = self._shapes()
+        clear_caches()
+        expected = [expand_cylindric(s) for s in shapes]
+        monkeypatch.setattr(AffinePermutation, "reduced_word",
+                            self._refuse("reduced_word"))
+        clear_caches()
+        assert [expand_cylindric(s) for s in shapes] == expected
+
+    def test_skew_word_and_phi_build_no_word(self, monkeypatch):
+        shapes = self._shapes()
+        clear_caches()
+        expected = [skew_word(s) for s in shapes]
+        monkeypatch.setattr(AffinePermutation, "from_word",
+                            staticmethod(self._refuse("from_word")))
+        clear_caches()
+        assert [skew_word(s) for s in shapes] == expected
+        for s, w in zip(shapes, expected):
+            if s.mu == ():
+                assert phi(w, s.ctype) == s
+
+
 class TestCyclicFactors:
     def test_matches_exhaustive_scan(self):
         # every size, side and direction on every element, n <= 7: 29,624 cases
@@ -572,6 +612,23 @@ class TestLetterMultiplicities:
     def test_word_531420(self):
         counts = letter_multiplicities(W(6, 5, 3, 1, 4, 2, 0))
         assert counts == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
+
+    def test_window_count_matches_greedy_word(self):
+        # every element up to the grid's length: the zero pattern always
+        # agrees, the counts on the 321-avoiding elements
+        elements = avoiding = 0
+        for n, maxlen in [(2, 9), (3, 9), (4, 8), (5, 7), (6, 6)]:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    got = letter_multiplicities(w)
+                    greedy = letter_multiplicities_greedy(w)
+                    assert ({i for i, c in got.items() if c == 0}
+                            == {i for i, c in greedy.items() if c == 0}), w
+                    elements += 1
+                    if is_321_avoiding(w):
+                        assert got == greedy, w
+                        avoiding += 1
+        assert (elements, avoiding) == (2274, 874)
 
     def test_all_words_agree_for_321_avoiding(self):
         for w in elements_by_length(4, 5)[5]:

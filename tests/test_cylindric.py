@@ -18,6 +18,7 @@ from cylkit.affine import (
 from cylkit.cylindric import (
     CylType,
     PeriodicSequence,
+    boundary_word,
     cell_count,
     cylindric_schur_poly,
     empty_boundary,
@@ -25,7 +26,6 @@ from cylkit.cylindric import (
     in_A0,
     is_toric,
     phi,
-    phi_inv,
     render_shape,
     ribbon_decomposition,
     ribbon_r,
@@ -37,7 +37,9 @@ from cylkit.partitions import partitions_in_box
 from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
 
 from oracles import (
+    all_shapes,
     apply_word_by_boxes,
+    boundary_word_peel,
     cylindric_tableaux,
     is_toric_by_columns,
     shape_cells,
@@ -49,21 +51,6 @@ T24 = CylType(2, 4)
 
 def W(n, *letters):
     return AffinePermutation.from_word(n, letters)
-
-
-def all_shapes(ctype, max_cells):
-    out = []
-    box = partitions_in_box(ctype.m, ctype.n - ctype.m)
-    for lam, mu in itertools.product(box, box):
-        for d in range(0, max_cells // ctype.n + 1):
-            cells = sum(lam) - sum(mu) + ctype.n * d
-            if not 0 <= cells <= max_cells:
-                continue
-            try:
-                out.append(shape_new(ctype, lam, d, mu))
-            except ShapeError:
-                continue
-    return out
 
 
 class TestShapes:
@@ -218,6 +205,28 @@ class TestAct:
             empty_boundary(T36).act(AffinePermutation.identity(4))
 
 
+class TestBoundaryWord:
+    def test_matches_peel(self):
+        # every shape of every type with n <= 7, offsets 0-2, <= 12 cells
+        shapes = 0
+        for n in range(2, 8):
+            for m in range(1, n):
+                for s in all_shapes(CylType(m, n), 12, max_d=2):
+                    inner, outer = s.inner(), s.outer()
+                    assert (boundary_word(inner, outer)
+                            == boundary_word_peel(inner, outer)), s
+                    shapes += 1
+        assert shapes == 8022
+
+    def test_rejects_unnested_boundaries(self):
+        inner = PeriodicSequence.from_partition(T36, (2,), 0)
+        outer = PeriodicSequence.from_partition(T36, (1, 1), 0)
+        with pytest.raises(InvalidInputError):
+            boundary_word(inner, outer)
+        with pytest.raises(InvalidInputError):
+            boundary_word(inner, empty_boundary(T24))
+
+
 class TestToric:
     def test_box_shapes_toric(self):
         for nu in partitions_in_box(3, 3):
@@ -334,15 +343,15 @@ class TestPhi:
             phi(W(6, 0, 1, 0), T36)  # not 321-avoiding
 
     def test_word_independence(self):
-        # every reduced word of every phi_inv(nu/e/()) with at most 7 cells
-        # acts on the empty boundary as the element does
+        # every reduced word of the skew word of every nu/e/() with at
+        # most 7 cells acts on the empty boundary as the element does
         most_words = 0
         for nu in partitions_in_box(3, 3):
             for e in (0, 1):
                 s = shape_new(T36, nu, e, ())
                 if cell_count(s) > 7:
                     continue
-                w = phi_inv(s)
+                w = skew_word(s)
                 assert in_A0(w, T36)
                 grown = empty_boundary(T36).act(w)
                 assert grown == s.outer()
@@ -359,7 +368,7 @@ class TestPhi:
                 s = shape_new(ctype, nu, e, ())
                 if cell_count(s) > 9:
                     continue
-                w = phi_inv(s)
+                w = skew_word(s)
                 assert in_A0(w, ctype)
                 assert w.length == cell_count(s)
                 assert phi(w, ctype) == s
@@ -370,21 +379,17 @@ class TestSkewWord:
         s = shape_new(T36, (2, 1), 1, (2, 1))
         assert skew_word(s) == W(6, 5, 3, 1, 4, 2, 0)
 
-    def test_mu_empty_is_phi_inv(self):
-        for nu in partitions_in_box(3, 3):
-            s = shape_new(T36, nu, 0, ())
-            assert skew_word(s) == phi_inv(s)
-
     def test_trivial_shape(self):
         s = shape_new(T36, (2, 1), 0, (2, 1))
         assert skew_word(s).is_identity()
 
     def test_composition_identity(self):
-        # skew word equals phi_inv(lam/d/()) * phi_inv(mu/0/())^{-1}
+        # the skew word of lam/d/mu is x * y^{-1} with x, y the skew words
+        # of lam/d/() and mu/0/()
         for s in all_shapes(T24, 8):
             w = skew_word(s)
-            outer = phi_inv(shape_new(s.ctype, s.lam, s.d, ()))
-            inner = phi_inv(shape_new(s.ctype, s.mu, 0, ()))
+            outer = skew_word(shape_new(s.ctype, s.lam, s.d, ()))
+            inner = skew_word(shape_new(s.ctype, s.mu, 0, ()))
             assert w == outer * inner.inverse()
             assert w.length == cell_count(s)
             assert in_A(w, s.ctype)
@@ -408,7 +413,7 @@ class TestRibbon:
 
     def test_toric_words_have_offset_zero(self):
         for nu in partitions_in_box(2, 2):
-            w = phi_inv(shape_new(T24, nu, 0, ()))
+            w = skew_word(shape_new(T24, nu, 0, ()))
             w0, d = ribbon_decomposition(w, T24)
             assert d == 0 and w0 == w
 
@@ -416,7 +421,7 @@ class TestRibbon:
         for nu in partitions_in_box(2, 2):
             for e in (0, 1, 2):
                 s = shape_new(T24, nu, e, ())
-                w = phi_inv(s)
+                w = skew_word(s)
                 w0, d = ribbon_decomposition(w, T24)
                 assert d == e
                 assert phi(w0, T24).lam == nu
@@ -447,7 +452,7 @@ class TestWeakOrderContainment:
                   for nu in partitions_in_box(ctype.m, ctype.n - ctype.m)
                   for e in (0, 1)]
         shapes = [s for s in shapes if cell_count(s) <= 7]
-        elems = {s: phi_inv(s) for s in shapes}
+        elems = {s: skew_word(s) for s in shapes}
         for s1, s2 in itertools.product(shapes, repeat=2):
             w1, w2 = elems[s1], elems[s2]
             contained = s2.outer().contains(s1.outer())

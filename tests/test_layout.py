@@ -1,4 +1,5 @@
-"""Package layout: every definition in ``src/cylkit`` has a caller there.
+"""Package layout: every definition in ``src/cylkit`` has a caller there,
+and no module of the package or the tests imports a name it does not use.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -68,3 +69,47 @@ def test_allowlist_names_live_definitions():
                for qualified, _, _ in definitions(
                    ast.parse(path.read_text(encoding="utf-8")), path.stem)}
     assert ALLOWED <= defined
+
+
+def _own_imports(scope):
+    """The import statements of ``scope`` outside its nested functions."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import and never read in the import's scope: the
+    enclosing function, or the whole module for a top-level import.  Names
+    listed in ``__all__`` are re-exports and count as used."""
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = []
+    for scope in scopes:
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for stmt in _own_imports(scope):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"line {stmt.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = {str(path.relative_to(ROOT)): unused
+             for path in sources
+             if (unused := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
