@@ -45,7 +45,6 @@ from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
     cyclic_factors,
-    grassmannian_from_kbounded,
     grassmannians_of_length,
     interval_set,
     letter_multiplicities,
@@ -85,6 +84,7 @@ _TOP_MEMO: dict = memo.table()
 _CYCLIC_ELEMENT_CACHE: dict = memo.table()
 _HEAD_ELEMENT_CACHE: dict = memo.table()
 _ORACLE_BASIS_MEMO: dict = memo.table()
+_PEEL_WORDS_CACHE: dict = memo.table()
 
 
 def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutation:
@@ -97,10 +97,31 @@ def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutat
 
 
 def _head_element(n: int, head: Partition) -> AffinePermutation:
+    """``grassmannian_from_kbounded(n, head)``, built from the head one part
+    shorter: ``g(lam) = d_{J_p} * g(lam[:-1])`` with ``J_p = [-p+1, lam_p - p]``
+    and ``p = len(lam)``, so each new head costs one product."""
     hit = _HEAD_ELEMENT_CACHE.get((n, head))
     if hit is None:
-        hit = _HEAD_ELEMENT_CACHE.setdefault(
-            (n, head), grassmannian_from_kbounded(n, head))
+        if not head:
+            hit = AffinePermutation.identity(n)
+        else:
+            p = len(head)
+            block = interval_set(n, -p + 1, head[-1] - p)
+            hit = _cyclic(n, block.members, True) * _head_element(n, head[:-1])
+            if hit.length != sum(head) or not hit.is_grassmannian(0):
+                raise AssertionError(f"head element failed for {head}")
+        hit = _HEAD_ELEMENT_CACHE.setdefault((n, head), hit)
+    return hit
+
+
+def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical words of ``d_J`` over every ``J`` of ``size`` elements, in
+    the order of ``proper_subsets``; built once per ``(n, size)``."""
+    hit = _PEEL_WORDS_CACHE.get((n, size))
+    if hit is None:
+        hit = _PEEL_WORDS_CACHE.setdefault((n, size), tuple(
+            CyclicSet(n, members, True).word()
+            for members in proper_subsets(n, size)))
     return hit
 
 
@@ -111,33 +132,53 @@ def stanley_monomials(w: AffinePermutation, nvars: int,
                       cap: int = DEFAULT_STANLEY_CAP) -> SymmetricPolynomial:
     """Coefficient of ``x^alpha``: factorizations of ``w`` into ``nvars``
     cyclically decreasing factors with lengths ``alpha`` (identity factors
-    allowed).  Computed by peeling left factors ``w = d_J * (u_J w)``;
-    symmetry of the resulting table is verified on collection.
+    allowed).  Symmetry of the resulting table is verified on collection.
+
+    Computed by peeling left factors ``u = d_J * rest`` length-additively,
+    on the inverse window ``y = u^-1`` alone: ``s_i`` is a left descent of
+    ``u`` iff ``y(i) > y(i+1)`` (``y(0) = y(n) - n``), and ``s_i * u`` has
+    the inverse window ``y`` with positions ``i, i+1`` swapped.  Each ``J``
+    is tested one letter of the canonical word of ``d_J`` at a time and
+    dropped at the first letter that is not a descent, so no product and no
+    length is computed.  The route is independent of
+    :func:`cylkit.affine.cyclic_factors`, which the oracle certifies.
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
     n = w.n
+    identity = tuple(range(1, n + 1))
 
-    def rec(u: AffinePermutation, left: int) -> dict:
-        key = (n, u.window, left)
+    def rec(y: tuple[int, ...], ell: int, left: int) -> dict:
+        key = (n, y, left)
         hit = _STANLEY_MEMO.get(key)
         if hit is not None:
             return hit
         if left == 0:
-            out = {(): 1} if u.is_identity() else {}
+            out = {(): 1} if y == identity else {}
             return _STANLEY_MEMO.setdefault(key, out)
         out: dict = {}
-        for size in range(min(n - 1, u.length) + 1):
-            for members in proper_subsets(n, size):
-                rest = _cyclic(n, members, False) * u
-                if rest.length != u.length - size:
-                    continue
-                for suffix, c in rec(rest, left - 1).items():
-                    k = (size,) + suffix
-                    out[k] = out.get(k, 0) + c
+        for size in range(min(n - 1, ell) + 1):
+            for word in _peel_words(n, size):
+                z = list(y)
+                for i in word:
+                    if i:
+                        a, b = z[i - 1], z[i]
+                        if a < b:
+                            break
+                        z[i - 1], z[i] = b, a
+                    else:
+                        a, b = z[-1] - n, z[0]
+                        if a < b:
+                            break
+                        z[0], z[-1] = a, b + n
+                else:
+                    for suffix, c in rec(tuple(z), ell - size, left - 1).items():
+                        k = (size,) + suffix
+                        out[k] = out.get(k, 0) + c
         return _STANLEY_MEMO.setdefault(key, out)
 
-    return SymmetricPolynomial.from_weight_table(nvars, w.length, rec(w, nvars))
+    table = rec(w.inverse().window, w.length, nvars)
+    return SymmetricPolynomial.from_weight_table(nvars, w.length, table)
 
 
 # -- Grassmannianization -------------------------------------------------------

@@ -86,8 +86,8 @@ class SymmetricPolynomial:
             if len(expo) != nvars:
                 raise InvalidInputError(
                     f"exponent vector {expo} does not have {nvars} entries")
-            key = tuple(sorted((e for e in expo if e), reverse=True))
-            by_key.setdefault(key, []).append(c)
+            key = sorted(expo, reverse=True)
+            by_key.setdefault(tuple(key[:nvars - key.count(0)]), []).append(c)
         coeffs: dict[Partition, int] = {}
         for lam, bucket in by_key.items():
             if len(set(bucket)) != 1 or len(bucket) != _orbit_size(lam, nvars):

@@ -25,6 +25,7 @@ from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence, shape_ne
 from cylkit.errors import ShapeError, SolveError
 from cylkit.partitions import Partition, check_partition, partitions_in_box
 from cylkit.stanley import stanley_monomials
+from cylkit.symfunc import SymmetricPolynomial
 
 
 def unfolded_inversions(w: AffinePermutation, periods: int = 6) -> int:
@@ -236,6 +237,46 @@ def stanley_coefficient_brute(w: AffinePermutation, alpha: tuple[int, ...]) -> i
         return total
 
     return rec(w, alpha)
+
+
+def stanley_monomials_by_products(w: AffinePermutation, nvars: int,
+                                  memo: dict | None = None) -> SymmetricPolynomial:
+    """:func:`cylkit.stanley.stanley_monomials` by the subset scan: multiply
+    out ``u_J * u`` for every proper subset ``J`` and keep the ``J`` whose
+    product drops the length by ``|J|``.
+
+    ``memo`` may keep the elements ``u_J`` and the per-``(u, left)`` tables
+    across calls; every table in it is computed by the scan."""
+    n = w.n
+    memo = {} if memo is None else memo
+
+    def u_cyclic(members: frozenset[int]) -> AffinePermutation:
+        key = ("u_J", n, members)
+        if key not in memo:
+            memo[key] = CyclicSet(n, members, False).element()
+        return memo[key]
+
+    def rec(u: AffinePermutation, left: int) -> dict:
+        key = (n, u.window, left)
+        if key in memo:
+            return memo[key]
+        out: dict = {}
+        if left == 0:
+            if u.is_identity():
+                out[()] = 1
+        else:
+            for size in range(min(n - 1, u.length) + 1):
+                for members in proper_subsets(n, size):
+                    rest = u_cyclic(members) * u
+                    if rest.length != u.length - size:
+                        continue
+                    for suffix, c in rec(rest, left - 1).items():
+                        k = (size,) + suffix
+                        out[k] = out.get(k, 0) + c
+        memo[key] = out
+        return out
+
+    return SymmetricPolynomial.from_weight_table(nvars, w.length, rec(w, nvars))
 
 
 def lr_coefficient_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -39,6 +39,7 @@ from oracles import (
     unfolded_inversions,
     word_has_braid_factor,
 )
+from test_stanley import pinned_tables_hold
 
 
 def W(n, *letters):
@@ -419,6 +420,18 @@ class TestMaxCyclicFactor:
         expansion = expand_affine_schur(w)
         assert {shape_of(u): c for u, c in expansion.coeffs.items()} == {
             (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1}
+
+    def test_monomial_tables_independent_of_cyclic_factors(self, monkeypatch):
+        # the oracle certifies cyclic_factors, so its monomial tables must
+        # not reach it, its window walk or the cached u_J elements
+        def refuse(*args):
+            raise AssertionError("cyclic-factor route reached")
+
+        monkeypatch.setattr("cylkit.stanley._cyclic", refuse)
+        monkeypatch.setattr("cylkit.stanley.cyclic_factors", refuse)
+        monkeypatch.setattr("cylkit.affine._cyclic_reach", refuse)
+        clear_caches()
+        assert pinned_tables_hold()
 
 
 class TestCylindricHotPath:

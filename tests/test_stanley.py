@@ -14,11 +14,12 @@ from cylkit.affine import (
     grassmannian_from_kbounded,
     letter_multiplicities,
     rotate,
+    shape_of,
 )
 from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, in_A, shape_new
 from cylkit.errors import CapExceededError, InvalidInputError, SolveError
 from cylkit.memo import clear_caches
-from cylkit.partitions import partitions_in_box, schedule_less
+from cylkit.partitions import partitions_in_box, partitions_of, schedule_less
 from cylkit.stanley import (
     FactoredColumns,
     dual_pieri_branches,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_expand_per_element,
     solve_exact_integer,
     stanley_coefficient_brute,
+    stanley_monomials_by_products,
 )
 
 T36 = CylType(3, 6)
@@ -47,6 +49,33 @@ T24 = CylType(2, 4)
 
 def W(n, *letters):
     return AffinePermutation.from_word(n, letters)
+
+
+# (n, word) -> (monomial table in len(w) variables, affine Schur expansion
+# keyed by shape), by hand: s_1 s_0 s_3 at n = 5 is m_3 + 2 m_21 + 3 m_111,
+# which is s_3 + s_21.
+PINNED_TABLES = {
+    (4, (1, 0, 2)): ({(2, 1): 1, (1, 1, 1): 2}, {(2, 1): 1}),
+    (4, (2, 1, 0, 3)): ({(3, 1): 1, (2, 2): 1, (2, 1, 1): 1, (1, 1, 1, 1): 1},
+                        {(3, 1): 1}),
+    (5, (1, 0, 3)): ({(3,): 1, (2, 1): 2, (1, 1, 1): 3}, {(3,): 1, (2, 1): 1}),
+    (5, (3, 1, 0, 4, 2)): ({(3, 2): 1, (3, 1, 1): 2, (2, 2, 1): 3,
+                            (2, 1, 1, 1): 5, (1, 1, 1, 1, 1): 8},
+                           {(3, 2): 1, (3, 1, 1): 1}),
+}
+
+
+def pinned_tables_hold():
+    """True iff ``stanley_monomials`` and ``oracle_expand`` give
+    :data:`PINNED_TABLES`."""
+    for (n, word), (monomials, expansion) in PINNED_TABLES.items():
+        w = W(n, *word)
+        if stanley_monomials(w, w.length).coeffs != monomials:
+            return False
+        got = {shape_of(u): c for u, c in oracle_expand(w).coeffs.items()}
+        if got != expansion:
+            return False
+    return True
 
 
 class TestStanleyMonomials:
@@ -86,6 +115,23 @@ class TestStanleyMonomials:
         w = W(6, 5, 3, 1, 4, 2, 0)
         shape = shape_new(T36, (2, 1), 1, (2, 1))
         assert stanley_monomials(w, 6) == cylindric_schur_poly(shape, 6)
+
+    def test_pinned_tables(self):
+        assert pinned_tables_hold()
+
+    def test_matches_subset_scan(self):
+        # the letter-by-letter peel against the product-and-length scan it
+        # replaced, in 1, 2 and len(w) variables on every element
+        cases = 0
+        for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 4)]:
+            memo: dict = {}
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    for k in sorted({1, 2, w.length}):
+                        assert (stanley_monomials(w, k)
+                                == stanley_monomials_by_products(w, k, memo)), (w, k)
+                        cases += 1
+        assert cases == 2200
 
 
 class TestGrassmannianize:
@@ -194,8 +240,6 @@ class TestPartitionLess:
         assert not schedule_less((2, 1), (2, 1))
 
     def test_total_on_fixed_size(self):
-        from cylkit.partitions import partitions_of
-
         for size in range(1, 7):
             lams = list(partitions_of(size))
             for a, b in itertools.combinations(lams, 2):
@@ -229,6 +273,18 @@ class TestDualPieriBranches:
         for _, u in b_minus:
             total = total - stanley_monomials(u, nvars)
         assert total == stanley_monomials(w, nvars)
+
+    def test_head_elements_match_canonical_product(self):
+        # each head is one product on the head one part shorter
+        clear_caches()
+        cases = 0
+        for n in range(2, 9):
+            for size in range(11):
+                for lam in partitions_of(size, max_part=n - 1):
+                    assert (stanley._head_element(n, lam)
+                            == grassmannian_from_kbounded(n, lam)), (n, lam)
+                    cases += 1
+        assert cases == 578
 
     def test_non_additive_tail_rejected(self):
         # peeling block {0} from s_0 * ... where s_0 is a right descent

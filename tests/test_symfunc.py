@@ -39,6 +39,35 @@ class TestArithmetic:
             SymmetricPolynomial(3, 2, {(1,): 1})
 
 
+class TestFromWeightTable:
+    # m_21 + 2 m_111 in three variables, one count per exponent vector
+    FULL = {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1, (0, 2, 1): 1,
+            (1, 0, 2): 1, (0, 1, 2): 1, (1, 1, 1): 2}
+
+    def test_collapses_onto_partitions(self):
+        poly = SymmetricPolynomial.from_weight_table(3, 3, self.FULL)
+        assert poly.coeffs == {(2, 1): 1, (1, 1, 1): 2}
+
+    def test_zero_counts_are_skipped(self):
+        table = self.FULL | {(3, 0, 0): 0}
+        assert SymmetricPolynomial.from_weight_table(3, 3, table).coeffs == {
+            (2, 1): 1, (1, 1, 1): 2}
+
+    @pytest.mark.parametrize("change", [
+        {(2, 1, 0): 0},  # a rearrangement missing
+        {(0, 1, 2): 3},  # unequal counts within an orbit
+        {(3, 0, 0): 1},  # only one of three rearrangements present
+    ])
+    def test_asymmetric_table_rejected(self, change):
+        table = self.FULL | change
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            SymmetricPolynomial.from_weight_table(3, 3, table)
+
+    def test_exponent_vector_length_checked(self):
+        with pytest.raises(InvalidInputError, match="entries"):
+            SymmetricPolynomial.from_weight_table(3, 3, {(2, 1): 1})
+
+
 class TestSchur:
     def test_single_box(self):
         assert schur_poly((1,), 3).coeffs == {(1,): 1}
