@@ -28,6 +28,7 @@ from cylkit.partitions import Partition, check_partition
 Word = tuple[int, ...]
 
 _REDUCED_WORDS_MEMO: dict[tuple[int, Word], tuple[Word, ...]] = memo.table()
+_GRASSMANNIAN_MEMO: dict = memo.table()
 
 
 @dataclass(frozen=True)
@@ -476,21 +477,31 @@ def shape_of(w: AffinePermutation) -> Partition:
 def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
     """The 0-Grassmannian element of a partition with parts ``<= n - 1``.
 
-    ``w = d_{J_p} ... d_{J_1}`` with ``J_j = [-j+1, lam_j - j]`` mod n.
+    ``g(lam) = d_{J_p} ... d_{J_1}`` with ``J_j = [-j+1, lam_j - j]`` mod n,
+    built as ``d_{J_p} * g(lam[:-1])`` with ``p = len(lam)`` and memoized on
+    ``(n, lam)``, so each new partition costs one product on the partition
+    one part shorter.  ``lam`` is validated, and the product checked to be
+    length-additive and 0-Grassmannian, once per new entry.
 
     >>> grassmannian_from_kbounded(6, (2, 1)).reduced_word()
     (5, 1, 0)
     """
-    check_partition(lam)
-    if lam and lam[0] > n - 1:
-        raise InvalidInputError(f"parts must be at most {n - 1}: {lam}")
-    w = AffinePermutation.identity(n)
-    for j in range(len(lam), 0, -1):
-        w = w * interval_set(n, -j + 1, lam[j - 1] - j).element()
-    expected = sum(lam)
-    if w.length != expected or not w.is_grassmannian(0):
-        raise AssertionError(f"canonical Grassmannian product failed for {lam}")
-    return w
+    hit = _GRASSMANNIAN_MEMO.get((n, lam))
+    if hit is None:
+        check_partition(lam)
+        if lam and lam[0] > n - 1:
+            raise InvalidInputError(f"parts must be at most {n - 1}: {lam}")
+        if not lam:
+            hit = AffinePermutation.identity(n)
+        else:
+            p = len(lam)
+            hit = (interval_set(n, -p + 1, lam[-1] - p).element()
+                   * grassmannian_from_kbounded(n, lam[:-1]))
+            if hit.length != sum(lam) or not hit.is_grassmannian(0):
+                raise AssertionError(
+                    f"canonical Grassmannian product failed for {lam}")
+        hit = _GRASSMANNIAN_MEMO.setdefault((n, lam), hit)
+    return hit
 
 
 def rotate(w: AffinePermutation, t: int) -> AffinePermutation:

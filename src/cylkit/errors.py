@@ -34,8 +34,10 @@ class PositivityError(CylkitError):
 
 
 class SolveError(CylkitError):
-    """An exact linear solve was inconsistent or non-integral.
+    """A unitriangular elimination met a column without a unit lead, or a
+    table outside the span of its columns.
 
-    The systems solved here are provably unitriangular or full rank, so this
-    also signals an internal bug upstream.
+    Both bases resolved here (Schur and affine Schur) are provably
+    unitriangular and span every table handed to them, so this signals an
+    internal bug upstream.
     """

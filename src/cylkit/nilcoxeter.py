@@ -60,10 +60,6 @@ class NilCoxeterElement:
         return None
 
     @staticmethod
-    def zero(n: int) -> "NilCoxeterElement":
-        return NilCoxeterElement(n, {})
-
-    @staticmethod
     def basis(w: AffinePermutation) -> "NilCoxeterElement":
         return NilCoxeterElement(w.n, {w: 1})
 
@@ -119,22 +115,20 @@ class NilCoxeterElement:
 
 
 def hh(i: int, n: int) -> NilCoxeterElement:
-    """``sum A_{d_J}`` over ``|J| = i``; the unit for i = 0, zero for i < 0."""
-    if i >= n:
-        raise InvalidInputError(f"hh index {i} must be below the period {n}")
-    if i < 0:
-        return NilCoxeterElement.zero(n)
+    """``sum A_{d_J}`` over ``|J| = i``, for ``0 <= i < n``; the unit for
+    i = 0."""
+    if not 0 <= i < n:
+        raise InvalidInputError(f"hh index {i} must lie in [0, {n})")
     return NilCoxeterElement(
         n, {CyclicSet(n, members, True).element(): 1
             for members in proper_subsets(n, i)})
 
 
 def ee(i: int, n: int) -> NilCoxeterElement:
-    """``sum A_{u_J}`` over ``|J| = i``: cyclically increasing elements."""
-    if i >= n:
-        raise InvalidInputError(f"ee index {i} must be below the period {n}")
-    if i < 0:
-        return NilCoxeterElement.zero(n)
+    """``sum A_{u_J}`` over ``|J| = i``, for ``0 <= i < n``: cyclically
+    increasing elements."""
+    if not 0 <= i < n:
+        raise InvalidInputError(f"ee index {i} must lie in [0, {n})")
     return NilCoxeterElement(
         n, {CyclicSet(n, members, False).element(): 1
             for members in proper_subsets(n, i)})

@@ -2,8 +2,8 @@
 
 A partition is a weakly decreasing tuple of positive integers; ``()`` is the
 empty partition.  Functions here are the shared bottom layer: validation,
-containment, dominance, enumeration, and the total order in which the
-expansion recursion terminates.
+containment, enumeration, and the total order in which the expansion
+recursion terminates.
 """
 
 from __future__ import annotations
@@ -41,22 +41,6 @@ def contains(lam: Partition, mu: Partition) -> bool:
 def fits_box(lam: Partition, rows: int, cols: int) -> bool:
     """True iff ``lam`` has at most ``rows`` parts, each at most ``cols``."""
     return len(lam) <= rows and (not lam or lam[0] <= cols)
-
-
-def dominance_le(mu: Partition, lam: Partition) -> bool:
-    """Dominance order on partitions of equal size: mu <= lam.
-
-    Partial sums of ``lam`` weakly exceed those of ``mu`` throughout.
-    """
-    if sum(mu) != sum(lam):
-        raise InvalidInputError("dominance compares partitions of equal size")
-    total_mu = total_lam = 0
-    for i in range(max(len(mu), len(lam))):
-        total_mu += part(mu, i + 1)
-        total_lam += part(lam, i + 1)
-        if total_mu > total_lam:
-            return False
-    return True
 
 
 def schedule_less(sigma: Partition, lam: Partition) -> bool:

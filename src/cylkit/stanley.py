@@ -20,9 +20,12 @@ termination order :func:`cylkit.partitions.schedule_less` (smaller size
 first, then lexicographically larger first), which the recursion asserts on
 every branch, so the signed recursion terminates with the coefficients of
 the affine Schur functions; positivity of the final table is asserted,
-not assumed.  A brute-force oracle (exact linear solve of monomial
-expansions against the Grassmannian basis) certifies the same expansion
-independently.
+not assumed.  A brute-force oracle certifies the same expansion
+independently: it resolves the monomial table of ``w`` against the affine
+Schur basis by unitriangular elimination
+(:func:`cylkit.symfunc.resolve`, the solver of the Schur change of basis),
+since the affine Schur function of a bounded partition ``lam`` is ``m_lam``
+plus monomials dominance-below ``lam``.
 
 Grassmannianization.  The generic construction sweeps the code ``c_i`` into
 a decreasing run by sliding maxima rightward (each slide is an ascent, so
@@ -35,17 +38,15 @@ boundary word from a flat boundary, with the much smaller bound
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
     CyclicSet,
     cyclic_factors,
-    grassmannians_of_length,
+    grassmannian_from_kbounded,
     interval_set,
     letter_multiplicities,
     proper_subsets,
@@ -65,14 +66,9 @@ from cylkit.cylindric import (
     shape_new,
     skew_word,
 )
-from cylkit.errors import (
-    CapExceededError,
-    InvalidInputError,
-    PositivityError,
-    SolveError,
-)
+from cylkit.errors import CapExceededError, InvalidInputError, PositivityError
 from cylkit.partitions import Partition, schedule_less
-from cylkit.symfunc import SymmetricPolynomial, expand_in_schur
+from cylkit.symfunc import SymmetricPolynomial, expand_in_schur, resolve
 
 DEFAULT_EXPAND_CAP = 40
 DEFAULT_STANLEY_CAP = 14
@@ -82,7 +78,6 @@ _STANLEY_MEMO: dict = memo.table()
 _EXPAND_MEMO: dict = memo.table()
 _TOP_MEMO: dict = memo.table()
 _CYCLIC_ELEMENT_CACHE: dict = memo.table()
-_HEAD_ELEMENT_CACHE: dict = memo.table()
 _ORACLE_BASIS_MEMO: dict = memo.table()
 _PEEL_WORDS_CACHE: dict = memo.table()
 
@@ -93,24 +88,6 @@ def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutat
     if hit is None:
         hit = _CYCLIC_ELEMENT_CACHE.setdefault(
             key, CyclicSet(n, members, decreasing).element())
-    return hit
-
-
-def _head_element(n: int, head: Partition) -> AffinePermutation:
-    """``grassmannian_from_kbounded(n, head)``, built from the head one part
-    shorter: ``g(lam) = d_{J_p} * g(lam[:-1])`` with ``J_p = [-p+1, lam_p - p]``
-    and ``p = len(lam)``, so each new head costs one product."""
-    hit = _HEAD_ELEMENT_CACHE.get((n, head))
-    if hit is None:
-        if not head:
-            hit = AffinePermutation.identity(n)
-        else:
-            p = len(head)
-            block = interval_set(n, -p + 1, head[-1] - p)
-            hit = _cyclic(n, block.members, True) * _head_element(n, head[:-1])
-            if hit.length != sum(head) or not hit.is_grassmannian(0):
-                raise AssertionError(f"head element failed for {head}")
-        hit = _HEAD_ELEMENT_CACHE.setdefault((n, head), hit)
     return hit
 
 
@@ -390,7 +367,7 @@ def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
     head = tail[:-1]
     branches = [(x, +1, head) for x in b_plus]
     if b_minus:  # only the minus branches read the head's element
-        vprime = _head_element(n, head)
+        vprime = grassmannian_from_kbounded(n, head)
         for members, y in b_minus:
             new_tail_elem = _cyclic(n, members, True) * vprime
             if new_tail_elem.length != tail[-1] + vprime.length:
@@ -445,114 +422,43 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
 # -- brute-force oracle ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredColumns:
-    """Integer columns (dicts key -> int) with an exact factorization.
-
-    ``pivots`` are ``len(columns)`` keys on which the columns form an
-    invertible square block ``B``; ``inverse / denominator`` is ``B^-1``
-    with integer entries over one common denominator.
-    """
-
-    columns: tuple[dict, ...]
-    pivots: tuple
-    inverse: tuple[tuple[int, ...], ...]
-    denominator: int
-
-    @staticmethod
-    def factor(columns: list[dict]) -> "FactoredColumns":
-        """Gauss-Jordan over fractions, once, on the key-by-column matrix
-        with the row operations carried alongside.  Raises
-        :class:`SolveError` if the columns are not independent."""
-        keys = sorted(set().union(*columns))
-        ncols, nkeys = len(columns), len(keys)
-        # row i: the columns' entries at keys[i], then the unit vector e_i
-        rows = [[Fraction(col.get(k, 0)) for col in columns]
-                + [Fraction(int(i == j)) for j in range(nkeys)]
-                for i, k in enumerate(keys)]
-        origin = list(range(nkeys))
-        for c in range(ncols):
-            pr = next((i for i in range(c, nkeys) if rows[i][c] != 0), None)
-            if pr is None:
-                raise SolveError("singular system: basis columns not independent")
-            rows[c], rows[pr] = rows[pr], rows[c]
-            origin[c], origin[pr] = origin[pr], origin[c]
-            piv = rows[c][c]
-            rows[c] = [v / piv for v in rows[c]]
-            for i in range(nkeys):
-                if i != c and rows[i][c] != 0:
-                    factor = rows[i][c]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-        # Pivot row c is original row origin[c] less multiples of the other
-        # pivot rows, so its carried part is supported on the pivot keys and
-        # is row c of B^-1.
-        inverse = [[rows[c][ncols + origin[i]] for i in range(ncols)]
-                   for c in range(ncols)]
-        denominator = math.lcm(*(v.denominator for row in inverse for v in row))
-        return FactoredColumns(
-            tuple(columns), tuple(keys[origin[i]] for i in range(ncols)),
-            tuple(tuple(int(v * denominator) for v in row) for row in inverse),
-            denominator)
-
-    def solve(self, target: dict) -> list[int]:
-        """The unique integer ``x`` with ``sum x_j * columns[j] == target``.
-
-        ``x`` is read off the pivot entries of ``target``, then accepted only
-        if the exact residual vanishes on every key: a target outside the
-        span raises :class:`SolveError` (inconsistent), and so does a
-        consistent target whose solution is not integral."""
-        d = self.denominator
-        t = [target.get(k, 0) for k in self.pivots]
-        scaled = [sum(a * b for a, b in zip(row, t)) for row in self.inverse]
-        residual = {k: d * c for k, c in target.items()}
-        for xj, col in zip(scaled, self.columns):
-            if xj:
-                for k, c in col.items():
-                    residual[k] = residual.get(k, 0) - xj * c
-        if any(residual.values()):
-            raise SolveError("inconsistent system: target not in the span")
-        for xj in scaled:
-            if xj % d:
-                raise SolveError(
-                    f"non-integral solution component {Fraction(xj, d)}")
-        return [xj // d for xj in scaled]
-
-
-def _oracle_basis(n: int, ell: int) -> tuple[list[AffinePermutation],
-                                             FactoredColumns]:
-    """The affine Schur basis of degree ``ell`` and its factored monomial
-    columns in ``ell`` variables, built on first use per ``(n, ell)``."""
-    hit = _ORACLE_BASIS_MEMO.get((n, ell))
+def _oracle_column(n: int, lam: Partition) -> tuple[AffinePermutation, dict]:
+    """``g(lam)`` and its monomial table in ``len(g(lam))`` variables, built
+    on first use per ``(n, lam)``."""
+    hit = _ORACLE_BASIS_MEMO.get((n, lam))
     if hit is None:
-        basis = grassmannians_of_length(n, ell)
-        columns = [stanley_monomials(u, ell).coeffs for u in basis]
+        u = grassmannian_from_kbounded(n, lam)
         hit = _ORACLE_BASIS_MEMO.setdefault(
-            (n, ell), (basis, FactoredColumns.factor(columns)))
+            (n, lam), (u, stanley_monomials(u, u.length).coeffs))
     return hit
 
 
 def oracle_expand(w: AffinePermutation,
                   cap: int = DEFAULT_ORACLE_CAP) -> AffineSchurExpansion:
-    """Expansion coefficients by exact linear solve of monomial tables
+    """Expansion coefficients by resolving the monomial table of ``w``
     against the affine Schur basis of the same degree, independent of the
     recursion above.
 
-    The basis columns are factored once per ``(n, len(w))``
-    (:class:`FactoredColumns`); each call computes only the monomial table
-    of ``w``, solves against the factorization and checks the exact integer
-    residual on every key.  :class:`SolveError` is raised if the basis
-    columns are singular, if the table of ``w`` is not in their span
-    (inconsistent), or if the solution is not integral.
+    The affine Schur function of ``g(lam)`` is ``m_lam`` plus monomials
+    strictly dominance-below ``lam`` (Lam, "Affine Stanley symmetric
+    functions", 2006), so :func:`cylkit.symfunc.resolve` clears the table
+    lead by lead; a lead with a part ``>= n`` has no basis element.  Only
+    the columns the elimination reaches are built.  :class:`SolveError` is
+    raised if a column is not unitriangular or the table of ``w`` is not in
+    their span.
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds oracle cap {cap}")
-    n, ell = w.n, w.length
-    if ell == 0:
+    n = w.n
+    if w.length == 0:
         return AffineSchurExpansion(n, {w: 1})
-    basis, factored = _oracle_basis(n, ell)
-    solution = factored.solve(stanley_monomials(w, ell).coeffs)
+
+    def column(lam: Partition) -> dict | None:
+        return None if lam[0] >= n else _oracle_column(n, lam)[1]
+
+    coeffs = resolve(stanley_monomials(w, w.length).coeffs, column)
     return AffineSchurExpansion(
-        n, {u: c for u, c in zip(basis, solution) if c})
+        n, {_oracle_column(n, lam)[0]: c for lam, c in coeffs.items()})
 
 
 # -- cylindric wrapper -------------------------------------------------------------

@@ -6,14 +6,15 @@ polynomials ``m_lambda`` (keys are partitions with at most ``nvars`` parts).
 Classical Schur and skew Schur polynomials are built by enumerating
 semistandard tableaux as chains of partitions with horizontal-strip steps,
 and the change of basis into Schur polynomials is done by unitriangular
-elimination in dominance order.  Everything is integer-exact; this module is
-the oracle side of the package and is deliberately independent of the
-cylindric machinery.
+elimination (:func:`resolve`, which the affine Schur oracle shares).
+Everything is integer-exact; this module is the oracle side of the package
+and is deliberately independent of the cylindric machinery.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -23,7 +24,6 @@ from cylkit.partitions import (
     Partition,
     check_partition,
     contains,
-    dominance_le,
     part,
 )
 
@@ -203,34 +203,52 @@ def skew_schur_poly(lam: Partition, mu: Partition, nvars: int) -> SymmetricPolyn
 # -- change of basis ----------------------------------------------------------
 
 
+def resolve(table: dict,
+            column: Callable[[Partition], dict | None]) -> dict:
+    """Exact coefficients ``c`` with ``table = sum c[lam] * column(lam)``.
+
+    ``column(lam)`` is the monomial table of the basis element led by
+    ``lam`` (keys partitions of one size), or None if no element has that
+    lead.  Unitriangular elimination: every column must have coefficient 1
+    at its lead and only lex-smaller keys besides (a key dominance-below
+    the lead is lex-smaller), so clearing the lex-largest key left never
+    brings back a key already cleared, and the walk takes one step per
+    output key.  Raises :class:`SolveError` if a column breaks that shape,
+    or if a key is left that no column leads (``table`` is then not in the
+    span).
+
+    >>> columns = {(2,): {(2,): 1, (1, 1): 1}, (1, 1): {(1, 1): 1}}
+    >>> resolve({(2,): 3, (1, 1): 5}, columns.get)
+    {(2,): 3, (1, 1): 2}
+    """
+    remaining = {key: c for key, c in table.items() if c}
+    out: dict = {}
+    while remaining:
+        lam = max(remaining)
+        col = column(lam)
+        if col is None:
+            raise SolveError(f"no column leads {lam}: table not in the span")
+        if col.get(lam) != 1 or max(col) != lam:
+            raise SolveError(f"column at {lam} is not unitriangular")
+        c = out[lam] = remaining[lam]
+        for key, v in col.items():
+            left = remaining.get(key, 0) - c * v
+            if left:
+                remaining[key] = left
+            else:
+                remaining.pop(key, None)
+    return out
+
+
 def expand_in_schur(p: SymmetricPolynomial) -> dict[Partition, int]:
     """Exact coefficients ``c`` with ``p = sum c[nu] * s_nu(x_1..x_N)``.
 
-    Unitriangular elimination in dominance order: ``s_nu`` has lead monomial
-    ``m_nu`` and all other monomials strictly dominance-below ``nu``, so
-    repeatedly clearing a dominance-maximal surviving key terminates with an
-    exact integer answer.  Raises :class:`SolveError` if a remainder cannot
-    be cleared (``p`` is then not in the span, which signals an upstream bug).
+    :func:`resolve` against the Schur polynomials: ``s_nu`` is ``m_nu`` plus
+    monomials strictly dominance-below ``nu``.  Raises :class:`SolveError`
+    if a remainder cannot be cleared (``p`` is then not in the span, which
+    signals an upstream bug).
     """
-    remaining = dict(p.coeffs)
-    out: dict[Partition, int] = {}
-    while remaining:
-        maximal = [lam for lam in remaining
-                   if not any(lam != other and dominance_le(lam, other)
-                              for other in remaining)]
-        lam = max(maximal)
-        c = remaining[lam]
-        s_lam = schur_poly(lam, p.nvars)
-        if s_lam.coeff(lam) != 1:
-            raise SolveError(f"schur lead coefficient broken at {lam}")
-        for key, v in s_lam.coeffs.items():
-            remaining[key] = remaining.get(key, 0) - c * v
-            if remaining[key] == 0:
-                del remaining[key]
-        out[lam] = c
-        if len(out) > 10_000:
-            raise SolveError("elimination failed to terminate")
-    return {lam: c for lam, c in out.items() if c}
+    return resolve(p.coeffs, lambda lam: schur_poly(lam, p.nvars).coeffs)
 
 
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -96,12 +96,6 @@ class SuiteResult:
         return line
 
 
-def _finish(name: str, start: float, checks: int, failures: list) -> SuiteResult:
-    """A suite passes when it ran at least one check and none failed."""
-    return SuiteResult(name, checks > 0 and not failures, checks,
-                       time.time() - start, failures)
-
-
 class _Tally:
     """The checks one suite ran and the failures it found."""
 
@@ -115,7 +109,10 @@ class _Tally:
             self.failures.append(failure)
 
     def finish(self, name: str) -> SuiteResult:
-        return _finish(name, self.start, self.checks, self.failures)
+        """A suite passes when it ran at least one check and none failed."""
+        return SuiteResult(name, self.checks > 0 and not self.failures,
+                           self.checks, time.time() - self.start,
+                           self.failures)
 
 
 def _cut(items, max_n: int | None) -> list:

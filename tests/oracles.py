@@ -22,8 +22,13 @@ from cylkit.affine import (
     proper_subsets,
 )
 from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence, shape_new
-from cylkit.errors import ShapeError, SolveError
-from cylkit.partitions import Partition, check_partition, partitions_in_box
+from cylkit.errors import InvalidInputError, ShapeError, SolveError
+from cylkit.partitions import (
+    Partition,
+    check_partition,
+    part,
+    partitions_in_box,
+)
 from cylkit.stanley import stanley_monomials
 from cylkit.symfunc import SymmetricPolynomial
 
@@ -516,6 +521,22 @@ def cylindric_tableaux(shape: CylindricShape, nvars: int) -> Iterator[CylTableau
         except AssertionError:
             continue
         yield tableau
+
+
+def dominance_le(mu: Partition, lam: Partition) -> bool:
+    """Dominance order on partitions of equal size: mu <= lam.
+
+    Partial sums of ``lam`` weakly exceed those of ``mu`` throughout.
+    """
+    if sum(mu) != sum(lam):
+        raise InvalidInputError("dominance compares partitions of equal size")
+    total_mu = total_lam = 0
+    for i in range(max(len(mu), len(lam))):
+        total_mu += part(mu, i + 1)
+        total_lam += part(lam, i + 1)
+        if total_mu > total_lam:
+            return False
+    return True
 
 
 def solve_exact_integer(columns: list[dict], target: dict) -> list[int]:

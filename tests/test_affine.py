@@ -580,8 +580,10 @@ class TestKBoundedBijection:
         assert grassmannian_from_kbounded(5, ()).is_identity()
 
     def test_part_too_large(self):
-        with pytest.raises(InvalidInputError):
-            grassmannian_from_kbounded(4, (4,))
+        # a part of n + 1 would wrap its block round to a single letter
+        for lam in [(4,), (5,), (5, 1)]:
+            with pytest.raises(InvalidInputError):
+                grassmannian_from_kbounded(4, lam)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_round_trip(self, n):

@@ -1,7 +1,6 @@
 """Command-line front end: outputs, exit codes, cache behavior."""
 
 import json
-import time
 
 import pytest
 
@@ -256,7 +255,7 @@ class TestVerify:
         from cylkit import verify as verify_mod
 
         def nothing_checked(**kwargs):
-            return verify_mod._finish("expansion-oracle", time.time(), 0, [])
+            return verify_mod._Tally().finish("expansion-oracle")
 
         monkeypatch.setitem(verify_mod.ALL_SUITES, "expansion-oracle",
                             nothing_checked)

@@ -1,5 +1,6 @@
 """Package layout: every definition in ``src/cylkit`` has a caller there,
-and no module of the package or the tests imports a name it does not use.
+no module of the package or the tests imports a name it does not use, and
+the package computes with integers only.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -112,4 +113,30 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused
              for path in sources
              if (unused := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
+def inexact_arithmetic(tree: ast.Module) -> list[str]:
+    """Lines with a true division ``/`` (or ``/=``), an import of
+    ``fractions``, or a call of ``float``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            found.append(f"line {node.lineno}: true division")
+        elif ((isinstance(node, ast.ImportFrom) and node.module == "fractions")
+              or (isinstance(node, ast.Import)
+                  and any(alias.name == "fractions" for alias in node.names))):
+            found.append(f"line {node.lineno}: fractions import")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"line {node.lineno}: float call")
+    return found
+
+
+def test_package_arithmetic_is_exact_integers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: bad for name, tree in trees.items()
+             if (bad := inexact_arithmetic(tree))}
     assert found == {}

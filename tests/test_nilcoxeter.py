@@ -48,7 +48,7 @@ class TestProduct:
             A(3, 0) + A(3, 1, 0)
 
     def test_zero_compatible_with_all_grades(self):
-        z = NilCoxeterElement.zero(3)
+        z = NilCoxeterElement(3, {})
         assert A(3, 0) + z == A(3, 0)
         assert (A(3, 1, 0) + z).grade == 2
 
@@ -57,8 +57,10 @@ class TestGenerators:
     def test_h0_unit(self):
         assert hh(0, 4) == NilCoxeterElement.basis(AffinePermutation.identity(4))
 
-    def test_h_negative_is_zero(self):
-        assert hh(-1, 4).is_zero()
+    @pytest.mark.parametrize("generator", [hh, ee])
+    def test_negative_index_rejected(self, generator):
+        with pytest.raises(InvalidInputError):
+            generator(-1, 4)
 
     def test_h1_n4(self):
         assert hh(1, 4) == NilCoxeterElement(

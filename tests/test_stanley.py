@@ -12,6 +12,7 @@ from cylkit.affine import (
     AffinePermutation,
     elements_by_length,
     grassmannian_from_kbounded,
+    interval_set,
     letter_multiplicities,
     rotate,
     shape_of,
@@ -21,7 +22,7 @@ from cylkit.errors import CapExceededError, InvalidInputError, SolveError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_in_box, partitions_of, schedule_less
 from cylkit.stanley import (
-    FactoredColumns,
+    DEFAULT_ORACLE_CAP,
     dual_pieri_branches,
     expand_affine_schur,
     expand_cylindric,
@@ -32,9 +33,10 @@ from cylkit.stanley import (
     stanley_monomials,
     toric_gw_oracle,
 )
-from cylkit.symfunc import SymmetricPolynomial, lr_coeff
+from cylkit.symfunc import SymmetricPolynomial, lr_coeff, resolve
 
 from oracles import (
+    dominance_le,
     dual_pieri_branches_exhaustive,
     grassmannianize_by_elements,
     oracle_expand_per_element,
@@ -275,14 +277,18 @@ class TestDualPieriBranches:
         assert total == stanley_monomials(w, nvars)
 
     def test_head_elements_match_canonical_product(self):
-        # each head is one product on the head one part shorter
+        # the memoized build, one product on the head one part shorter,
+        # against the full product d_{J_p} ... d_{J_1}, J_j = [-j+1, lam_j - j]
         clear_caches()
         cases = 0
         for n in range(2, 9):
             for size in range(11):
                 for lam in partitions_of(size, max_part=n - 1):
-                    assert (stanley._head_element(n, lam)
-                            == grassmannian_from_kbounded(n, lam)), (n, lam)
+                    full = AffinePermutation.identity(n)
+                    for j in range(len(lam), 0, -1):
+                        full = full * interval_set(
+                            n, -j + 1, lam[j - 1] - j).element()
+                    assert grassmannian_from_kbounded(n, lam) == full, (n, lam)
                     cases += 1
         assert cases == 578
 
@@ -384,10 +390,10 @@ class TestOracle:
         with pytest.raises(CapExceededError):
             oracle_expand(W(3, 0, 1, 2, 0, 1, 2), cap=3)
 
-    # The factored solve against a fresh Gauss-Jordan solve per element.
+    # The elimination against a fresh Gauss-Jordan solve per element.
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_factored_matches_per_element_solve_exhaustive(self, n):
+    def test_matches_per_element_solve_exhaustive(self, n):
         columns_memo: dict = {}
         for level in elements_by_length(n, 6):
             for w in level:
@@ -395,12 +401,27 @@ class TestOracle:
                         == oracle_expand_per_element(w, columns_memo)), w
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_factored_matches_per_element_solve_sampled(self, n):
+    def test_matches_per_element_solve_sampled(self, n):
         pool = [w for level in elements_by_length(n, 7) for w in level]
         columns_memo: dict = {}
         for w in random.Random(n).sample(pool, 100):
             assert (oracle_expand(w).coeffs
                     == oracle_expand_per_element(w, columns_memo)), w
+
+    def test_affine_schur_columns_are_unitriangular(self):
+        # the premise of the elimination: F_{g(lam)} is m_lam plus monomials
+        # strictly dominance-below lam, for every column the oracle can use
+        cases = 0
+        for n in range(2, 8):
+            for ell in range(1, DEFAULT_ORACLE_CAP + 1):
+                for lam in partitions_of(ell, max_part=n - 1):
+                    u = grassmannian_from_kbounded(n, lam)
+                    column = stanley_monomials(u, ell).coeffs
+                    assert column.get(lam) == 1, (n, lam)
+                    assert all(dominance_le(mu, lam)
+                               for mu in column), (n, lam)
+                    cases += 1
+        assert cases == 331
 
     def test_oracle_does_not_reach_the_dual_pieri_route(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -413,14 +434,27 @@ class TestOracle:
         w = W(6, 5, 3, 1, 4, 2, 0)
         assert oracle_expand(w).coeffs == oracle_expand_per_element(w)
 
-    # Every SolveError path, on hand-built columns.
+    # Every SolveError path of symfunc.resolve, on hand-built columns.
 
     def test_singular_columns(self):
-        columns = [{(2,): 1, (1, 1): 2}, {(2,): 2, (1, 1): 4}]
+        # the column led by (2, 1) misses its lead: the system is singular
+        columns = {(3,): {(3,): 1, (2, 1): 1}, (2, 1): {(1, 1, 1): 3},
+                   (1, 1, 1): {(1, 1, 1): 1}}
+        target = {(3,): 1, (2, 1): 2}
+        with pytest.raises(SolveError, match="not unitriangular"):
+            resolve(target, columns.get)
         with pytest.raises(SolveError, match="singular"):
-            FactoredColumns.factor(columns)
-        with pytest.raises(SolveError, match="singular"):
-            solve_exact_integer(columns, {(2,): 1, (1, 1): 2})
+            solve_exact_integer(list(columns.values()), target)
+
+    @pytest.mark.parametrize("column", [
+        {(2, 1): 2, (1, 1, 1): 1},  # lead coefficient 2
+        {(2, 1): -1},  # lead coefficient -1
+        {(1, 1, 1): 1},  # no lead
+        {(3,): 1, (2, 1): 1},  # a lex-larger key
+    ])
+    def test_column_without_a_unit_lead_rejected(self, column):
+        with pytest.raises(SolveError, match="not unitriangular"):
+            resolve({(2, 1): 1}, {(2, 1): column}.get)
 
     @pytest.mark.parametrize("target", [
         {(2,): 1, (1, 1): 1},  # a key outside the columns' support
@@ -429,55 +463,65 @@ class TestOracle:
         {(3,): 1, (2, 1): 1, (1, 1, 1): 5},
     ])
     def test_target_outside_the_span(self, target):
-        columns = [{(3,): 1, (2, 1): 1}, {(2, 1): 1, (1, 1, 1): 3}]
-        with pytest.raises(SolveError, match="inconsistent"):
-            FactoredColumns.factor(columns).solve(target)
-        with pytest.raises(SolveError, match="inconsistent"):
-            solve_exact_integer(columns, target)
+        columns = {(3,): {(3,): 1, (2, 1): 1},
+                   (2, 1): {(2, 1): 1, (1, 1, 1): 3}}
+        with pytest.raises(SolveError, match="not in the span"):
+            resolve(target, columns.get)
+        with pytest.raises(SolveError, match="not in the span"):
+            solve_exact_integer(list(columns.values()), target)
 
     def test_non_integral_solution(self):
-        columns = [{(2,): 2, (1, 1): 1}, {(1, 1): 1}]
-        target = {(2,): 1, (1, 1): 1}  # x = (1/2, 1/2)
+        # x = (1/2, 1/2) needs a lead coefficient 2, which resolve rejects
+        # before it clears anything: with unit leads every solution of an
+        # integer table is integral, so this case cannot reach the output
+        columns = {(2,): {(2,): 2, (1, 1): 1}, (1, 1): {(1, 1): 1}}
+        target = {(2,): 1, (1, 1): 1}
+        with pytest.raises(SolveError, match="not unitriangular"):
+            resolve(target, columns.get)
         with pytest.raises(SolveError, match="non-integral"):
-            FactoredColumns.factor(columns).solve(target)
-        with pytest.raises(SolveError, match="non-integral"):
-            solve_exact_integer(columns, target)
-        assert FactoredColumns.factor(columns).solve({(2,): 4, (1, 1): 3}) == [2, 1]
+            solve_exact_integer(list(columns.values()), target)
+        with pytest.raises(SolveError, match="not unitriangular"):
+            resolve({(2,): 4, (1, 1): 3}, columns.get)
+        assert solve_exact_integer(list(columns.values()),
+                                   {(2,): 4, (1, 1): 3}) == [2, 1]
 
     def test_random_systems_match_per_target_solve(self):
+        # random unitriangular integer systems: leads a subset of the keys,
+        # other entries on lex-smaller keys only
         rng = random.Random(5)
-        keys = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        keys = list(partitions_of(5))  # lex-descending
 
         def outcome(solve):
             try:
                 return solve()
             except SolveError as exc:
-                return str(exc)
+                assert "not in the span" in str(exc), exc
+                return "outside"
 
         seen = set()
         for _ in range(3000):
-            ncols = rng.randint(0, 3)
-            support = rng.sample(keys, rng.randint(ncols, len(keys)))
-            columns = [{k: rng.randint(-2, 2) for k in support}
-                       for _ in range(ncols)]
-            xs = [rng.randint(-3, 3) for _ in range(ncols)]
-            target = {k: sum(x * col.get(k, 0) for x, col in zip(xs, columns))
+            leads = sorted(rng.sample(range(len(keys)),
+                                      rng.randint(0, len(keys))))
+            columns = {keys[i]: {keys[i]: 1, **{k: rng.randint(-2, 2)
+                                                for k in keys[i + 1:]}}
+                       for i in leads}
+            xs = [rng.randint(-3, 3) for _ in columns]
+            target = {k: sum(x * col.get(k, 0)
+                             for x, col in zip(xs, columns.values()))
                       for k in keys}
-            kind = rng.randrange(3)
-            if kind == 1 and ncols:  # doubling column j halves x_j
-                j = rng.randrange(ncols)
-                columns[j] = {k: 2 * c for k, c in columns[j].items()}
-            elif kind == 2:  # perturb one key
+            if rng.randrange(2):  # perturb one key
                 k = rng.choice(keys)
-                target[k] = target.get(k, 0) + rng.choice((-1, 1))
+                target[k] += rng.choice((-1, 1))
 
-            def fast():
-                return FactoredColumns.factor(columns).solve(target)
+            def gauss_jordan():
+                solution = solve_exact_integer(list(columns.values()), target)
+                return {lam: x for lam, x in zip(columns, solution) if x}
 
-            expected = outcome(lambda: solve_exact_integer(columns, target))
-            assert outcome(fast) == expected, (columns, target)
-            seen.add(expected.split()[0] if isinstance(expected, str) else "ok")
-        assert seen == {"ok", "singular", "inconsistent", "non-integral"}
+            expected = outcome(gauss_jordan)
+            assert outcome(lambda: resolve(target, columns.get)) == expected, (
+                columns, target)
+            seen.add("outside" if expected == "outside" else "ok")
+        assert seen == {"ok", "outside"}
 
 
 class TestExpandCylindric:
