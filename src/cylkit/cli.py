@@ -9,14 +9,32 @@ Words are entered in the left-to-right convention: ``--word 5,3,1,4,2,0``
 means ``s_5 s_3 s_1 s_4 s_2 s_0`` and is echoed back in the output header.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 cap
 exceeded, 4 internal assertion (positivity or solver), 5 I/O error.
+
+The command line is read against one table, :data:`FLAGS`, which maps each
+command to its flags and each flag to ``(dest, convert, default)``; the
+handlers get the result as a ``SimpleNamespace``.  A flag takes its value
+as ``--flag value`` or ``--flag=value``; an exact name wins, and otherwise
+a unique prefix names a flag (``--wo`` is ``--word``, ``--d`` is ``--d``
+and ``--di`` is ``--diagram``).  A token that looks like a negative number
+is a value, and of the single-dash forms only ``-h`` is a flag.  ``--``
+ends the flags, and whatever follows it is left over.  A malformed command
+line (an unknown or ambiguous flag, a flag without its value, a value that
+does not convert, a missing required flag, a leftover token, a missing or
+unknown command) prints a usage line and an ``error:`` line to stderr and
+raises ``SystemExit(2)``; ``-h``/``--help`` prints the usage and flags to
+stdout and raises ``SystemExit(0)``.  A bad
+comma-separated field or a cap that is not positive is an
+:class:`InvalidInputError`, so :func:`main` returns 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
+from typing import NoReturn
 
 from cylkit.affine import AffinePermutation, is_321_avoiding, shape_of
 from cylkit.cylindric import (
@@ -69,7 +87,7 @@ def _word_header(word: tuple[int, ...]) -> str:
     return f"input word (left to right): {joined}"
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -77,7 +95,13 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
             print(line)
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: SimpleNamespace) -> int:
+    """affine Schur expansion of a word
+
+    --word lists the letters left to right, comma-separated; --m names a
+    type (m, n) for shape labels and the support check; --cap bounds the
+    length of the expansion (exit 3 above it); --output is text or json.
+    """
     if args.n < 2:
         raise InvalidInputError("need a period n >= 2")
     if any(not 0 <= i < args.n for i in args.word):
@@ -101,7 +125,13 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cylindric(args: argparse.Namespace) -> int:
+def cmd_cylindric(args: SimpleNamespace) -> int:
+    """cylindric Schur expansion of a shape
+
+    The shape is lambda/d/mu of type (m, n), partitions comma-separated;
+    --diagram prints the staircase diagram with diagonal labels; --cap
+    bounds the cell count (exit 3 above it); --output is text or json.
+    """
     ctype = CylType(args.m, args.n)
     shape = shape_new(ctype, args.lam, args.d, args.mu)
     w = skew_word(shape)
@@ -122,9 +152,16 @@ def cmd_cylindric(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gw(args: argparse.Namespace) -> int:
+def cmd_gw(args: SimpleNamespace) -> int:
+    """one Gromov-Witten invariant
+
+    C^(lambda, d)_(mu, nu) of Gr(m, n), partitions comma-separated; --cap
+    bounds the cell count of lambda/d/mu (exit 3 above it); --output is
+    text or json.
+    """
     ctype = CylType(args.m, args.n)
-    value = gromov_witten(ctype, args.lam, args.d, args.mu, args.nu)
+    value = gromov_witten(ctype, args.lam, args.d, args.mu, args.nu,
+                          cap=args.cap)
     degree_ok = (sum(args.lam) + args.n * args.d
                  == sum(args.mu) + sum(args.nu))
     shape = shape_new(ctype, args.lam, args.d, args.mu)
@@ -148,7 +185,12 @@ def cmd_gw(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
+    """run property suites
+
+    --suite runs one suite (default: all); --n bounds the period, --maxlen
+    every length and cell count; --seed seeds the sampled suite.
+    """
     from cylkit import verify as verify_mod
 
     if args.suite:
@@ -207,7 +249,12 @@ def _drop_torn_tail(path: str) -> None:
             handle.truncate(complete)
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: SimpleNamespace) -> int:
+    """batch expansion records
+
+    Expands every 321-avoiding element of period --n up to length --maxlen
+    into a resumable JSON-lines cache (--cache, or $CYLKIT_CACHE).
+    """
     path = args.cache_path or os.environ.get(CACHE_ENV_VAR)
     if not path:
         raise InvalidInputError("corpus requires --cache or $" + CACHE_ENV_VAR)
@@ -254,69 +301,175 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cylkit",
-        description="Exact cylindric Schur and affine Stanley expansions")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- argument parsing ----------------------------------------------------------
 
-    def add_common(p):
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=DEFAULT_EXPAND_CAP,
-                       help="length cap for the expansion recursion")
-
-    p = sub.add_parser("expand", help="affine Schur expansion of a word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", default="", help="comma-separated letters")
-    p.add_argument("--m", type=int, default=None,
-                   help="optional type for shape rendering and support checks")
-    add_common(p)
-
-    p = sub.add_parser("cylindric", help="cylindric Schur expansion of a shape")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default="")
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--mu", default="")
-    p.add_argument("--diagram", action="store_true",
-                   help="print the staircase diagram with diagonal labels")
-    add_common(p)
-
-    p = sub.add_parser("gw", help="one Gromov-Witten invariant")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default="")
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--mu", default="")
-    p.add_argument("--nu", default="")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--maxlen", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("corpus", help="batch expansion records")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--cache", dest="cache_path", default=None)
-    return parser
+REQUIRED = object()
+_HELP = ("-h", "--help")
+# A token that looks like a negative number is a value, never a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _parse_args(parser: argparse.ArgumentParser,
-                argv: list[str] | None) -> argparse.Namespace:
-    """``parser.parse_args`` plus the checks argparse cannot state: the
-    comma-separated fields become integer tuples, and caps are positive."""
-    args = parser.parse_args(argv)
-    fields = vars(args)
-    for name in ("word", "lam", "mu", "nu"):
-        if name in fields:
-            fields[name] = _parse_csv_ints(fields[name])
-    if any(fields.get(name) is not None and fields[name] <= 0
-           for name in ("cap", "maxlen")):
+def _output(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ValueError(text)
+    return text
+
+
+_COMMON = {"--output": ("output", _output, "text"),
+           "--cap": ("cap", int, DEFAULT_EXPAND_CAP)}
+_SHAPE = {"--m": ("m", int, REQUIRED), "--n": ("n", int, REQUIRED),
+          "--lambda": ("lam", str, ""), "--d": ("d", int, 0),
+          "--mu": ("mu", str, "")}
+
+# command -> flag -> (dest, convert, default or REQUIRED).  A convert of
+# None marks a switch: it takes no value and stores True.
+FLAGS = {
+    "expand": {"--n": ("n", int, REQUIRED), "--word": ("word", str, ""),
+               "--m": ("m", int, None), **_COMMON},
+    "cylindric": {**_SHAPE, "--diagram": ("diagram", None, False), **_COMMON},
+    "gw": {**_SHAPE, "--nu": ("nu", str, ""), **_COMMON},
+    "verify": {"--suite": ("suite", str, None), "--n": ("n", int, None),
+               "--maxlen": ("maxlen", int, None),
+               "--seed": ("seed", int, None)},
+    "corpus": {"--n": ("n", int, REQUIRED), "--maxlen": ("maxlen", int, REQUIRED),
+               "--cache": ("cache_path", str, None)},
+}
+_CSV_FIELDS = ("word", "lam", "mu", "nu")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: cylkit [-h] {{{','.join(FLAGS)}}} ..."
+    parts = [f"usage: cylkit {command} [-h]"]
+    for flag, (dest, convert, default) in FLAGS[command].items():
+        part = flag if convert is None else f"{flag} {dest.upper()}"
+        parts.append(part if default is REQUIRED else f"[{part}]")
+    return " ".join(parts)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    prog = "cylkit" if command is None else f"cylkit {command}"
+    print(_usage(command), file=sys.stderr)
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _about(command: str) -> list[str]:
+    """The help text of ``command``: its handler's docstring, which
+    ``python -OO`` strips."""
+    doc = COMMANDS[command].__doc__ or ""
+    return [line.strip() for line in doc.strip().splitlines()]
+
+
+def _help(command: str | None) -> NoReturn:
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Exact cylindric Schur and affine Stanley expansions.", "",
+                  "commands (cylkit COMMAND --help for the flags of one):"]
+        lines += [f"  {name:10s} {' '.join(_about(name)[:1])}"
+                  for name in FLAGS]
+    else:
+        lines += [*_about(command), "",
+                  "flags (--flag value or --flag=value; a unique prefix of "
+                  "a flag is accepted):", "  -h, --help"]
+        for flag, (dest, convert, default) in FLAGS[command].items():
+            shown = flag if convert is None else f"{flag} {dest.upper()}"
+            note = "required" if default is REQUIRED else f"default {default!r}"
+            lines.append(f"  {shown:18s} {note}")
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _lookup(command: str | None, token: str, flags) -> tuple | None:
+    """None if ``token`` is a value, else ``(flag, inline value or None)``,
+    with ``flag`` None for an unknown flag.  An exact name wins over a
+    prefix; a prefix of two flags is an error."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, inline = token.partition("=")
+    if eq and name in flags:
+        return name, inline
+    if token.startswith("--"):
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous flag {token} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], inline if eq else None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_args(argv: list[str] | None) -> SimpleNamespace:
+    """Read ``argv`` against :data:`FLAGS`; comma-separated fields become
+    integer tuples, and caps must be positive."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    unknown = []
+    pos = 0
+    while pos < len(argv) and argv[pos] != "--":
+        hit = _lookup(None, argv[pos], _HELP)
+        if hit is None:
+            break
+        if hit[0] is None:
+            unknown.append(argv[pos])
+        elif hit[1] is not None:
+            _fail(None, f"{hit[0]} takes no value")
+        else:
+            _help(None)
+        pos += 1
+    if pos == len(argv):
+        _fail(None, "a command is required")
+    command = argv[pos]
+    if command not in FLAGS:
+        _fail(None, f"unknown command {command!r} (choose from {', '.join(FLAGS)})")
+    flags = FLAGS[command]
+    tokens = argv[pos + 1:]
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    unknown += tokens[cut:]  # "--" and all after it are never flags
+    tokens = tokens[:cut]
+    # every token is classified first, so an ambiguous prefix fails even
+    # after --help
+    pool = [*flags, *_HELP]
+    hits = [_lookup(command, token, pool) for token in tokens]
+    values = {dest: default for dest, _, default in flags.values()}
+    i = 0
+    while i < len(tokens):
+        hit, i = hits[i], i + 1
+        if hit is None or hit[0] is None:
+            unknown.append(tokens[i - 1])
+            continue
+        flag, inline = hit
+        dest, convert, _ = flags.get(flag, (None, None, None))
+        if convert is None:
+            if inline is not None:
+                _fail(command, f"{flag} takes no value")
+            if flag in _HELP:
+                _help(command)
+            values[dest] = True
+            continue
+        if inline is None:
+            if i == len(tokens) or hits[i] is not None:
+                _fail(command, f"{flag} expects a value")
+            inline, i = tokens[i], i + 1
+        try:
+            values[dest] = convert(inline)
+        except ValueError:
+            _fail(command, f"{flag}: invalid value {inline!r}")
+    missing = [flag for flag, (dest, _, _) in flags.items()
+               if values[dest] is REQUIRED]
+    if missing:
+        _fail(command, f"required: {', '.join(missing)}")
+    if unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    for dest in _CSV_FIELDS:
+        if dest in values:
+            values[dest] = _parse_csv_ints(values[dest])
+    if any(values.get(dest) is not None and values[dest] <= 0
+           for dest in ("cap", "maxlen")):
         raise InvalidInputError("caps must be positive")
-    return args
+    return SimpleNamespace(command=command, **values)
 
 
 COMMANDS = {
@@ -329,9 +482,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(argv)
         return COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -493,12 +493,14 @@ def expand_cylindric(shape: CylindricShape,
     return SchurExpansion(shape.ctype, out)
 
 
-def gromov_witten(ctype: CylType, lam, d: int, mu, nu) -> int:
+def gromov_witten(ctype: CylType, lam, d: int, mu, nu,
+                  cap: int = DEFAULT_EXPAND_CAP) -> int:
     """The 3-point invariant ``C^{lam,d}_{mu,nu}`` of Gr(m, n).
 
     Degree-0 coefficient of the cylindric expansion; zero unless
     ``|lam| + n*d == |mu| + |nu|``; for ``d = 0`` this is the classical
-    Littlewood-Richardson coefficient.
+    Littlewood-Richardson coefficient.  ``cap`` bounds the cell count of
+    ``lam/d/mu`` as in :func:`expand_cylindric`.
     """
     from cylkit.partitions import check_partition, fits_box
 
@@ -509,7 +511,7 @@ def gromov_witten(ctype: CylType, lam, d: int, mu, nu) -> int:
     shape = shape_new(ctype, lam, d, mu)
     if sum(shape.lam) + n * d != sum(shape.mu) + sum(nu):
         return 0
-    return expand_cylindric(shape).coeffs.get((nu, 0), 0)
+    return expand_cylindric(shape, cap=cap).coeffs.get((nu, 0), 0)
 
 
 def toric_gw_oracle(ctype: CylType, lam, d: int, mu) -> dict[Partition, int]:

@@ -7,6 +7,7 @@ factorization, subset scans, lattice words) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from collections import Counter
 from collections.abc import Iterator
@@ -21,6 +22,7 @@ from cylkit.affine import (
     max_cyclic_factor,
     proper_subsets,
 )
+from cylkit.cli import _parse_csv_ints
 from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence, shape_new
 from cylkit.errors import InvalidInputError, ShapeError, SolveError
 from cylkit.partitions import (
@@ -29,7 +31,7 @@ from cylkit.partitions import (
     part,
     partitions_in_box,
 )
-from cylkit.stanley import stanley_monomials
+from cylkit.stanley import DEFAULT_EXPAND_CAP, stanley_monomials
 from cylkit.symfunc import SymmetricPolynomial
 
 
@@ -591,3 +593,64 @@ def oracle_expand_per_element(w: AffinePermutation,
     basis, columns = memo[(n, ell)]
     solution = solve_exact_integer(columns, stanley_monomials(w, ell).coeffs)
     return {u: c for u, c in zip(basis, solution) if c}
+
+
+def argparse_parse(argv: list[str]) -> argparse.Namespace:
+    """The command line read by an ``argparse`` parser of the same flags as
+    ``cli.FLAGS``: the front end that the flag table replaced.  Parse errors
+    and ``--help`` raise ``SystemExit``; the comma-separated fields become
+    integer tuples, and a cap that is not positive raises
+    :class:`InvalidInputError`."""
+    parser = argparse.ArgumentParser(
+        prog="cylkit",
+        description="Exact cylindric Schur and affine Stanley expansions")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--output", choices=("text", "json"), default="text")
+        p.add_argument("--cap", type=int, default=DEFAULT_EXPAND_CAP)
+
+    p = sub.add_parser("expand")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--word", default="")
+    p.add_argument("--m", type=int, default=None)
+    add_common(p)
+
+    p = sub.add_parser("cylindric")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", default="")
+    p.add_argument("--d", type=int, default=0)
+    p.add_argument("--mu", default="")
+    p.add_argument("--diagram", action="store_true")
+    add_common(p)
+
+    p = sub.add_parser("gw")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", default="")
+    p.add_argument("--d", type=int, default=0)
+    p.add_argument("--mu", default="")
+    p.add_argument("--nu", default="")
+    add_common(p)
+
+    p = sub.add_parser("verify")
+    p.add_argument("--suite", default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--maxlen", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("corpus")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--maxlen", type=int, required=True)
+    p.add_argument("--cache", dest="cache_path", default=None)
+
+    args = parser.parse_args(argv)
+    fields = vars(args)
+    for name in ("word", "lam", "mu", "nu"):
+        if name in fields:
+            fields[name] = _parse_csv_ints(fields[name])
+    if any(fields.get(name) is not None and fields[name] <= 0
+           for name in ("cap", "maxlen")):
+        raise InvalidInputError("caps must be positive")
+    return args

@@ -1,17 +1,34 @@
-"""Command-line front end: outputs, exit codes, cache behavior."""
+"""Command-line front end: outputs, exit codes, cache behavior, and the
+flag table against the argparse parser it replaced."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cylkit.cli import (
+    COMMANDS,
     EXIT_CAP,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY_FAILED,
+    FLAGS,
+    REQUIRED,
+    _parse_args,
     main,
 )
+from cylkit.errors import InvalidInputError
+from oracles import argparse_parse
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -423,3 +440,224 @@ class TestCorpus:
                            "--cache", str(path))
         assert code == EXIT_IO
         assert "header" in err
+
+
+class TestGwCap:
+    def test_cap_reaches_the_expansion(self, capsys):
+        shape = ("--m", "3", "--n", "6", "--lambda", "2,1", "--d", "1",
+                 "--mu", "2,1")
+        code, out, err = run(capsys, "gw", *shape, "--nu", "3,2,1", "--cap", "1")
+        assert code == EXIT_CAP
+        assert out == "" and "exceeds cap 1" in err
+        assert run(capsys, "cylindric", *shape, "--cap", "1")[0] == EXIT_CAP
+        assert run(capsys, "gw", *shape, "--nu", "3,2,1", "--cap", "6")[0] == EXIT_OK
+
+
+# The flags of each command, as the argparse front end declared them.
+ARGPARSE_FLAGS = {
+    "expand": ["--n", "--word", "--m", "--output", "--cap"],
+    "cylindric": ["--m", "--n", "--lambda", "--d", "--mu", "--diagram",
+                  "--output", "--cap"],
+    "gw": ["--m", "--n", "--lambda", "--d", "--mu", "--nu", "--output", "--cap"],
+    "verify": ["--suite", "--n", "--maxlen", "--seed"],
+    "corpus": ["--n", "--maxlen", "--cache"],
+}
+REQUIRED_ARGV = {"expand": ["--n", "4"], "cylindric": ["--m", "2", "--n", "4"],
+                 "gw": ["--m", "2", "--n", "4"], "verify": [],
+                 "corpus": ["--n", "3", "--maxlen", "2"]}
+
+
+def _flag_grid():
+    for command, flags in ARGPARSE_FLAGS.items():
+        base = [command, *REQUIRED_ARGV[command]]
+        yield base
+        for flag in flags:
+            value = "json" if flag == "--output" else "3"
+            yield [*base, flag, value]
+            yield [*base, f"{flag}={value}"]
+            yield [*base, flag]
+
+
+GRID = [
+    # README examples
+    ["expand", "--n", "6", "--word", "5,3,1,4,2,0", "--m", "3"],
+    ["cylindric", "--m", "3", "--n", "6", "--lambda", "2,1", "--d", "1",
+     "--mu", "2,1", "--diagram"],
+    ["gw", "--m", "3", "--n", "6", "--lambda", "2,1", "--d", "1", "--mu", "2,1",
+     "--nu", "3,2,1"],
+    ["verify", "--suite", "dual-pieri", "--n", "4", "--maxlen", "6"],
+    ["verify"],
+    ["corpus", "--n", "3", "--maxlen", "4", "--cache", "corpus.jsonl"],
+    ["corpus", "--n", "3", "--maxlen", "4"],
+    *_flag_grid(),
+    # prefixes, and exact names that are also prefixes of others
+    ["expand", "--n", "4", "--wo", "0,1"],
+    ["expand", "--n", "4", "--wo=0,1", "--out", "json", "--c=7"],
+    ["cylindric", "--m", "2", "--n", "4", "--lam", "1", "--di"],
+    ["cylindric", "--m", "2", "--n", "4", "--mu", "1", "--d", "1"],
+    ["gw", "--m", "2", "--n", "4", "--m", "3", "--mu", "1", "--nu", "1"],
+    ["cylindric", "--m", "2", "--n", "4", "--d", "1", "--diagram"],
+    ["expand", "--n", "-3"],
+    ["expand", "--n", "4", "--n", "5"],
+    # errors
+    ["verify", "--s", "x"],
+    ["expand", "--n", "4", "--bogus"],
+    ["expand", "--n", "4", "--word"],
+    ["expand", "--n"],
+    ["expand", "--n", "4", "--word", "--m", "3"],
+    ["expand", "--word", "0,1"],
+    ["corpus", "--n", "3"],
+    ["expand", "--n", "x"],
+    ["expand", "--n", "4", "--output", "xml"],
+    ["expand", "--n", "4", "--word", "0,x"],
+    ["expand", "--n", "4", "--word", "-1,2"],
+    ["expand", "--n", "4", "--cap", "0"],
+    ["corpus", "--n", "3", "--maxlen", "-1"],
+    ["cylindric", "--m", "2", "--n", "4", "--diagram=yes"],
+    ["expand", "--n", "4", "stray"],
+    ["expand", "--n", "4", "--", "--word", "0"],
+    ["expand", "--n", "4", "--word", "--"],
+    ["--bogus", "expand", "--n", "4"],
+    [],
+    ["bogus"],
+    ["--", "expand", "--n", "4"],
+    # help, and what runs before it
+    ["-h"], ["--help"], ["--he"], ["expand", "-h"], ["gw", "--hel"],
+    ["expand", "-h", "--n", "x"],
+    ["expand", "--n", "x", "-h"],
+    ["expand", "--bogus", "-h"],
+    ["verify", "-h", "--s"],
+    ["--help=x"],
+    ["expand", "--help=x"],
+]
+
+
+def _outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: its attributes, its exit code or
+    an :class:`InvalidInputError`; help and errors it prints are dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return ("args", vars(parse(argv)))
+        except SystemExit as exc:
+            return ("exit", exc.code)
+        except InvalidInputError:
+            return ("invalid",)
+
+
+class TestFlagTable:
+    """The flag table reads every command line as the argparse front end
+    did (``oracles.argparse_parse``): the same attributes, or the same exit
+    code, or the same :class:`InvalidInputError`."""
+
+    def test_flags_are_the_argparse_flags(self):
+        assert {command: list(flags) for command, flags in FLAGS.items()} \
+            == ARGPARSE_FLAGS
+
+    @pytest.mark.parametrize("argv", GRID, ids=" ".join)
+    def test_agrees_with_argparse(self, argv):
+        assert _outcome(_parse_args, argv) == _outcome(argparse_parse, argv)
+
+    @given(st.lists(st.sampled_from(
+        [*COMMANDS, "bogus", *sorted({f for fl in ARGPARSE_FLAGS.values()
+                                      for f in fl}),
+         "--wo", "--lam", "--di", "--ma", "--s", "--o", "--c", "--he", "-h",
+         "--bogus", "-x", "--", "-", "", "4", "-3", "0", "x", "2,1", "-1,2",
+         "json", "xml", "a b", "--n=5", "--cap=0", "--word=", "--diagram=1"]),
+        max_size=8))
+    @settings(max_examples=300)
+    def test_agrees_with_argparse_on_token_soup(self, argv):
+        assert _outcome(_parse_args, argv) == _outcome(argparse_parse, argv)
+
+    def test_double_dash_as_an_inline_value_is_a_parse_error(self):
+        # argparse drops the "--" of "--maxlen=--" and stores an empty list,
+        # which then crashed the cap check with a TypeError
+        assert _outcome(_parse_args, ["verify", "--maxlen=--"]) \
+            == ("exit", EXIT_PARSE)
+
+
+class TestHelp:
+    def test_top_level(self, capsys):
+        for flag in ("-h", "--help"):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith("usage: cylkit")
+            assert all(command in out for command in FLAGS)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_each_command_names_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(f"usage: cylkit {command}")
+        assert all(flag in out for flag in FLAGS[command])
+
+    def test_parse_error_prints_usage_to_stderr(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--n", "x"])
+        assert exc.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cylkit expand") and "error:" in err
+
+
+def test_cold_expand_imports_no_argparse():
+    code = ("import sys\n"
+            "from cylkit.cli import main\n"
+            "main(['expand', '--n', '4', '--word', '0,1', '--output', 'json'])\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale')"
+            " if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@st.composite
+def query_argv(draw):
+    """A command line for ``expand``, ``cylindric`` or ``gw`` from the flag
+    table, with small values (n <= 6, words of at most 6 letters, shapes of
+    at most 8 cells), flags in any order and junk tokens mixed in."""
+    command = draw(st.sampled_from(["expand", "cylindric", "gw"]))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 8 // n))
+    lam = draw(st.lists(st.integers(0, 4), max_size=3))
+    assume(sum(lam) + n * d <= 8)
+    small = st.lists(st.integers(0, 4), max_size=3)
+    values = {
+        "--n": str(n), "--m": str(draw(st.integers(0, n))), "--d": str(d),
+        "--word": draw(st.lists(st.integers(0, n), max_size=6)),
+        "--lambda": lam, "--mu": draw(small), "--nu": draw(small),
+        "--output": draw(st.sampled_from(["text", "json"])),
+        "--cap": str(draw(st.integers(-1, 10))),
+    }
+    tokens = []
+    for flag in FLAGS[command]:
+        if draw(st.booleans()) or FLAGS[command][flag][2] is REQUIRED:
+            value = values.get(flag)
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append([flag] if value is None else [flag, value])
+    tokens = draw(st.permutations(tokens))
+    argv = [command, *(token for pair in tokens for token in pair)]
+    for junk in draw(st.lists(st.sampled_from(
+            ["--bogus", "--", "-x", "x", "--n", "--output=xml", "--wo", "=",
+             "", "-1", "--cap=0", "-h", "--d", "2,x"]), max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), junk)
+    return argv
+
+
+@given(query_argv())
+@settings(max_examples=150)
+def test_front_end_exits_with_a_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (EXIT_OK, EXIT_PARSE), argv
+        else:
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_CAP), argv
