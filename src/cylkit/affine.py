@@ -23,7 +23,7 @@ from functools import cached_property
 
 from cylkit import memo
 from cylkit.errors import CapExceededError, InvalidInputError
-from cylkit.partitions import Partition, check_partition
+from cylkit.partitions import Partition, check_partition, partitions_of
 
 Word = tuple[int, ...]
 
@@ -540,7 +540,5 @@ def elements_by_length(n: int, maxlen: int) -> list[list[AffinePermutation]]:
 
 def grassmannians_of_length(n: int, ell: int) -> list[AffinePermutation]:
     """All 0-Grassmannian elements of length ``ell``, via their partitions."""
-    from cylkit.partitions import partitions_of
-
     return [grassmannian_from_kbounded(n, lam)
             for lam in partitions_of(ell, max_part=n - 1)]

@@ -8,7 +8,9 @@ records, resumable JSON-lines cache).
 Words are entered in the left-to-right convention: ``--word 5,3,1,4,2,0``
 means ``s_5 s_3 s_1 s_4 s_2 s_0`` and is echoed back in the output header.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 cap
-exceeded, 4 internal assertion (positivity or solver), 5 I/O error.
+exceeded, 4 internal assertion (positivity or solver), 5 I/O error.  A
+period ``--n`` above :data:`MAX_PERIOD` is a cap exceeded, except for
+``verify``, whose ``--n`` is only an upper bound.
 
 The command line is read against one table, :data:`FLAGS`, which maps each
 command to its flags and each flag to ``(dest, convert, default)``; the
@@ -36,7 +38,12 @@ import sys
 from types import SimpleNamespace
 from typing import NoReturn
 
-from cylkit.affine import AffinePermutation, is_321_avoiding, shape_of
+from cylkit.affine import (
+    AffinePermutation,
+    elements_by_length,
+    is_321_avoiding,
+    shape_of,
+)
 from cylkit.cylindric import (
     CylType,
     cell_count,
@@ -66,6 +73,10 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 EXIT_IO = 5
+
+# Largest --n of expand, cylindric, gw and corpus: each builds windows of n
+# entries, so a larger period is refused (exit 3) before any is allocated.
+MAX_PERIOD = 128
 
 CACHE_ENV_VAR = "CYLKIT_CACHE"
 CORPUS_FORMAT = "cylkit-corpus"
@@ -167,9 +178,8 @@ def cmd_gw(args: SimpleNamespace) -> int:
     shape = shape_new(ctype, args.lam, args.d, args.mu)
     toric = None
     if is_toric(shape):
-        oracle = toric_gw_oracle(ctype, args.lam, args.d, args.mu)
-        nu_key = tuple(v for v in args.nu if v)
-        toric = oracle.get(nu_key, 0) == value
+        oracle = toric_gw_oracle(ctype, args.lam, args.d, args.mu, cap=args.cap)
+        toric = oracle.get(args.nu, 0) == value
     payload = {"command": "gw", "m": ctype.m, "n": ctype.n,
                "lambda": list(args.lam), "d": args.d,
                "mu": list(args.mu), "nu": list(args.nu),
@@ -217,14 +227,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _corpus_elements(n: int, maxlen: int) -> list[AffinePermutation]:
-    from cylkit.affine import elements_by_length
-
-    out = []
-    for level in elements_by_length(n, maxlen):
-        for w in level:
-            if is_321_avoiding(w):
-                out.append(w)
-    return out
+    return [w for level in elements_by_length(n, maxlen) for w in level
+            if is_321_avoiding(w)]
 
 
 def _corpus_record(w: AffinePermutation) -> dict:
@@ -404,7 +408,8 @@ def _lookup(command: str | None, token: str, flags) -> tuple | None:
 
 def _parse_args(argv: list[str] | None) -> SimpleNamespace:
     """Read ``argv`` against :data:`FLAGS`; comma-separated fields become
-    integer tuples, and caps must be positive."""
+    integer tuples, caps must be positive, and a period above
+    :data:`MAX_PERIOD` raises :class:`CapExceededError`."""
     argv = sys.argv[1:] if argv is None else list(argv)
     unknown = []
     pos = 0
@@ -469,6 +474,9 @@ def _parse_args(argv: list[str] | None) -> SimpleNamespace:
     if any(values.get(dest) is not None and values[dest] <= 0
            for dest in ("cap", "maxlen")):
         raise InvalidInputError("caps must be positive")
+    if command != "verify" and values["n"] > MAX_PERIOD:
+        raise CapExceededError(
+            f"period {values['n']} exceeds the period cap {MAX_PERIOD}")
     return SimpleNamespace(command=command, **values)
 
 

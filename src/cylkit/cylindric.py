@@ -16,12 +16,14 @@ the addable diagonals: row ``p`` can take a box on diagonal ``a_p = R_p + 1
 boundary with ``len(w)`` more cells per period, or zero.  Read backwards,
 the same map gives the boundary word of two nested boundaries, from which
 come skew words and the inverse of the bijection ``phi``.
+
+Cylindric tableaux are chains of boundaries with horizontal-strip steps,
+folded over the row bounds by :func:`cylkit.symfunc.chain_table`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from cylkit import memo
@@ -34,9 +36,8 @@ from cylkit.affine import (
 )
 from cylkit.errors import CapExceededError, InvalidInputError, ShapeError
 from cylkit.partitions import Partition, check_partition, fits_box, part
-from cylkit.symfunc import SymmetricPolynomial
+from cylkit.symfunc import SymmetricPolynomial, WeightTable, chain_table
 
-_CHAIN_MEMO: dict = memo.table()
 _IN_A_MEMO: dict = memo.table()
 
 DEFAULT_TABLEAU_CAP = 16
@@ -220,38 +221,23 @@ def is_toric(shape: CylindricShape) -> bool:
 # -- cylindric tableaux -------------------------------------------------------
 
 
-def _strip_extensions_cyl(cur: PeriodicSequence,
-                          outer: PeriodicSequence) -> Iterator[PeriodicSequence]:
-    """Boundaries ``nxt`` between ``cur`` and ``outer`` with ``nxt/cur`` a
-    horizontal strip (at most one new cell per column): ``nxt_p`` ranges over
-    ``[cur_p, min(outer_p, cur_{p-1})]`` independently per row."""
-    ranges = [range(cur.row_bound(p), min(outer.row_bound(p),
-                                          cur.row_bound(p - 1)) + 1)
-              for p in range(1, cur.ctype.m + 1)]
-    for rows in itertools.product(*ranges):
-        yield PeriodicSequence(cur.ctype, rows)
+def _cyl_weight_table(shape: CylindricShape, nvars: int) -> WeightTable:
+    """Exponent-vector counts of cylindric SSYT chains ``mu[0] -> lam[d]``:
+    each step is a horizontal strip (at most one new cell per column), so
+    ``nxt_p`` ranges over ``[cur_p, min(outer_p, cur_{p-1})]`` independently
+    per row, with ``cur_0 = cur_m + (n-m)``."""
+    m, n = shape.ctype.m, shape.ctype.n
+    outer = shape.outer().rows
 
+    def step(cur: tuple[int, ...]):
+        above = (cur[-1] + n - m,) + cur[:-1]
+        size = sum(cur)
+        ranges = [range(r, min(o, a) + 1) for r, o, a in zip(cur, outer, above)]
+        for nxt in itertools.product(*ranges):
+            yield nxt, sum(nxt) - size
 
-def _cyl_weight_table(shape: CylindricShape, nvars: int) -> dict:
-    outer = shape.outer()
-
-    def rec(cur: PeriodicSequence, steps: int) -> dict:
-        key = (cur.ctype, outer.rows, cur.rows, steps)
-        hit = _CHAIN_MEMO.get(key)
-        if hit is not None:
-            return hit
-        if steps == 0:
-            out = {(): 1} if cur == outer else {}
-            return _CHAIN_MEMO.setdefault(key, out)
-        out: dict = {}
-        for nxt in _strip_extensions_cyl(cur, outer):
-            added = sum(nxt.rows) - sum(cur.rows)
-            for suffix, c in rec(nxt, steps - 1).items():
-                k = (added,) + suffix
-                out[k] = out.get(k, 0) + c
-        return _CHAIN_MEMO.setdefault(key, out)
-
-    return rec(shape.inner(), nvars)
+    return chain_table(("cylindric", shape.ctype, outer), shape.inner().rows,
+                       nvars, step, outer)
 
 
 def cylindric_schur_poly(shape: CylindricShape, nvars: int,

@@ -25,7 +25,8 @@ independently: it resolves the monomial table of ``w`` against the affine
 Schur basis by unitriangular elimination
 (:func:`cylkit.symfunc.resolve`, the solver of the Schur change of basis),
 since the affine Schur function of a bounded partition ``lam`` is ``m_lam``
-plus monomials dominance-below ``lam``.
+plus monomials dominance-below ``lam``.  Its monomial tables are chains of
+left-factor peels, folded by :func:`cylkit.symfunc.chain_table`.
 
 Grassmannianization.  The generic construction sweeps the code ``c_i`` into
 a decreasing run by sliding maxima rightward (each slide is an ascent, so
@@ -54,6 +55,7 @@ from cylkit.affine import (
     shape_of,
 )
 from cylkit.cylindric import (
+    DEFAULT_TABLEAU_CAP,
     CylType,
     CylindricShape,
     PeriodicSequence,
@@ -67,14 +69,18 @@ from cylkit.cylindric import (
     skew_word,
 )
 from cylkit.errors import CapExceededError, InvalidInputError, PositivityError
-from cylkit.partitions import Partition, schedule_less
-from cylkit.symfunc import SymmetricPolynomial, expand_in_schur, resolve
+from cylkit.partitions import Partition, check_partition, fits_box, schedule_less
+from cylkit.symfunc import (
+    SymmetricPolynomial,
+    chain_table,
+    expand_in_schur,
+    resolve,
+)
 
 DEFAULT_EXPAND_CAP = 40
 DEFAULT_STANLEY_CAP = 14
 DEFAULT_ORACLE_CAP = 9
 
-_STANLEY_MEMO: dict = memo.table()
 _EXPAND_MEMO: dict = memo.table()
 _TOP_MEMO: dict = memo.table()
 _CYCLIC_ELEMENT_CACHE: dict = memo.table()
@@ -117,23 +123,17 @@ def stanley_monomials(w: AffinePermutation, nvars: int,
     the inverse window ``y`` with positions ``i, i+1`` swapped.  Each ``J``
     is tested one letter of the canonical word of ``d_J`` at a time and
     dropped at the first letter that is not a descent, so no product and no
-    length is computed.  The route is independent of
-    :func:`cylkit.affine.cyclic_factors`, which the oracle certifies.
+    length is computed; :func:`cylkit.symfunc.chain_table` folds the chains
+    of states ``(y, len(u))`` down to ``(identity, 0)``.  The route is
+    independent of :func:`cylkit.affine.cyclic_factors`, which the oracle
+    certifies.
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
     n = w.n
-    identity = tuple(range(1, n + 1))
 
-    def rec(y: tuple[int, ...], ell: int, left: int) -> dict:
-        key = (n, y, left)
-        hit = _STANLEY_MEMO.get(key)
-        if hit is not None:
-            return hit
-        if left == 0:
-            out = {(): 1} if y == identity else {}
-            return _STANLEY_MEMO.setdefault(key, out)
-        out: dict = {}
+    def step(state: tuple[tuple[int, ...], int]):
+        y, ell = state
         for size in range(min(n - 1, ell) + 1):
             for word in _peel_words(n, size):
                 z = list(y)
@@ -149,12 +149,10 @@ def stanley_monomials(w: AffinePermutation, nvars: int,
                             break
                         z[0], z[-1] = a, b + n
                 else:
-                    for suffix, c in rec(tuple(z), ell - size, left - 1).items():
-                        k = (size,) + suffix
-                        out[k] = out.get(k, 0) + c
-        return _STANLEY_MEMO.setdefault(key, out)
+                    yield (tuple(z), ell - size), size
 
-    table = rec(w.inverse().window, w.length, nvars)
+    table = chain_table(("stanley", n), (w.inverse().window, w.length), nvars,
+                        step, (tuple(range(1, n + 1)), 0))
     return SymmetricPolynomial.from_weight_table(nvars, w.length, table)
 
 
@@ -502,8 +500,6 @@ def gromov_witten(ctype: CylType, lam, d: int, mu, nu,
     Littlewood-Richardson coefficient.  ``cap`` bounds the cell count of
     ``lam/d/mu`` as in :func:`expand_cylindric`.
     """
-    from cylkit.partitions import check_partition, fits_box
-
     m, n = ctype.m, ctype.n
     nu = check_partition(tuple(nu))
     if not fits_box(nu, m, n - m):
@@ -514,15 +510,18 @@ def gromov_witten(ctype: CylType, lam, d: int, mu, nu,
     return expand_cylindric(shape, cap=cap).coeffs.get((nu, 0), 0)
 
 
-def toric_gw_oracle(ctype: CylType, lam, d: int, mu) -> dict[Partition, int]:
+def toric_gw_oracle(ctype: CylType, lam, d: int, mu,
+                    cap: int = DEFAULT_TABLEAU_CAP) -> dict[Partition, int]:
     """Independent route: Schur-resolve the toric polynomial in m variables.
 
     Equals the degree-0 slice of :func:`expand_cylindric` on toric shapes.
+    ``cap`` bounds the cell count as in
+    :func:`cylkit.cylindric.cylindric_schur_poly`.
     """
     shape = shape_new(ctype, lam, d, mu)
     if not is_toric(shape):
         raise InvalidInputError(f"{shape} is not toric")
-    poly = cylindric_schur_poly(shape, ctype.m)
+    poly = cylindric_schur_poly(shape, ctype.m, cap=cap)
     table = expand_in_schur(poly)
     m, n = ctype.m, ctype.n
     for nu in table:

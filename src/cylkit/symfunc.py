@@ -3,9 +3,10 @@
 A :class:`SymmetricPolynomial` is a homogeneous symmetric polynomial in
 ``nvars`` variables, stored as integer coefficients on monomial symmetric
 polynomials ``m_lambda`` (keys are partitions with at most ``nvars`` parts).
-Classical Schur and skew Schur polynomials are built by enumerating
-semistandard tableaux as chains of partitions with horizontal-strip steps,
-and the change of basis into Schur polynomials is done by unitriangular
+:func:`chain_table` is the one memoized fold over chains of steps: classical
+(skew) tableaux are chains of partitions with horizontal-strip steps, and
+cylindric tableaux and Stanley factorizations bring their own step rules.
+The change of basis into Schur polynomials is done by unitriangular
 elimination (:func:`resolve`, which the affine Schur oracle shares).
 Everything is integer-exact; this module is the oracle side of the package
 and is deliberately independent of the cylindric machinery.
@@ -13,23 +14,19 @@ and is deliberately independent of the cylindric machinery.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from math import factorial
 
 from cylkit import memo
 from cylkit.errors import GradingError, InvalidInputError, SolveError
-from cylkit.partitions import (
-    Partition,
-    check_partition,
-    contains,
-    part,
-)
+from cylkit.partitions import Partition, check_partition, contains, part
 
 WeightTable = dict[tuple[int, ...], int]
 
-_SKEW_CHAIN_MEMO: dict = memo.table()
+_CHAIN_MEMO: dict = memo.table()
 
 
 def _orbit_size(lam: Partition, nvars: int) -> int:
@@ -135,47 +132,51 @@ class SymmetricPolynomial:
 # -- Schur polynomials via horizontal-strip chains ---------------------------
 
 
-def _strip_extensions(cur: Partition, lam: Partition):
-    """All partitions ``nxt`` with ``cur <= nxt <= lam`` such that
-    ``nxt/cur`` is a horizontal strip.  Row ranges are independent:
-    ``cur_i <= nxt_i <= min(lam_i, cur_{i-1})``.
+def chain_table(tag, start, steps: int, step: Callable[..., Iterable],
+                end) -> WeightTable:
+    """Weight table of the chains ``start -> ... -> end`` of ``steps`` steps.
+
+    ``step(state)`` yields ``(next state, weight)`` pairs; a chain is keyed
+    by the tuple of its step weights, and only chains that end at ``end``
+    count.  Memoized in one table on ``(tag, state, steps left)``, so
+    ``tag`` must fix everything that ``step`` and ``end`` read besides the
+    state.
+
+    >>> def step(k):  # add 0 or 1 to a counter
+    ...     return ((k, 0), (k + 1, 1))
+    >>> chain_table("doc", 0, 3, step, 2)
+    {(0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}
     """
-    rows = len(lam)
-
-    def rec(i: int):
-        if i > rows:
-            yield ()
-            return
-        lo = part(cur, i)
-        hi = min(part(lam, i), part(cur, i - 1)) if i > 1 else part(lam, 1)
-        for v in range(lo, hi + 1):
-            for rest in rec(i + 1):
-                yield (v,) + rest
-
-    for full in rec(1):
-        yield tuple(v for v in full if v)
+    key = (tag, start, steps)
+    hit = _CHAIN_MEMO.get(key)
+    if hit is not None:
+        return hit
+    if steps == 0:
+        return _CHAIN_MEMO.setdefault(key, {(): 1} if start == end else {})
+    out: WeightTable = {}
+    for nxt, weight in step(start):
+        for suffix, c in chain_table(tag, nxt, steps - 1, step, end).items():
+            k = (weight,) + suffix
+            out[k] = out.get(k, 0) + c
+    return _CHAIN_MEMO.setdefault(key, out)
 
 
 def _skew_weight_table(lam: Partition, mu: Partition, nvars: int) -> WeightTable:
-    """Exponent-vector counts of SSYT chains ``mu -> lam`` in ``nvars`` steps."""
+    """Exponent-vector counts of SSYT chains ``mu -> lam`` in ``nvars`` steps.
 
-    def rec(cur: Partition, steps: int) -> dict[tuple[int, ...], int]:
-        key = (lam, cur, steps)
-        hit = _SKEW_CHAIN_MEMO.get(key)
-        if hit is not None:
-            return hit
-        if steps == 0:
-            out = {(): 1} if cur == lam else {}
-            return _SKEW_CHAIN_MEMO.setdefault(key, out)
-        out: dict[tuple[int, ...], int] = {}
-        for nxt in _strip_extensions(cur, lam):
-            added = sum(nxt) - sum(cur)
-            for suffix, c in rec(nxt, steps - 1).items():
-                k = (added,) + suffix
-                out[k] = out.get(k, 0) + c
-        return _SKEW_CHAIN_MEMO.setdefault(key, out)
+    Each step adds a horizontal strip ``nxt/cur`` inside ``lam``; its row
+    ranges are independent, ``cur_i <= nxt_i <= min(lam_i, cur_{i-1})``.
+    """
 
-    return rec(mu, nvars)
+    def step(cur: Partition):
+        above = lam[:1] + cur
+        size = sum(cur)
+        ranges = [range(part(cur, i), min(bound, part(above, i)) + 1)
+                  for i, bound in enumerate(lam, 1)]
+        for full in itertools.product(*ranges):
+            yield tuple(v for v in full if v), sum(full) - size
+
+    return chain_table(("skew", lam), mu, nvars, step, lam)
 
 
 def schur_poly(lam: Partition, nvars: int) -> SymmetricPolynomial:

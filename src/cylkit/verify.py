@@ -266,7 +266,7 @@ def suite_dual_pieri(max_n: int | None = None, max_len: int | None = None,
 # -- offset shift property and Gromov-Witten slices -----------------------------
 
 
-def _valid_shapes(ctype: CylType, max_cells: int, max_d: int | None = None):
+def valid_shapes(ctype: CylType, max_cells: int, max_d: int | None = None):
     """Every shape ``lam/d/mu`` with ``0 <= cells <= max_cells`` and offset
     ``d <= max_d`` (default ``max_cells // n``), by ``lam``, ``mu``, ``d``."""
     if max_d is None:
@@ -292,7 +292,7 @@ def suite_shift_property(max_n: int | None = None, max_len: int | None = None,
     for m, n in _cut(SHAPE_TYPES, max_n):
         ctype = CylType(m, n)
         box = partitions_in_box(m, n - m)
-        for shape in _valid_shapes(ctype, max_cells):
+        for shape in valid_shapes(ctype, max_cells):
             table = expand_cylindric(shape).coeffs
             if shape.d >= 1:
                 try:
@@ -316,7 +316,7 @@ def suite_shift_property(max_n: int | None = None, max_len: int | None = None,
                         failures.append(("lr", shape, nu))
 
         # toric shapes with offsets up to 2
-        for shape in _valid_shapes(ctype, max_cells, 2):
+        for shape in valid_shapes(ctype, max_cells, 2):
             if not is_toric(shape):
                 continue
             tally.checks += 1
@@ -540,7 +540,7 @@ def suite_grassmannianize_bounds(max_n: int | None = None,
     for m, n in _cut(SHAPE_TYPES, max_n):
         ctype = CylType(m, n)
         bound = (n - m) * (m - 1) // 2
-        for shape in _valid_shapes(ctype, _cap(8, max_len)):
+        for shape in valid_shapes(ctype, _cap(8, max_len)):
             w = skew_word(shape)
             if any(c == 0 for c in letter_multiplicities(w).values()):
                 continue
@@ -599,7 +599,7 @@ def suite_phi(max_n: int | None = None, max_len: int | None = None,
                             == cylindric_schur_poly(s, nvars),
                             "function-equality", (m, n), s, nvars)
 
-        for shape in _valid_shapes(ctype, skew_cells):
+        for shape in valid_shapes(ctype, skew_cells):
             w = skew_word(shape)
             for nvars in range(1, 5):
                 tally.check(stanley_monomials(w, nvars)

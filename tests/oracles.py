@@ -23,14 +23,9 @@ from cylkit.affine import (
     proper_subsets,
 )
 from cylkit.cli import _parse_csv_ints
-from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence, shape_new
-from cylkit.errors import InvalidInputError, ShapeError, SolveError
-from cylkit.partitions import (
-    Partition,
-    check_partition,
-    part,
-    partitions_in_box,
-)
+from cylkit.cylindric import CylindricShape, PeriodicSequence
+from cylkit.errors import InvalidInputError, SolveError
+from cylkit.partitions import Partition, check_partition, part
 from cylkit.stanley import DEFAULT_EXPAND_CAP, stanley_monomials
 from cylkit.symfunc import SymmetricPolynomial
 
@@ -286,6 +281,22 @@ def stanley_monomials_by_products(w: AffinePermutation, nvars: int,
     return SymmetricPolynomial.from_weight_table(nvars, w.length, rec(w, nvars))
 
 
+def skew_schur_by_fillings(lam: Partition, mu: Partition,
+                           nvars: int) -> SymmetricPolynomial:
+    """:func:`cylkit.symfunc.skew_schur_poly` by trying every filling of the
+    cells of ``lam/mu`` with ``1..nvars`` and keeping those whose rows weakly
+    increase and whose columns strictly increase."""
+    cells = [(r, c) for r, row in enumerate(lam)
+             for c in range(part(mu, r + 1), row)]
+    weights: Counter = Counter()
+    for values in itertools.product(range(1, nvars + 1), repeat=len(cells)):
+        entry = dict(zip(cells, values))
+        if all(entry.get((r, c + 1), v) >= v and entry.get((r + 1, c), v + 1) > v
+               for (r, c), v in entry.items()):
+            weights[tuple(values.count(k) for k in range(1, nvars + 1))] += 1
+    return SymmetricPolynomial.from_weight_table(nvars, len(cells), weights)
+
+
 def lr_coefficient_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient by counting lattice-word skew SSYT.
 
@@ -452,26 +463,6 @@ def is_toric_by_columns(shape: CylindricShape) -> bool:
 
 
 # -- cylindric tableaux, cell by cell ----------------------------------------
-
-
-def all_shapes(ctype: CylType, max_cells: int,
-               max_d: int | None = None) -> list[CylindricShape]:
-    """Every valid shape ``lam/d/mu`` with at most ``max_cells`` cells and
-    offset ``d <= max_d`` (default ``max_cells // n``): every triple in the
-    box is tried, and ``shape_new`` refuses the invalid ones."""
-    if max_d is None:
-        max_d = max_cells // ctype.n
-    out = []
-    box = partitions_in_box(ctype.m, ctype.n - ctype.m)
-    for lam, mu in itertools.product(box, box):
-        for d in range(max_d + 1):
-            if not 0 <= sum(lam) - sum(mu) + ctype.n * d <= max_cells:
-                continue
-            try:
-                out.append(shape_new(ctype, lam, d, mu))
-            except ShapeError:
-                continue
-    return out
 
 
 def shape_cells(shape: CylindricShape) -> list[tuple[int, int]]:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from cylkit.cli import (
     EXIT_PARSE,
     EXIT_VERIFY_FAILED,
     FLAGS,
+    MAX_PERIOD,
     REQUIRED,
     _parse_args,
     main,
@@ -451,6 +453,56 @@ class TestGwCap:
         assert out == "" and "exceeds cap 1" in err
         assert run(capsys, "cylindric", *shape, "--cap", "1")[0] == EXIT_CAP
         assert run(capsys, "gw", *shape, "--nu", "3,2,1", "--cap", "6")[0] == EXIT_OK
+
+    def test_cap_reaches_the_toric_oracle(self, capsys):
+        # 17 cells: over the tableau cap's default of 16, under --cap's 40
+        argv = ("gw", "--m", "4", "--n", "9", "--lambda", "5,5,4,3", "--d", "0",
+                "--mu", "", "--nu", "5,5,4,3")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "= 1\n" in out and "toric oracle agreement: True" in out
+        code, out, err = run(capsys, *argv, "--cap", "16")
+        assert code == EXIT_CAP
+        assert out == "" and "exceeds cap 16" in err
+
+
+class TestPeriodCap:
+    HUGE = str(10 ** 9)
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--n", HUGE, "--word", "0"],
+        ["cylindric", "--m", "1", "--n", HUGE],
+        ["gw", "--m", "1", "--n", HUGE],
+        ["corpus", "--n", HUGE, "--maxlen", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_huge_period_exits_3_without_allocating(self, capsys, tmp_path,
+                                                    argv):
+        cache = tmp_path / "corpus.jsonl"
+        if argv[0] == "corpus":
+            argv = [*argv, "--cache", str(cache)]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAP
+        assert out == "" and f"exceeds the period cap {MAX_PERIOD}" in err
+        assert peak < 1 << 20
+        assert not cache.exists()
+
+    def test_the_cap_period_still_answers(self, capsys):
+        code, out, _ = run(capsys, "expand", "--n", str(MAX_PERIOD),
+                           "--word", "0", "--output", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["terms"][0]["coeff"] == 1
+        assert run(capsys, "expand", "--n", str(MAX_PERIOD + 1),
+                   "--word", "0")[0] == EXIT_CAP
+
+    def test_verify_period_is_only_an_upper_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "example2",
+                           "--n", self.HUGE)
+        assert code == EXIT_OK and out.startswith("PASS example2")
 
 
 # The flags of each command, as the argparse front end declared them.

@@ -1,6 +1,7 @@
 """Package layout: every definition in ``src/cylkit`` has a caller there,
-no module of the package or the tests imports a name it does not use, and
-the package computes with integers only.
+no module of the package or the tests imports a name it does not use, no
+function of the package re-imports from a module its file imports at top
+level, and the package computes with integers only.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -113,6 +114,41 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused
              for path in sources
              if (unused := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
+def _source(stmt) -> list[str]:
+    """The modules an import reads from: ``a.b`` for ``import a.b`` and
+    ``a`` for ``from a import b``."""
+    if isinstance(stmt, ast.ImportFrom):
+        return [stmt.module]
+    return [alias.name for alias in stmt.names]
+
+
+def repeated_local_imports(tree: ast.Module) -> list[str]:
+    """Function-local imports from a module that the file also imports at
+    top level.  A lazy import of a module the file does not import at top
+    level (``from cylkit import verify`` in ``cli``) is allowed."""
+    top = {module for stmt in _own_imports(tree) for module in _source(stmt)}
+    return [f"line {stmt.lineno}: {module}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for stmt in _own_imports(node)
+            for module in _source(stmt) if module in top]
+
+
+def test_local_import_check_flags_only_repeats():
+    tree = ast.parse("from a.b import x\nimport c\n\n"
+                     "def f():\n    from a.b import y\n    from a import b\n"
+                     "    import c\n    import d\n")
+    assert sorted(repeated_local_imports(tree)) == ["line 5: a.b", "line 7: c"]
+
+
+def test_no_local_import_of_a_module_imported_at_top_level():
+    found = {path.name: repeated
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (repeated := repeated_local_imports(
+                 ast.parse(path.read_text(encoding="utf-8"))))}
     assert found == {}
 
 

@@ -1,14 +1,24 @@
-"""The memo registry: one ``clear_caches`` empties every table."""
+"""The memo registry: one ``clear_caches`` empties every table, and the
+three weight tables share one chain memo without mixing up their states."""
 
 import importlib
 import pkgutil
+from collections import Counter
+
+import pytest
 
 import cylkit
 from cylkit.affine import AffinePermutation, enumerate_reduced_words
-from cylkit.cylindric import CylType, cylindric_schur_poly, shape_new
+from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, shape_new
 from cylkit.memo import clear_caches
 from cylkit.stanley import expand_cylindric, oracle_expand, stanley_monomials
-from cylkit.symfunc import lr_coeff
+from cylkit.symfunc import SymmetricPolynomial, lr_coeff, skew_schur_poly
+
+from oracles import (
+    cylindric_tableaux,
+    skew_schur_by_fillings,
+    stanley_monomials_by_products,
+)
 
 
 def memo_tables() -> dict[str, dict]:
@@ -31,7 +41,43 @@ def test_clear_caches_empties_every_table():
     lr_coeff((2, 1), (1,), (1, 1))
     enumerate_reduced_words(AffinePermutation.from_word(4, [1, 0, 2]), 6)
     tables = memo_tables()
-    assert len(tables) == 11
+    assert len(tables) == 9
     assert all(tables.values()), [name for name, t in tables.items() if not t]
     clear_caches()
     assert not any(tables.values()), [name for name, t in tables.items() if t]
+
+
+# The skew chain starts at the partition (2, 1) and the cylindric chain at
+# the Gr(2,4) boundary with rows (2, 1), both for three steps: the same
+# (state, steps left) pair, which only the tag of ``chain_table`` tells
+# apart.
+SKEW = ((3, 2, 1), (2, 1), 3)
+CYL = shape_new(CylType(2, 4), (2, 2), 1, (2, 1))
+WORD = AffinePermutation.from_word(4, [1, 0, 2])
+
+FOLDS = {
+    "skew": lambda: skew_schur_poly(*SKEW),
+    "cylindric": lambda: cylindric_schur_poly(CYL, 3),
+    "stanley": lambda: stanley_monomials(WORD, 3),
+}
+
+BRUTE = {
+    "skew": lambda: skew_schur_by_fillings(*SKEW),
+    "cylindric": lambda: SymmetricPolynomial.from_weight_table(
+        3, cell_count(CYL),
+        Counter(t.weight(3) for t in cylindric_tableaux(CYL, 3))),
+    "stanley": lambda: stanley_monomials_by_products(WORD, 3),
+}
+
+
+@pytest.mark.parametrize("order", [list(FOLDS), list(reversed(FOLDS))])
+def test_weight_tables_share_one_chain_memo(order):
+    assert CYL.inner().rows == SKEW[1]
+    cold = {}
+    for name, fold in FOLDS.items():
+        clear_caches()
+        cold[name] = fold()
+    clear_caches()
+    warm = {name: FOLDS[name]() for name in order}
+    for name in FOLDS:
+        assert warm[name] == cold[name] == BRUTE[name](), name
