@@ -244,8 +244,9 @@ def cylindric_schur_poly(shape: CylindricShape, nvars: int,
                          cap: int = DEFAULT_TABLEAU_CAP) -> SymmetricPolynomial:
     """Generating polynomial of cylindric SSYT with entries ``<= nvars``.
 
-    The result is collected into monomial-basis coefficients; symmetry of the
-    weight table is verified during collection.
+    The polynomial is symmetric (Gessel-Krattenthaler 1997, Postnikov
+    2005), so only the tableaux whose content is a partition are counted,
+    one per monomial-basis coefficient.
     """
     total = cell_count(shape)
     if total > cap:

@@ -84,7 +84,6 @@ DEFAULT_ORACLE_CAP = 9
 _EXPAND_MEMO: dict = memo.table()
 _TOP_MEMO: dict = memo.table()
 _CYCLIC_ELEMENT_CACHE: dict = memo.table()
-_ORACLE_BASIS_MEMO: dict = memo.table()
 _PEEL_WORDS_CACHE: dict = memo.table()
 
 
@@ -115,7 +114,8 @@ def stanley_monomials(w: AffinePermutation, nvars: int,
                       cap: int = DEFAULT_STANLEY_CAP) -> SymmetricPolynomial:
     """Coefficient of ``x^alpha``: factorizations of ``w`` into ``nvars``
     cyclically decreasing factors with lengths ``alpha`` (identity factors
-    allowed).  Symmetry of the resulting table is verified on collection.
+    allowed).  ``F_w`` is symmetric (Lam 2006), so only the factorizations
+    whose lengths never increase are counted, one per partition ``alpha``.
 
     Computed by peeling left factors ``u = d_J * rest`` length-additively,
     on the inverse window ``y = u^-1`` alone: ``s_i`` is a left descent of
@@ -420,17 +420,6 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
 # -- brute-force oracle ----------------------------------------------------------
 
 
-def _oracle_column(n: int, lam: Partition) -> tuple[AffinePermutation, dict]:
-    """``g(lam)`` and its monomial table in ``len(g(lam))`` variables, built
-    on first use per ``(n, lam)``."""
-    hit = _ORACLE_BASIS_MEMO.get((n, lam))
-    if hit is None:
-        u = grassmannian_from_kbounded(n, lam)
-        hit = _ORACLE_BASIS_MEMO.setdefault(
-            (n, lam), (u, stanley_monomials(u, u.length).coeffs))
-    return hit
-
-
 def oracle_expand(w: AffinePermutation,
                   cap: int = DEFAULT_ORACLE_CAP) -> AffineSchurExpansion:
     """Expansion coefficients by resolving the monomial table of ``w``
@@ -441,7 +430,8 @@ def oracle_expand(w: AffinePermutation,
     strictly dominance-below ``lam`` (Lam, "Affine Stanley symmetric
     functions", 2006), so :func:`cylkit.symfunc.resolve` clears the table
     lead by lead; a lead with a part ``>= n`` has no basis element.  Only
-    the columns the elimination reaches are built.  :class:`SolveError` is
+    the columns the elimination reaches are built, and the chain memo of
+    :func:`cylkit.symfunc.chain_table` keeps them.  :class:`SolveError` is
     raised if a column is not unitriangular or the table of ``w`` is not in
     their span.
     """
@@ -452,11 +442,14 @@ def oracle_expand(w: AffinePermutation,
         return AffineSchurExpansion(n, {w: 1})
 
     def column(lam: Partition) -> dict | None:
-        return None if lam[0] >= n else _oracle_column(n, lam)[1]
+        if lam[0] >= n:
+            return None
+        g = grassmannian_from_kbounded(n, lam)
+        return stanley_monomials(g, g.length).coeffs
 
     coeffs = resolve(stanley_monomials(w, w.length).coeffs, column)
     return AffineSchurExpansion(
-        n, {_oracle_column(n, lam)[0]: c for lam, c in coeffs.items()})
+        n, {grassmannian_from_kbounded(n, lam): c for lam, c in coeffs.items()})
 
 
 # -- cylindric wrapper -------------------------------------------------------------

@@ -3,9 +3,16 @@
 A :class:`SymmetricPolynomial` is a homogeneous symmetric polynomial in
 ``nvars`` variables, stored as integer coefficients on monomial symmetric
 polynomials ``m_lambda`` (keys are partitions with at most ``nvars`` parts).
-:func:`chain_table` is the one memoized fold over chains of steps: classical
-(skew) tableaux are chains of partitions with horizontal-strip steps, and
-cylindric tableaux and Stanley factorizations bring their own step rules.
+:func:`chain_table` is the one memoized fold over chains of steps whose
+weights never increase: classical (skew) tableaux are chains of partitions
+with horizontal-strip steps, and cylindric tableaux and Stanley
+factorizations bring their own step rules.  All three weight tables are
+symmetric (skew Schur functions by the Bender-Knuth involution, cylindric
+ones by Gessel-Krattenthaler and Postnikov, affine Stanley functions by Lam),
+so the coefficient of ``m_lambda`` is the number of chains whose weights
+spell ``lambda``, and the fold never builds the other rearrangements.  The
+one runtime check on a table is the constructor's: every key is a partition
+of the degree with at most ``nvars`` parts.
 The change of basis into Schur polynomials is done by unitriangular
 elimination (:func:`resolve`, which the affine Schur oracle shares).
 Everything is integer-exact; this module is the oracle side of the package
@@ -15,10 +22,8 @@ and is deliberately independent of the cylindric machinery.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from math import factorial
 
 from cylkit import memo
 from cylkit.errors import GradingError, InvalidInputError, SolveError
@@ -27,15 +32,6 @@ from cylkit.partitions import Partition, check_partition, contains, part
 WeightTable = dict[tuple[int, ...], int]
 
 _CHAIN_MEMO: dict = memo.table()
-
-
-def _orbit_size(lam: Partition, nvars: int) -> int:
-    """Number of distinct rearrangements of ``lam`` padded to ``nvars``."""
-    padded = list(lam) + [0] * (nvars - len(lam))
-    denom = 1
-    for c in Counter(padded).values():
-        denom *= factorial(c)
-    return factorial(nvars) // denom
 
 
 @dataclass(frozen=True)
@@ -71,26 +67,16 @@ class SymmetricPolynomial:
     @staticmethod
     def from_weight_table(nvars: int, degree: int,
                           table: WeightTable) -> "SymmetricPolynomial":
-        """Collapse a full exponent-vector table onto partition keys.
+        """The polynomial whose ``m_lam`` coefficient is the count of ``lam``
+        padded with zeros to ``nvars`` entries.
 
-        Verifies symmetry: every rearrangement of a dominant exponent must be
-        present with the same count.
+        ``table`` holds weakly decreasing exponent vectors, as
+        :func:`chain_table` folds them: those fix a symmetric polynomial.
+        Only trailing zeros are cut, so any other vector fails the
+        constructor's partition check.
         """
-        by_key: dict[Partition, list[int]] = {}
-        for expo, c in table.items():
-            if c == 0:
-                continue
-            if len(expo) != nvars:
-                raise InvalidInputError(
-                    f"exponent vector {expo} does not have {nvars} entries")
-            key = sorted(expo, reverse=True)
-            by_key.setdefault(tuple(key[:nvars - key.count(0)]), []).append(c)
-        coeffs: dict[Partition, int] = {}
-        for lam, bucket in by_key.items():
-            if len(set(bucket)) != 1 or len(bucket) != _orbit_size(lam, nvars):
-                raise InvalidInputError(f"table not symmetric at weight {lam}")
-            coeffs[lam] = bucket[0]
-        return SymmetricPolynomial(nvars, degree, coeffs)
+        return SymmetricPolynomial(nvars, degree, {
+            expo[:nvars - expo.count(0)]: c for expo, c in table.items()})
 
     # -- ring-ish structure ----------------------------------------------------
 
@@ -134,31 +120,39 @@ class SymmetricPolynomial:
 
 def chain_table(tag, start, steps: int, step: Callable[..., Iterable],
                 end) -> WeightTable:
-    """Weight table of the chains ``start -> ... -> end`` of ``steps`` steps.
+    """Weight table of the chains ``start -> ... -> end`` of ``steps`` steps
+    whose step weights never increase.
 
     ``step(state)`` yields ``(next state, weight)`` pairs; a chain is keyed
     by the tuple of its step weights, and only chains that end at ``end``
-    count.  Memoized in one table on ``(tag, state, steps left)``, so
-    ``tag`` must fix everything that ``step`` and ``end`` read besides the
-    state.
+    count.  The tables folded here are symmetric in the step weights, so
+    these chains, keyed by partitions padded with zeros, fix them.  The fold
+    carries the last weight as a bound on the next one and is memoized in
+    one table on ``(tag, state, steps left, bound)``, so ``tag`` must fix
+    everything that ``step`` and ``end`` read besides the state.
 
     >>> def step(k):  # add 0 or 1 to a counter
     ...     return ((k, 0), (k + 1, 1))
     >>> chain_table("doc", 0, 3, step, 2)
-    {(0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    {(1, 1, 0): 1}
     """
-    key = (tag, start, steps)
-    hit = _CHAIN_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if steps == 0:
-        return _CHAIN_MEMO.setdefault(key, {(): 1} if start == end else {})
-    out: WeightTable = {}
-    for nxt, weight in step(start):
-        for suffix, c in chain_table(tag, nxt, steps - 1, step, end).items():
-            k = (weight,) + suffix
-            out[k] = out.get(k, 0) + c
-    return _CHAIN_MEMO.setdefault(key, out)
+
+    def fold(state, left: int, bound: int | None) -> WeightTable:
+        key = (tag, state, left, bound)
+        hit = _CHAIN_MEMO.get(key)
+        if hit is not None:
+            return hit
+        if left == 0:
+            return _CHAIN_MEMO.setdefault(key, {(): 1} if state == end else {})
+        out: WeightTable = {}
+        for nxt, weight in step(state):
+            if bound is None or weight <= bound:
+                for suffix, c in fold(nxt, left - 1, weight).items():
+                    k = (weight,) + suffix
+                    out[k] = out.get(k, 0) + c
+        return _CHAIN_MEMO.setdefault(key, out)
+
+    return fold(start, steps, None)
 
 
 def _skew_weight_table(lam: Partition, mu: Partition, nvars: int) -> WeightTable:

@@ -8,11 +8,13 @@ factorization, subset scans, lattice words) so that agreement is meaningful.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from cylkit.affine import (
     AffinePermutation,
@@ -28,6 +30,39 @@ from cylkit.errors import InvalidInputError, SolveError
 from cylkit.partitions import Partition, check_partition, part
 from cylkit.stanley import DEFAULT_EXPAND_CAP, stanley_monomials
 from cylkit.symfunc import SymmetricPolynomial
+
+
+def orbit_size(lam: Partition, nvars: int) -> int:
+    """Number of distinct rearrangements of ``lam`` padded to ``nvars``."""
+    padded = list(lam) + [0] * (nvars - len(lam))
+    denom = 1
+    for c in Counter(padded).values():
+        denom *= factorial(c)
+    return factorial(nvars) // denom
+
+
+def orbit_collapse(nvars: int, degree: int,
+                   table: dict[tuple[int, ...], int]) -> SymmetricPolynomial:
+    """Collapse a full exponent-vector table onto partition keys.
+
+    Verifies symmetry: every rearrangement of a dominant exponent must be
+    present with the same count.
+    """
+    by_key: dict[Partition, list[int]] = {}
+    for expo, c in table.items():
+        if c == 0:
+            continue
+        if len(expo) != nvars:
+            raise InvalidInputError(
+                f"exponent vector {expo} does not have {nvars} entries")
+        key = sorted(expo, reverse=True)
+        by_key.setdefault(tuple(key[:nvars - key.count(0)]), []).append(c)
+    coeffs: dict[Partition, int] = {}
+    for lam, bucket in by_key.items():
+        if len(set(bucket)) != 1 or len(bucket) != orbit_size(lam, nvars):
+            raise InvalidInputError(f"table not symmetric at weight {lam}")
+        coeffs[lam] = bucket[0]
+    return SymmetricPolynomial(nvars, degree, coeffs)
 
 
 def unfolded_inversions(w: AffinePermutation, periods: int = 6) -> int:
@@ -101,14 +136,25 @@ def word_has_braid_factor(n: int, word: tuple[int, ...]) -> bool:
     return False
 
 
+@functools.cache
+def _cyclic_element(n: int, members: frozenset[int],
+                    decreasing: bool) -> AffinePermutation:
+    return CyclicSet(n, members, decreasing).element()
+
+
+@functools.cache
 def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "right",
                               direction: str = "decreasing") -> list[frozenset[int]]:
     """Every ``J`` of ``size`` splitting off ``d_J`` (or ``u_J``) on ``side``
-    length-additively, by multiplying out all ``C(n, size)`` candidates."""
+    length-additively, by multiplying out all ``C(n, size)`` candidates.
+
+    Memoized per ``(w, size, side, direction)``: the certifications of
+    ``cyclic_factors`` and ``max_cyclic_factor`` scan the same elements, so
+    each scan runs once; callers must not change the list."""
     decreasing = direction == "decreasing"
     out = []
     for members in proper_subsets(w.n, size):
-        inv = CyclicSet(w.n, members, not decreasing).element()  # (d_J)^-1 == u_J
+        inv = _cyclic_element(w.n, members, not decreasing)  # (d_J)^-1 == u_J
         quotient = w * inv if side == "right" else inv * w
         if quotient.length == w.length - size:
             out.append(members)
@@ -210,7 +256,7 @@ def dual_pieri_branches_exhaustive(w: AffinePermutation, part_size: int,
         return None
     b_plus, b_minus = [], []
     for members in proper_subsets(n, part_size):
-        u_j = CyclicSet(n, members, False).element()
+        u_j = _cyclic_element(n, members, False)
         x = u_j * wprime
         if x.length == wprime.length - part_size:
             b_plus.append(x)
@@ -278,7 +324,7 @@ def stanley_monomials_by_products(w: AffinePermutation, nvars: int,
         memo[key] = out
         return out
 
-    return SymmetricPolynomial.from_weight_table(nvars, w.length, rec(w, nvars))
+    return orbit_collapse(nvars, w.length, rec(w, nvars))
 
 
 def skew_schur_by_fillings(lam: Partition, mu: Partition,
@@ -294,7 +340,7 @@ def skew_schur_by_fillings(lam: Partition, mu: Partition,
         if all(entry.get((r, c + 1), v) >= v and entry.get((r + 1, c), v + 1) > v
                for (r, c), v in entry.items()):
             weights[tuple(values.count(k) for k in range(1, nvars + 1))] += 1
-    return SymmetricPolynomial.from_weight_table(nvars, len(cells), weights)
+    return orbit_collapse(nvars, len(cells), weights)
 
 
 def lr_coefficient_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:

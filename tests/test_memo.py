@@ -12,10 +12,11 @@ from cylkit.affine import AffinePermutation, enumerate_reduced_words
 from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, shape_new
 from cylkit.memo import clear_caches
 from cylkit.stanley import expand_cylindric, oracle_expand, stanley_monomials
-from cylkit.symfunc import SymmetricPolynomial, lr_coeff, skew_schur_poly
+from cylkit.symfunc import lr_coeff, skew_schur_poly
 
 from oracles import (
     cylindric_tableaux,
+    orbit_collapse,
     skew_schur_by_fillings,
     stanley_monomials_by_products,
 )
@@ -41,7 +42,7 @@ def test_clear_caches_empties_every_table():
     lr_coeff((2, 1), (1,), (1, 1))
     enumerate_reduced_words(AffinePermutation.from_word(4, [1, 0, 2]), 6)
     tables = memo_tables()
-    assert len(tables) == 9
+    assert len(tables) == 8
     assert all(tables.values()), [name for name, t in tables.items() if not t]
     clear_caches()
     assert not any(tables.values()), [name for name, t in tables.items() if t]
@@ -49,8 +50,8 @@ def test_clear_caches_empties_every_table():
 
 # The skew chain starts at the partition (2, 1) and the cylindric chain at
 # the Gr(2,4) boundary with rows (2, 1), both for three steps: the same
-# (state, steps left) pair, which only the tag of ``chain_table`` tells
-# apart.
+# (state, steps left, bound) keys, which only the tag of ``chain_table``
+# tells apart.
 SKEW = ((3, 2, 1), (2, 1), 3)
 CYL = shape_new(CylType(2, 4), (2, 2), 1, (2, 1))
 WORD = AffinePermutation.from_word(4, [1, 0, 2])
@@ -63,7 +64,7 @@ FOLDS = {
 
 BRUTE = {
     "skew": lambda: skew_schur_by_fillings(*SKEW),
-    "cylindric": lambda: SymmetricPolynomial.from_weight_table(
+    "cylindric": lambda: orbit_collapse(
         3, cell_count(CYL),
         Counter(t.weight(3) for t in cylindric_tableaux(CYL, 3))),
     "stanley": lambda: stanley_monomials_by_products(WORD, 3),

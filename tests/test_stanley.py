@@ -360,6 +360,19 @@ class TestExpansion:
         w = W(n, 0, h, 1, h + 1)
         assert expand_affine_schur(w) == oracle_expand(w)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_oracle_random_length_at_least_n(self, n, seed):
+        # length 9, the oracle's cap: start at the identity and keep
+        # random ascents
+        rng = random.Random(seed)
+        w = AffinePermutation.identity(n)
+        while w.length < 9:
+            v = w.times_s(rng.randrange(n))
+            if v.length > w.length:
+                w = v
+        assert expand_affine_schur(w) == oracle_expand(w)
+
     def test_positivity_and_support(self):
         for w in elements_by_length(4, 5)[5]:
             exp = expand_affine_schur(w)

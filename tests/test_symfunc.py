@@ -3,7 +3,7 @@
 import pytest
 
 from cylkit.errors import GradingError, InvalidInputError
-from cylkit.partitions import partitions_in_box, partitions_of
+from cylkit.partitions import contains, partitions_in_box, partitions_of
 from cylkit.symfunc import (
     SymmetricPolynomial,
     expand_in_schur,
@@ -12,7 +12,12 @@ from cylkit.symfunc import (
     skew_schur_poly,
 )
 
-from oracles import lr_coefficient_lattice, poly_mul_monomial_tables
+from oracles import (
+    lr_coefficient_lattice,
+    orbit_collapse,
+    poly_mul_monomial_tables,
+    skew_schur_by_fillings,
+)
 
 
 class TestArithmetic:
@@ -40,18 +45,23 @@ class TestArithmetic:
 
 
 class TestFromWeightTable:
-    # m_21 + 2 m_111 in three variables, one count per exponent vector
+    # m_21 + 2 m_111 in three variables, one count per exponent vector: the
+    # full table is what the oracles' orbit collapse reads, its weakly
+    # decreasing vectors what from_weight_table reads
     FULL = {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1, (0, 2, 1): 1,
             (1, 0, 2): 1, (0, 1, 2): 1, (1, 1, 1): 2}
+    DOMINANT = {(2, 1, 0): 1, (1, 1, 1): 2}
 
     def test_collapses_onto_partitions(self):
-        poly = SymmetricPolynomial.from_weight_table(3, 3, self.FULL)
+        poly = orbit_collapse(3, 3, self.FULL)
         assert poly.coeffs == {(2, 1): 1, (1, 1, 1): 2}
+        assert SymmetricPolynomial.from_weight_table(3, 3, self.DOMINANT) == poly
 
     def test_zero_counts_are_skipped(self):
-        table = self.FULL | {(3, 0, 0): 0}
-        assert SymmetricPolynomial.from_weight_table(3, 3, table).coeffs == {
-            (2, 1): 1, (1, 1, 1): 2}
+        expected = {(2, 1): 1, (1, 1, 1): 2}
+        assert orbit_collapse(3, 3, self.FULL | {(3, 0, 0): 0}).coeffs == expected
+        assert SymmetricPolynomial.from_weight_table(
+            3, 3, self.DOMINANT | {(3, 0, 0): 0}).coeffs == expected
 
     @pytest.mark.parametrize("change", [
         {(2, 1, 0): 0},  # a rearrangement missing
@@ -61,11 +71,19 @@ class TestFromWeightTable:
     def test_asymmetric_table_rejected(self, change):
         table = self.FULL | change
         with pytest.raises(InvalidInputError, match="not symmetric"):
-            SymmetricPolynomial.from_weight_table(3, 3, table)
+            orbit_collapse(3, 3, table)
 
     def test_exponent_vector_length_checked(self):
         with pytest.raises(InvalidInputError, match="entries"):
-            SymmetricPolynomial.from_weight_table(3, 3, {(2, 1): 1})
+            orbit_collapse(3, 3, {(2, 1): 1})
+
+    @pytest.mark.parametrize("expo, message", [
+        ((2, 0, 1), "must be positive"),  # a zero before a positive part
+        ((1, 2, 0), "must weakly decrease"),
+    ])
+    def test_non_dominant_vector_rejected(self, expo, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SymmetricPolynomial.from_weight_table(3, 3, {expo: 1})
 
 
 class TestSchur:
@@ -124,14 +142,30 @@ class TestSkewSchur:
         with pytest.raises(InvalidInputError):
             skew_schur_poly((1,), (2,), 3)
 
+    def test_matches_fillings(self):
+        # the partition-ordered strip chains against every filling of the
+        # cells, whose full weight table the oracle checks for symmetry:
+        # every mu inside lam with |lam| <= 6, in 1-3 variables, 690 cases
+        cases = 0
+        for size in range(7):
+            for lam in partitions_of(size):
+                for inner_size in range(size + 1):
+                    for mu in partitions_of(inner_size):
+                        if not contains(lam, mu):
+                            continue
+                        for nvars in (1, 2, 3):
+                            assert (skew_schur_poly(lam, mu, nvars)
+                                    == skew_schur_by_fillings(lam, mu, nvars)), (
+                                lam, mu, nvars)
+                            cases += 1
+        assert cases == 690
+
     def test_full_first_row_cancels(self):
         # s_{(3,3,2,1)/(3)} = s_{(3,2,1)}
         assert skew_schur_poly((3, 3, 2, 1), (3,), 4) == schur_poly((3, 2, 1), 4)
 
     def test_positivity_of_expansions(self):
         # every skew expansion is non-negative, shapes up to seven cells
-        from cylkit.partitions import contains
-
         for total in range(1, 8):
             for lam in partitions_of(total):
                 for inner_size in range(total):
