@@ -7,6 +7,13 @@ and ``sum(w(1..n)) = n(n+1)/2``; it is stored as the window
 ``s_i`` swaps window *positions* ``i`` and ``i+1`` (with value shifts of
 ``+-n`` at the wraparound), left multiplication swaps window *values*.
 
+Every reader works on the window tuple, or on one list of it: a right
+descent at ``i`` is the adjacent pair ``w(i) > w(i+1)`` (``w(0) = w(n) -
+n``), a Grassmannian test is a descent scan, reduced words and products of
+letters are swaps on one list, and rotation is index arithmetic.  None
+evaluates ``w(i)`` one index at a time or builds an element per step; that
+one-index reader is the test suite's oracle (``tests/oracles.py``).
+
 Also here: the code ``(c_1, ..., c_n)``, cyclically decreasing/increasing
 elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ``, the
 one-sided cyclic factors of an element (all of one size, and the maximal
@@ -29,6 +36,30 @@ Word = tuple[int, ...]
 
 _REDUCED_WORDS_MEMO: dict[tuple[int, Word], tuple[Word, ...]] = memo.table()
 _GRASSMANNIAN_MEMO: dict = memo.table()
+
+
+def _swap(win: list[int], n: int, i: int) -> bool:
+    """Right multiplication by ``s_i`` (``0 <= i < n``) on a window list, in
+    place: swap positions ``i`` and ``i + 1``, where position 0 holds
+    ``w(0) = w(n) - n``.  True iff ``i`` was a right descent, i.e. the
+    length fell by one."""
+    if i:
+        left, right = win[i - 1], win[i]
+        win[i - 1], win[i] = right, left
+    else:
+        left, right = win[n - 1] - n, win[0]
+        win[0], win[n - 1] = left, right + n
+    return left > right
+
+
+def _descents(win, n: int) -> Iterator[int]:
+    """The right descents ``i`` of a window (``w(i) > w(i+1)``, with
+    ``w(0) = w(n) - n``), in increasing order."""
+    if win[n - 1] - n > win[0]:
+        yield 0
+    for i in range(1, n):
+        if win[i - 1] > win[i]:
+            yield i
 
 
 @dataclass(frozen=True)
@@ -93,18 +124,16 @@ class AffinePermutation:
 
     @staticmethod
     def from_word(n: int, letters: Iterable[int]) -> "AffinePermutation":
-        """Product ``s_{i1} ... s_{il}`` applied to the identity window."""
-        w = AffinePermutation.identity(n)
+        """Product ``s_{i1} ... s_{il}`` applied to the identity window.
+
+        The letters are swapped into one list, and the length moves by one
+        per letter as in :meth:`times_s`.
+        """
+        win = list(AffinePermutation.identity(n).window)
+        length = 0
         for i in letters:
-            w = w.times_s(i)
-        return w
-
-    # -- evaluation --------------------------------------------------------
-
-    def value(self, i: int) -> int:
-        """``w(i)`` for any integer ``i`` via the periodic extension."""
-        j = (i - 1) % self.n
-        return self.window[j] + (i - 1 - j)
+            length += -1 if _swap(win, n, i % n) else 1
+        return AffinePermutation._trusted(n, tuple(win), length)
 
     # -- group structure ---------------------------------------------------
 
@@ -136,17 +165,11 @@ class AffinePermutation:
         A cached length moves by one: down iff ``w(i) > w(i+1)``.
         """
         n = self.n
-        i = i % n
         win = list(self.window)
-        if i == 0:
-            left, right = win[n - 1] - n, win[0]  # w(0), w(1)
-            win[0], win[n - 1] = left, right + n
-        else:
-            left, right = win[i - 1], win[i]
-            win[i - 1], win[i] = right, left
+        descent = _swap(win, n, i % n)
         length = self._known_length()
         if length is not None:
-            length += -1 if left > right else 1
+            length += -1 if descent else 1
         return AffinePermutation._trusted(n, tuple(win), length)
 
     # -- length and descents -----------------------------------------------
@@ -172,30 +195,41 @@ class AffinePermutation:
 
     def has_right_descent(self, i: int) -> bool:
         """True iff ``len(w * s_i) < len(w)``, i.e. ``w(i) > w(i+1)``."""
-        return self.value(i) > self.value(i + 1)
+        n, win = self.n, self.window
+        i %= n
+        return win[i - 1] > win[i] if i else win[n - 1] - n > win[0]
 
     def right_descents(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.n) if self.has_right_descent(i))
+        return frozenset(_descents(self.window, self.n))
 
     def reduced_word(self) -> Word:
-        """One canonical reduced word (greedy smallest right descent)."""
-        w, letters = self, []
-        while not w.is_identity():
-            i = min(w.right_descents())
+        """One canonical reduced word (greedy smallest right descent),
+        peeled off one list of the window."""
+        n, win, letters = self.n, list(self.window), []
+        i = next(_descents(win, n), None)
+        while i is not None:
+            _swap(win, n, i)
             letters.append(i)
-            w = w.times_s(i)
+            i = next(_descents(win, n), None)
         return tuple(reversed(letters))
 
     # -- Grassmannian tests and statistics -----------------------------------
 
     def is_grassmannian(self, p: int) -> bool:
-        """True iff ``w(p+1) < w(p+2) < ... < w(p+n)``.
+        """True iff ``w(p+1) < w(p+2) < ... < w(p+n)``, i.e. iff no adjacent
+        window pair but the one at ``p`` is a right descent.
 
         Equivalently every reduced word ends with ``s_p``; the identity is
         declared p-Grassmannian for every p (empty descent set).
         """
-        return all(self.value(p + t) < self.value(p + t + 1)
-                   for t in range(1, self.n))
+        n, win = self.n, self.window
+        k = p % n
+        if k and win[n - 1] - n > win[0]:
+            return False
+        for i in range(1, n):
+            if i != k and win[i - 1] > win[i]:
+                return False
+        return True
 
     def code(self) -> tuple[int, ...]:
         """``(c_1, ..., c_n)``: ``c_i`` counts the ``j < i`` with ``w(j) >
@@ -243,16 +277,18 @@ def is_321_avoiding(w: AffinePermutation) -> bool:
     Equivalent to no reduced word containing a factor ``s_i s_{i+-1} s_i``
     (the equivalence is exercised by the test suite).
     """
-    n = w.n
-    shift = max(abs(w.value(t) - t) for t in range(1, n + 1))
+    n, win = w.n, w.window
+    shift = max(abs(v - t) for t, v in enumerate(win, 1))
     reach = 2 * shift + 1
-    for i in range(1, n + 1):
-        wi = w.value(i)
+    # ext[i - 1] == w(i) for i = 1 .. n + 2 * reach, the last position read
+    ext = [win[i % n] + i - i % n for i in range(n + 2 * reach)]
+    for i in range(n):
+        wi = ext[i]
         for j in range(i + 1, i + reach + 1):
-            wj = w.value(j)
+            wj = ext[j]
             if wi > wj:
                 for l in range(j + 1, j + reach + 1):
-                    if wj > w.value(l):
+                    if wj > ext[l]:
                         return False
     return True
 
@@ -507,11 +543,14 @@ def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
 def rotate(w: AffinePermutation, t: int) -> AffinePermutation:
     """The rotation automorphism ``f^t: s_i -> s_{i+t}``.
 
-    Conjugation by the shift ``j -> j + t``; window ``f^t(w)(i) = w(i-t)+t``.
+    Conjugation by the shift ``j -> j + t``; window ``f^t(w)(i) = w(i-t)+t``,
+    which with ``k = t mod n`` is the window turned right by ``k`` places,
+    its last ``k`` entries shifted by ``k - n`` and the others by ``k``.
     """
-    n = w.n
-    return AffinePermutation._trusted(
-        n, tuple(w.value(i - t) + t for i in range(1, n + 1)), w._known_length())
+    n, win = w.n, w.window
+    k = t % n
+    turned = tuple(v + k - n for v in win[n - k:]) + tuple(v + k for v in win[:n - k])
+    return AffinePermutation._trusted(n, turned, w._known_length())
 
 
 # -- enumeration -------------------------------------------------------------

@@ -47,7 +47,6 @@ from cylkit.affine import (
 from cylkit.cylindric import (
     CylType,
     cell_count,
-    in_A,
     is_toric,
     render_shape,
     shape_new,
@@ -121,7 +120,7 @@ def cmd_expand(args: SimpleNamespace) -> int:
     w = AffinePermutation.from_word(args.n, args.word)
     ctype = CylType(args.m, args.n) if args.m is not None else None
     expansion = expand_affine_schur(w, ctype=ctype, cap=args.cap)
-    rows = expansion.to_rows(ctype if ctype and in_A(w, ctype) else None)
+    rows = expansion.to_rows()
     payload = {"command": "expand", "n": args.n,
                "word": list(args.word), "window": list(w.window),
                "terms": rows}

@@ -13,9 +13,11 @@ A shape ``lam/d/mu`` is the region between the boundaries of ``mu[0]``
 at rows ``d+1 .. d+m``.  The nilCoxeter element ``A_w`` acts by permuting
 the addable diagonals: row ``p`` can take a box on diagonal ``a_p = R_p + 1
 - p``, and ``A_w`` moves each ``a_p`` to ``w(a_p)``.  The result is a
-boundary with ``len(w)`` more cells per period, or zero.  Read backwards,
-the same map gives the boundary word of two nested boundaries, from which
-come skew words and the inverse of the bijection ``phi``.
+boundary with ``len(w)`` more cells per period, or zero; its rows are read
+off the window of ``w``, and a nonzero result is a boundary by
+construction, so it is built without re-validation.  Read backwards, the
+same map gives the boundary word of two nested boundaries, from which come
+skew words and the inverse of the bijection ``phi``.
 
 Cylindric tableaux are chains of boundaries with horizontal-strip steps,
 folded over the row bounds by :func:`cylkit.symfunc.chain_table`.
@@ -78,6 +80,19 @@ class PeriodicSequence:
             raise InvalidInputError(
                 f"rows must satisfy R1 >= ... >= Rm >= R1 - (n-m): {self.rows}")
 
+    @classmethod
+    def _trusted(cls, ctype: CylType, rows: tuple[int, ...]) -> "PeriodicSequence":
+        """Build without validation.
+
+        Invariant: ``rows`` is a nonzero image of :meth:`act` on a valid
+        boundary, which adds one box per letter of a reduced word and so
+        keeps the inequalities (certified in the test suite).  Input from
+        outside the package goes through the public constructor instead.
+        """
+        b = object.__new__(cls)
+        b.__dict__.update(ctype=ctype, rows=rows)
+        return b
+
     def row_bound(self, p: int) -> int:
         """Right edge of row ``p``; decreases with ``R_{p+m} = R_p - (n-m)``."""
         m, n = self.ctype.m, self.ctype.n
@@ -96,16 +111,19 @@ class PeriodicSequence:
         counts the inversions carrying an addable position past a non-addable
         one minus those going the other way; it reaches ``len(w)`` iff every
         inversion is of the first kind, i.e. iff each letter of a reduced
-        word adds one box.
+        word adds one box.  The rows are read off the window, and a nonzero
+        result is a boundary by that argument, so it is not re-validated.
         """
         n = self.ctype.n
         if w.n != n:
             raise InvalidInputError(f"period mismatch: {w.n} vs {n}")
-        rows = tuple(w.value(bound + 1 - p) + p - 1
-                     for p, bound in enumerate(self.rows, 1))
+        win, rows = w.window, []
+        for p, bound in enumerate(self.rows, 1):
+            j = (bound - p) % n  # w(a_p) = win[j] + (a_p - 1 - j)
+            rows.append(win[j] + bound - 1 - j)
         if sum(rows) - sum(self.rows) != w.length:
             return None
-        return PeriodicSequence(self.ctype, rows)
+        return PeriodicSequence._trusted(self.ctype, tuple(rows))
 
     def apply_word(self, word: Word) -> "PeriodicSequence | None":
         """The nilCoxeter word action, one letter at a time (right to left).

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cylkit import memo
 from cylkit.affine import (
@@ -72,6 +72,7 @@ from cylkit.errors import CapExceededError, InvalidInputError, PositivityError
 from cylkit.partitions import Partition, check_partition, fits_box, schedule_less
 from cylkit.symfunc import (
     SymmetricPolynomial,
+    WeightTable,
     chain_table,
     expand_in_schur,
     resolve,
@@ -112,10 +113,19 @@ def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 def stanley_monomials(w: AffinePermutation, nvars: int,
                       cap: int = DEFAULT_STANLEY_CAP) -> SymmetricPolynomial:
+    """The monomial expansion of ``F_w`` in ``nvars`` variables: the table
+    of :func:`_stanley_table`, validated as a symmetric polynomial."""
+    return SymmetricPolynomial.from_weight_table(
+        nvars, w.length, _stanley_table(w, nvars, cap))
+
+
+def _stanley_table(w: AffinePermutation, nvars: int,
+                   cap: int = DEFAULT_STANLEY_CAP) -> WeightTable:
     """Coefficient of ``x^alpha``: factorizations of ``w`` into ``nvars``
     cyclically decreasing factors with lengths ``alpha`` (identity factors
     allowed).  ``F_w`` is symmetric (Lam 2006), so only the factorizations
-    whose lengths never increase are counted, one per partition ``alpha``.
+    whose lengths never increase are counted, one per partition ``alpha``
+    padded with zeros to ``nvars`` entries (the raw chain table).
 
     Computed by peeling left factors ``u = d_J * rest`` length-additively,
     on the inverse window ``y = u^-1`` alone: ``s_i`` is a left descent of
@@ -151,19 +161,21 @@ def stanley_monomials(w: AffinePermutation, nvars: int,
                 else:
                     yield (tuple(z), ell - size), size
 
-    table = chain_table(("stanley", n), (w.inverse().window, w.length), nvars,
-                        step, (tuple(range(1, n + 1)), 0))
-    return SymmetricPolynomial.from_weight_table(nvars, w.length, table)
+    return chain_table(("stanley", n), (w.inverse().window, w.length), nvars,
+                       step, (tuple(range(1, n + 1)), 0))
 
 
 # -- Grassmannianization -------------------------------------------------------
 
 
 def _already_grassmannian(w: AffinePermutation) -> tuple[AffinePermutation, int] | None:
-    for p in range(w.n):
-        if w.is_grassmannian(p):
-            return AffinePermutation.identity(w.n), p
-    return None
+    """``(identity, p)`` for the least ``p`` with ``w`` p-Grassmannian, or
+    None: ``w`` is p-Grassmannian iff its right descents lie in ``{p}``, so
+    one descent scan decides, and the identity takes ``p = 0``."""
+    descents = w.right_descents()
+    if len(descents) > 1:
+        return None
+    return AffinePermutation.identity(w.n), min(descents, default=0)
 
 
 def grassmannianize(w: AffinePermutation) -> tuple[AffinePermutation, int]:
@@ -283,10 +295,13 @@ def grassmannianize_321(w: AffinePermutation,
 
 @dataclass(frozen=True)
 class AffineSchurExpansion:
-    """Integer coefficients on 0-Grassmannian keys."""
+    """Integer coefficients on 0-Grassmannian keys; ``basis`` is the type
+    whose basis holds the expanded element, when one was given (the keys
+    then also render as shape pairs)."""
 
     n: int
     coeffs: dict  # AffinePermutation -> int
+    basis: CylType | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for u, c in self.coeffs.items():
@@ -299,16 +314,16 @@ class AffineSchurExpansion:
         return sorted(self.coeffs.items(),
                       key=lambda item: (item[0].length, item[0].window))
 
-    def to_rows(self, ctype: CylType | None = None) -> list[dict]:
-        """Keys rendered as window, k-bounded partition, and (with a type)
-        as the shape pair (nu, e)."""
+    def to_rows(self) -> list[dict]:
+        """Keys rendered as window, k-bounded partition, and (with a basis
+        type) as the shape pair (nu, e)."""
         rows = []
         for u, c in self.items_sorted():
             row = {"n": self.n, "window": list(u.window),
                    "word": list(u.reduced_word()),
                    "kbounded": list(shape_of(u)), "coeff": c}
-            if ctype is not None:
-                s = phi(u, ctype)
+            if self.basis is not None:
+                s = phi(u, self.basis)
                 row["nu"] = list(s.lam)
                 row["e"] = s.d
             rows.append(row)
@@ -331,11 +346,11 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     n = w.n
     if not 1 <= part_size <= n - 1 or part_index < 1:
         raise InvalidInputError(f"bad block ({part_size}, {part_index})")
-    J0 = interval_set(n, -part_index + 1, part_size - part_index, True)
-    wprime = w * J0.element()
+    J0 = interval_set(n, -part_index + 1, part_size - part_index, True).members
+    wprime = w * _cyclic(n, J0, True)
     right = cyclic_factors(wprime, part_size, "right", "decreasing")
     # J0 is admissible iff len(w') == len(w) + part_size
-    if J0.members not in right:
+    if J0 not in right:
         raise InvalidInputError("tail block is not length-additive")
 
     def branch(x: AffinePermutation) -> AffinePermutation:
@@ -345,7 +360,7 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     b_plus = [branch(_cyclic(n, J, False) * wprime)
               for J in cyclic_factors(wprime, part_size, "left", "decreasing")]
     b_minus = [(J, branch(wprime * _cyclic(n, J, False)))
-               for J in right if J != J0.members]
+               for J in right if J != J0]
     return b_plus, b_minus
 
 
@@ -389,16 +404,17 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
     """``F_w = sum c_u F_u`` over 0-Grassmannian ``u``; all ``c_u >= 0``.
 
     With a type given and ``w`` in its basis, the support is checked to stay
-    in the basis.  Raises :class:`PositivityError` if a negative coefficient
-    survives to the final table (an internal bug, never a property of the
-    input).
+    in the basis, and the result carries the type as its ``basis``.  Raises
+    :class:`PositivityError` if a negative coefficient survives to the final
+    table (an internal bug, never a property of the input).
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
     n = w.n
+    basis = ctype if ctype is not None and in_A(w, ctype) else None
     table = _TOP_MEMO.get((n, w.window))
     if table is None:
-        tight = (ctype is not None and in_A(w, ctype)
+        tight = (basis is not None
                  and all(c > 0 for c in letter_multiplicities(w).values()))
         v, p = grassmannianize_321(w, ctype) if tight else grassmannianize(w)
         w0, v0 = rotate(w, -p), rotate(v, -p)
@@ -409,12 +425,12 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
         if any(c < 0 for c in table.values()):
             raise PositivityError(f"negative final coefficient for {w}: {table}")
         table = _TOP_MEMO.setdefault((n, w.window), table)
-    if ctype is not None and in_A(w, ctype):
+    if basis is not None:
         for u in table:
-            if not in_A0(u, ctype):
+            if not in_A0(u, basis):
                 raise PositivityError(
                     f"support left the basis: {u} for input {w}")
-    return AffineSchurExpansion(n, table)
+    return AffineSchurExpansion(n, table, basis)
 
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -431,9 +447,12 @@ def oracle_expand(w: AffinePermutation,
     functions", 2006), so :func:`cylkit.symfunc.resolve` clears the table
     lead by lead; a lead with a part ``>= n`` has no basis element.  Only
     the columns the elimination reaches are built, and the chain memo of
-    :func:`cylkit.symfunc.chain_table` keeps them.  :class:`SolveError` is
-    raised if a column is not unitriangular or the table of ``w`` is not in
-    their span.
+    :func:`cylkit.symfunc.chain_table` keeps them.  The elimination runs on
+    the raw chain tables, keyed by partitions padded with zeros to the
+    degree (padding keeps the lex order), and each lead is validated once,
+    as the partition of its basis element.  :class:`SolveError` is raised
+    if a column is not unitriangular or the table of ``w`` is not in their
+    span.
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds oracle cap {cap}")
@@ -441,15 +460,17 @@ def oracle_expand(w: AffinePermutation,
     if w.length == 0:
         return AffineSchurExpansion(n, {w: 1})
 
-    def column(lam: Partition) -> dict | None:
-        if lam[0] >= n:
-            return None
-        g = grassmannian_from_kbounded(n, lam)
-        return stanley_monomials(g, g.length).coeffs
+    def element(lead: tuple[int, ...]) -> AffinePermutation:
+        return grassmannian_from_kbounded(n, lead[:len(lead) - lead.count(0)])
 
-    coeffs = resolve(stanley_monomials(w, w.length).coeffs, column)
-    return AffineSchurExpansion(
-        n, {grassmannian_from_kbounded(n, lam): c for lam, c in coeffs.items()})
+    def column(lead: tuple[int, ...]) -> dict | None:
+        if lead[0] >= n:
+            return None
+        g = element(lead)
+        return _stanley_table(g, g.length)
+
+    coeffs = resolve(_stanley_table(w, w.length), column)
+    return AffineSchurExpansion(n, {element(lead): c for lead, c in coeffs.items()})
 
 
 # -- cylindric wrapper -------------------------------------------------------------

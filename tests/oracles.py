@@ -65,14 +65,103 @@ def orbit_collapse(nvars: int, degree: int,
     return SymmetricPolynomial(nvars, degree, coeffs)
 
 
+# -- the slow readers: one value w(i) at a time ---------------------------------
+#
+# The package reads descents, Grassmannian tests, words, rotations and
+# boundary actions straight off the window; these are the per-index routes
+# it replaced, kept as the references it is certified against.
+
+
+def value(w: AffinePermutation, i: int) -> int:
+    """``w(i)`` for any integer ``i`` via the periodic extension."""
+    j = (i - 1) % w.n
+    return w.window[j] + (i - 1 - j)
+
+
+def has_right_descent_by_values(w: AffinePermutation, i: int) -> bool:
+    return value(w, i) > value(w, i + 1)
+
+
+def right_descents_by_values(w: AffinePermutation) -> frozenset[int]:
+    return frozenset(i for i in range(w.n) if has_right_descent_by_values(w, i))
+
+
+def is_grassmannian_by_values(w: AffinePermutation, p: int) -> bool:
+    """``w(p+1) < w(p+2) < ... < w(p+n)``, one value at a time."""
+    return all(value(w, p + t) < value(w, p + t + 1) for t in range(1, w.n))
+
+
+def reduced_word_by_steps(w: AffinePermutation) -> tuple[int, ...]:
+    """The greedy word (smallest right descent first), one element per
+    letter."""
+    letters = []
+    while not w.is_identity():
+        i = min(right_descents_by_values(w))
+        letters.append(i)
+        w = w.times_s(i)
+    return tuple(reversed(letters))
+
+
+def rotate_by_values(w: AffinePermutation, t: int) -> AffinePermutation:
+    """``f^t(w)(i) = w(i - t) + t`` through the validating constructor."""
+    return AffinePermutation(
+        w.n, tuple(value(w, i - t) + t for i in range(1, w.n + 1)))
+
+
+def is_321_avoiding_by_values(w: AffinePermutation) -> bool:
+    """No ``i < j < l`` with ``w(i) > w(j) > w(l)``, over the same ranges as
+    the window criterion but one value at a time."""
+    n = w.n
+    shift = max(abs(value(w, t) - t) for t in range(1, n + 1))
+    reach = 2 * shift + 1
+    for i in range(1, n + 1):
+        wi = value(w, i)
+        for j in range(i + 1, i + reach + 1):
+            wj = value(w, j)
+            if wi > wj:
+                for l in range(j + 1, j + reach + 1):
+                    if wj > value(w, l):
+                        return False
+    return True
+
+
+def from_word_by_steps(n: int, letters) -> AffinePermutation:
+    """The product of the letters, one ``times_s`` element per letter."""
+    w = AffinePermutation.identity(n)
+    for i in letters:
+        w = w.times_s(i)
+    return w
+
+
+def already_grassmannian_scan(w: AffinePermutation
+                              ) -> tuple[AffinePermutation, int] | None:
+    """``(identity, p)`` for the first ``p`` in ``0..n-1`` with ``w``
+    p-Grassmannian, or None."""
+    for p in range(w.n):
+        if is_grassmannian_by_values(w, p):
+            return AffinePermutation.identity(w.n), p
+    return None
+
+
+def act_by_values(beta: PeriodicSequence,
+                  w: AffinePermutation) -> PeriodicSequence | None:
+    """``R'_p = w(R_p + 1 - p) + p - 1`` if the rows gain ``len(w)`` cells,
+    through the validating constructor."""
+    rows = tuple(value(w, bound + 1 - p) + p - 1
+                 for p, bound in enumerate(beta.rows, 1))
+    if sum(rows) - sum(beta.rows) != w.length:
+        return None
+    return PeriodicSequence(beta.ctype, rows)
+
+
 def unfolded_inversions(w: AffinePermutation, periods: int = 6) -> int:
     """Inversion count of the bi-infinite extension by direct unfolding."""
     n = w.n
     total = 0
     for i in range(1, n + 1):
-        wi = w.value(i)
+        wi = value(w, i)
         for j in range(i + 1, i + periods * n + 1):
-            if w.value(j) < wi:
+            if value(w, j) < wi:
                 total += 1
     return total
 
@@ -180,9 +269,9 @@ def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
 def code_unfolded(w: AffinePermutation, i: int) -> int:
     """``c_i(w)``, the ``j < i`` with ``w(j) > w(i)``, by direct unfolding
     over every ``j`` the displacement allows (``w(j) <= j + shift``)."""
-    shift = max(abs(w.value(t) - t) for t in range(1, w.n + 1))
-    wi = w.value(i)
-    return sum(1 for j in range(wi - shift, i) if w.value(j) > wi)
+    shift = max(abs(value(w, t) - t) for t in range(1, w.n + 1))
+    wi = value(w, i)
+    return sum(1 for j in range(wi - shift, i) if value(w, j) > wi)
 
 
 def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:

@@ -24,19 +24,33 @@ from cylkit.cylindric import CylType, in_A, phi, skew_word
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_of
-from cylkit.stanley import expand_affine_schur, expand_cylindric, grassmannianize
+from cylkit.stanley import (
+    _already_grassmannian,
+    expand_affine_schur,
+    expand_cylindric,
+    grassmannianize,
+)
 from cylkit.verify import valid_shapes
 
 from oracles import (
     all_words_brute,
+    already_grassmannian_scan,
     bfs_word_length,
     code_unfolded,
     cyclic_factors_exhaustive,
+    from_word_by_steps,
+    has_right_descent_by_values,
+    is_321_avoiding_by_values,
+    is_grassmannian_by_values,
     letter_multiplicities_greedy,
     max_cyclic_factor_exhaustive,
     maximal_cdd,
+    reduced_word_by_steps,
+    right_descents_by_values,
+    rotate_by_values,
     s_times,
     unfolded_inversions,
+    value,
     word_has_braid_factor,
 )
 from test_stanley import pinned_tables_hold
@@ -58,8 +72,8 @@ class TestWindows:
 
     def test_bi_infinite_extension(self):
         w = W(3, 1, 0)
-        assert w.value(1 + 3) == w.value(1) + 3
-        assert w.value(-2) == w.value(1) - 3
+        assert value(w, 1 + 3) == value(w, 1) + 3
+        assert value(w, -2) == value(w, 1) - 3
 
     def test_word_matches_cyclic_element(self):
         # d_J = s_4 s_1 s_0 s_6 for J = {0,1,4,6} in period 7
@@ -136,7 +150,7 @@ FACTOR_GRID = [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]
 
 def exact_length(x):
     """Inversions by unfolding over enough periods for ``x``'s displacement."""
-    shift = max(abs(x.value(t) - t) for t in range(1, x.n + 1))
+    shift = max(abs(value(x, t) - t) for t in range(1, x.n + 1))
     return unfolded_inversions(x, periods=2 * shift // x.n + 1)
 
 
@@ -666,3 +680,54 @@ class TestEnumeration:
         g = grassmannians_of_length(4, 3)
         assert len(g) == len(list(partitions_of(3, max_part=3)))
         assert all(w.is_grassmannian(0) and w.length == 3 for w in g)
+
+
+def assert_window_readers_match(w):
+    """Every reader of the window kernel agrees with its slow reference,
+    and the trusted results pass the public constructor."""
+    n = w.n
+    for i in range(-n, 2 * n):
+        assert w.has_right_descent(i) == has_right_descent_by_values(w, i), (w, i)
+        assert w.is_grassmannian(i) == is_grassmannian_by_values(w, i), (w, i)
+    assert w.right_descents() == right_descents_by_values(w)
+    assert _already_grassmannian(w) == already_grassmannian_scan(w)
+    assert is_321_avoiding(w) == is_321_avoiding_by_values(w)
+    word = w.reduced_word()
+    assert word == reduced_word_by_steps(w)
+    for t in range(-n, n + 1):
+        turned = rotate(w, t)
+        assert turned == rotate_by_values(w, t), (w, t)
+        assert turned._known_length() == w._known_length()
+    for letters in [word] + [word + (i,) for i in range(n)]:
+        built = AffinePermutation.from_word(n, letters)
+        stepped = from_word_by_steps(n, letters)
+        assert AffinePermutation(n, built.window) == built == stepped
+        assert built._known_length() == stepped._known_length() == built.length
+    assert AffinePermutation.from_word(n, word) == w
+
+
+class TestWindowReaders:
+    """The window kernel against the value-by-value readers it replaced
+    (``tests/oracles.py``), exhaustively on every element with n = 2..6 up
+    to length 7 and on random words up to n = 12."""
+
+    def test_every_small_element(self):
+        count = 0
+        for n in range(2, 7):
+            for level in elements_by_length(n, 7):
+                for w in level:
+                    assert_window_readers_match(w)
+                    count += 1
+        assert count == 2875
+
+    @settings(max_examples=150)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-n, 2 * n), max_size=20))))
+    def test_random_words(self, case):
+        n, letters = case
+        w = AffinePermutation.from_word(n, letters)
+        stepped = from_word_by_steps(n, letters)
+        assert w == stepped and w._known_length() == stepped._known_length()
+        assert w.length == exact_length(w)
+        assert_window_readers_match(w)
+        assert_window_readers_match(AffinePermutation(n, w.window))

@@ -34,10 +34,12 @@ from cylkit.cylindric import (
 )
 from cylkit.errors import InvalidInputError, ShapeError
 from cylkit.partitions import partitions_in_box
+from cylkit.stanley import _candidate_boundaries
 from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
 from cylkit.verify import valid_shapes
 
 from oracles import (
+    act_by_values,
     apply_word_by_boxes,
     boundary_word_peel,
     cylindric_tableaux,
@@ -204,6 +206,26 @@ class TestAct:
     def test_period_mismatch(self):
         with pytest.raises(InvalidInputError):
             empty_boundary(T36).act(AffinePermutation.identity(4))
+
+    def test_trusted_result_is_a_boundary(self):
+        # act builds its result without validation: on every boundary up to
+        # translation of every type with n <= 6 and every element up to
+        # length 5, a nonzero result passes the public constructor and has
+        # the rows of the value-by-value action
+        cases = nonzero = 0
+        for n in range(2, 7):
+            elements = [w for level in elements_by_length(n, 5) for w in level]
+            for m in range(1, n):
+                ctype = CylType(m, n)
+                for b in _candidate_boundaries(ctype):
+                    for w in elements:
+                        got = b.act(w)
+                        assert got == act_by_values(b, w), (b, w)
+                        if got is not None:
+                            assert PeriodicSequence(ctype, got.rows) == got
+                            nonzero += 1
+                        cases += 1
+        assert (cases, nonzero) == (108581, 3163)
 
 
 class TestBoundaryWord:

@@ -1,7 +1,8 @@
 """Package layout: every definition in ``src/cylkit`` has a caller there,
 no module of the package or the tests imports a name it does not use, no
 function of the package re-imports from a module its file imports at top
-level, and the package computes with integers only.
+level, the package calls no ``.value(...)`` reader, and it computes with
+integers only.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -149,6 +150,27 @@ def test_no_local_import_of_a_module_imported_at_top_level():
              for path in sorted(PACKAGE.glob("*.py"))
              if (repeated := repeated_local_imports(
                  ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
+def value_calls(tree: ast.Module) -> list[str]:
+    """Lines that call a ``.value(...)`` reader: the package reads windows
+    whole, and ``tests/oracles.py::value`` is the one-index test oracle."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "value"]
+
+
+def test_value_check_flags_a_planted_call():
+    tree = ast.parse("def f(w, n):\n    value = w.window\n"
+                     "    return [w.value(i) for i in range(n)], value\n")
+    assert value_calls(tree) == ["line 3"]
+
+
+def test_package_calls_no_value_reader():
+    found = {path.name: calls
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (calls := value_calls(ast.parse(path.read_text(encoding="utf-8"))))}
     assert found == {}
 
 
