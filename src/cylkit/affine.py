@@ -15,7 +15,8 @@ evaluates ``w(i)`` one index at a time or builds an element per step; that
 one-index reader is the test suite's oracle (``tests/oracles.py``).
 
 Also here: the code ``(c_1, ..., c_n)``, cyclically decreasing/increasing
-elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ``, the
+elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ`` (a plain
+frozenset, checked once, when :func:`cyclic_element` first builds it), the
 one-sided cyclic factors of an element (all of one size, and the maximal
 one) by a window criterion, and the bijection between 0-Grassmannian
 elements and partitions with parts < n, read off the code.
@@ -36,6 +37,7 @@ Word = tuple[int, ...]
 
 _REDUCED_WORDS_MEMO: dict[tuple[int, Word], tuple[Word, ...]] = memo.table()
 _GRASSMANNIAN_MEMO: dict = memo.table()
+_CYCLIC_ELEMENT_CACHE: dict = memo.table()
 
 
 def _swap(win: list[int], n: int, i: int) -> bool:
@@ -312,55 +314,46 @@ def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
 # -- cyclically decreasing / increasing elements -----------------------------
 
 
-@dataclass(frozen=True)
-class CyclicSet:
-    """A proper subset of ``Z/nZ`` with a reading direction.
+def cyclic_word(n: int, J: frozenset[int], decreasing: bool) -> Word:
+    """The canonical word of ``d_J`` (``decreasing``) or ``u_J`` for a
+    proper subset ``J`` of ``Z/nZ``: per maximal cyclic interval ``[p, q]``,
+    ``s_q ... s_p`` when decreasing and ``s_p ... s_q`` when increasing;
+    intervals by start.
 
-    ``decreasing=True`` denotes ``d_J`` (``s_{i+1}`` before ``s_i``),
-    ``decreasing=False`` denotes ``u_J``.  The empty set is the identity.
+    >>> cyclic_word(7, frozenset({0, 1, 4, 6}), True)
+    (4, 1, 0, 6)
     """
-
-    n: int
-    members: frozenset[int]
-    decreasing: bool = True
-
-    def __post_init__(self):
-        if not all(0 <= i < self.n for i in self.members):
-            raise InvalidInputError(f"members must lie in 0..{self.n - 1}")
-        if len(self.members) == self.n:
-            raise InvalidInputError("J must be a proper subset of Z/nZ")
-
-    def intervals(self) -> list[tuple[int, int]]:
-        """Maximal cyclic intervals ``[p, q]`` of the set, sorted by ``p``."""
-        out = []
-        for p in sorted(self.members):
-            if (p - 1) % self.n not in self.members:
-                q = p
-                while (q + 1) % self.n in self.members:
-                    q += 1
-                out.append((p, q % self.n))
-        return out
-
-    def word(self) -> Word:
-        """The canonical word: per interval ``[p,q]``, ``s_q..s_p`` when
-        decreasing and ``s_p..s_q`` when increasing; intervals by start."""
-        letters: list[int] = []
-        for p, q in self.intervals():
-            span = (q - p) % self.n + 1
-            if self.decreasing:
-                letters.extend((q - t) % self.n for t in range(span))
-            else:
-                letters.extend((p + t) % self.n for t in range(span))
-        return tuple(letters)
-
-    def element(self) -> AffinePermutation:
-        return AffinePermutation.from_word(self.n, self.word())
+    if not all(0 <= i < n for i in J):
+        raise InvalidInputError(f"members must lie in 0..{n - 1}")
+    if len(J) == n:
+        raise InvalidInputError("J must be a proper subset of Z/nZ")
+    letters: list[int] = []
+    for p in sorted(J):
+        if (p - 1) % n in J:
+            continue
+        q = p
+        while (q + 1) % n in J:
+            q += 1
+        span = range(q, p - 1, -1) if decreasing else range(p, q + 1)
+        letters.extend(i % n for i in span)
+    return tuple(letters)
 
 
-def interval_set(n: int, lo: int, hi: int, decreasing: bool = True) -> CyclicSet:
-    """The cyclic interval ``[lo, hi]`` mod n as a CyclicSet."""
+def cyclic_element(n: int, J: frozenset[int], decreasing: bool) -> AffinePermutation:
+    """``d_J`` (``decreasing``) or ``u_J``, built from :func:`cyclic_word`
+    once per ``(n, J, decreasing)`` and memoized."""
+    key = (n, J, decreasing)
+    hit = _CYCLIC_ELEMENT_CACHE.get(key)
+    if hit is None:
+        hit = _CYCLIC_ELEMENT_CACHE.setdefault(
+            key, AffinePermutation.from_word(n, cyclic_word(n, J, decreasing)))
+    return hit
+
+
+def interval_set(n: int, lo: int, hi: int) -> frozenset[int]:
+    """The cyclic interval ``[lo, hi]`` mod n."""
     span = (hi - lo) % n + 1
-    return CyclicSet(n, frozenset((lo + t) % n for t in range(span)), decreasing)
+    return frozenset((lo + t) % n for t in range(span))
 
 
 def proper_subsets(n: int, size: int) -> Iterator[frozenset[int]]:
@@ -408,7 +401,7 @@ def _cyclic_reach(w: AffinePermutation, side: str, direction: str
 
 
 def max_cyclic_factor(w: AffinePermutation, side: str = "right",
-                      direction: str = "decreasing") -> CyclicSet:
+                      direction: str = "decreasing") -> frozenset[int]:
     """The unique maximal ``J`` splitting off a one-sided cyclic factor.
 
     For ``side="right", direction="decreasing"`` this is the ``J`` with
@@ -427,18 +420,17 @@ def max_cyclic_factor(w: AffinePermutation, side: str = "right",
     ``(d_J)^-1 == u_J``.
 
     >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
-    >>> sorted(max_cyclic_factor(w).members)
+    >>> sorted(max_cyclic_factor(w))
     [0, 1]
-    >>> sorted(max_cyclic_factor(w, "right", "increasing").members)
+    >>> sorted(max_cyclic_factor(w, "right", "increasing"))
     [0]
-    >>> sorted(max_cyclic_factor(w, "left", "decreasing").members)
+    >>> sorted(max_cyclic_factor(w, "left", "decreasing"))
     [0, 1]
     """
     starts, reach = _cyclic_reach(w, side, direction)
     n = w.n
     sign = 1 if starts else -1
-    members = {(p + sign * t) % n for p, r in enumerate(reach) for t in range(r)}
-    return CyclicSet(n, frozenset(members), direction == "decreasing")
+    return frozenset((p + sign * t) % n for p, r in enumerate(reach) for t in range(r))
 
 
 def cyclic_factors(w: AffinePermutation, size: int, side: str = "right",
@@ -531,7 +523,7 @@ def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
             hit = AffinePermutation.identity(n)
         else:
             p = len(lam)
-            hit = (interval_set(n, -p + 1, lam[-1] - p).element()
+            hit = (cyclic_element(n, interval_set(n, -p + 1, lam[-1] - p), True)
                    * grassmannian_from_kbounded(n, lam[:-1]))
             if hit.length != sum(lam) or not hit.is_grassmannian(0):
                 raise AssertionError(

@@ -10,14 +10,16 @@ algorithm reads the boundary through these row bounds.
 
 A shape ``lam/d/mu`` is the region between the boundaries of ``mu[0]``
 (inner) and ``lam[d]`` (outer), where ``lam[d]`` places window ``lam_j + d``
-at rows ``d+1 .. d+m``.  The nilCoxeter element ``A_w`` acts by permuting
+at rows ``d+1 .. d+m``; the shape keeps both, validated once by
+:func:`shape_new`.  The nilCoxeter element ``A_w`` acts by permuting
 the addable diagonals: row ``p`` can take a box on diagonal ``a_p = R_p + 1
 - p``, and ``A_w`` moves each ``a_p`` to ``w(a_p)``.  The result is a
 boundary with ``len(w)`` more cells per period, or zero; its rows are read
 off the window of ``w``, and a nonzero result is a boundary by
 construction, so it is built without re-validation.  Read backwards, the
 same map gives the boundary word of two nested boundaries, from which come
-skew words and the inverse of the bijection ``phi``.
+skew words and the inverse of the bijection ``phi``; that element too is
+valid by construction, so validation runs only at the edges.
 
 Cylindric tableaux are chains of boundaries with horizontal-strip steps,
 folded over the row bounds by :func:`cylkit.symfunc.chain_table`.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from cylkit import memo
 from cylkit.affine import (
@@ -84,10 +87,10 @@ class PeriodicSequence:
     def _trusted(cls, ctype: CylType, rows: tuple[int, ...]) -> "PeriodicSequence":
         """Build without validation.
 
-        Invariant: ``rows`` is a nonzero image of :meth:`act` on a valid
-        boundary, which adds one box per letter of a reduced word and so
-        keeps the inequalities (certified in the test suite).  Input from
-        outside the package goes through the public constructor instead.
+        Invariant: ``rows`` are ``m`` bounds with ``R_1 >= ... >= R_m >= R_1
+        - (n-m)`` by construction, for a reason each caller states (certified
+        in the test suite).  Input from outside the package goes through the
+        public constructor instead.
         """
         b = object.__new__(cls)
         b.__dict__.update(ctype=ctype, rows=rows)
@@ -176,7 +179,8 @@ class PeriodicSequence:
 
 
 def empty_boundary(ctype: CylType) -> PeriodicSequence:
-    return PeriodicSequence(ctype, (0,) * ctype.m)
+    # equal rows R_p = 0 satisfy R_1 >= ... >= R_m >= R_1 - (n-m)
+    return PeriodicSequence._trusted(ctype, (0,) * ctype.m)
 
 
 # -- shapes -------------------------------------------------------------------
@@ -184,16 +188,20 @@ def empty_boundary(ctype: CylType) -> PeriodicSequence:
 
 @dataclass(frozen=True)
 class CylindricShape:
-    """``lam/d/mu``: the region between ``mu[0]`` and ``lam[d]``."""
+    """``lam/d/mu``: the region between ``mu[0]`` and ``lam[d]``.  Both
+    boundaries are built once and kept; not being fields, they stay out of
+    eq, hash and repr."""
 
     ctype: CylType
     lam: Partition
     d: int
     mu: Partition
 
+    @cached_property
     def outer(self) -> PeriodicSequence:
         return PeriodicSequence.from_partition(self.ctype, self.lam, self.d)
 
+    @cached_property
     def inner(self) -> PeriodicSequence:
         return PeriodicSequence.from_partition(self.ctype, self.mu, 0)
 
@@ -202,7 +210,8 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     """Validated shape ``lam/d/mu``.
 
     Containment of the ideals is the rowwise inequality ``mu[0]_p <=
-    lam[d]_p`` over one period.
+    lam[d]_p`` over one period, checked on the shape's own boundaries, so
+    each is built and validated once, here.
     """
     lam = check_partition(tuple(lam))
     mu = check_partition(tuple(mu))
@@ -213,11 +222,10 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
         raise ShapeError(f"mu={mu} does not fit the ({m},{n}) box")
     if d < 0:
         raise ShapeError(f"offset d must be non-negative, got {d}")
-    outer = PeriodicSequence.from_partition(ctype, lam, d)
-    inner = PeriodicSequence.from_partition(ctype, mu, 0)
-    if not outer.contains(inner):
+    shape = CylindricShape(ctype, lam, d, mu)
+    if not shape.outer.contains(shape.inner):
         raise ShapeError(f"containment fails: {mu}[0] is not inside {lam}[{d}]")
-    return CylindricShape(ctype, lam, d, mu)
+    return shape
 
 
 def cell_count(shape: CylindricShape) -> int:
@@ -232,8 +240,7 @@ def is_toric(shape: CylindricShape) -> bool:
     rows ``p`` and ``p + m``, and then row ``p`` has more than ``n - m``.
     """
     m, n = shape.ctype.m, shape.ctype.n
-    inner, outer = shape.inner(), shape.outer()
-    return all(o - i <= n - m for o, i in zip(outer.rows, inner.rows))
+    return all(o - i <= n - m for o, i in zip(shape.outer.rows, shape.inner.rows))
 
 
 # -- cylindric tableaux -------------------------------------------------------
@@ -245,7 +252,7 @@ def _cyl_weight_table(shape: CylindricShape, nvars: int) -> WeightTable:
     ``nxt_p`` ranges over ``[cur_p, min(outer_p, cur_{p-1})]`` independently
     per row, with ``cur_0 = cur_m + (n-m)``."""
     m, n = shape.ctype.m, shape.ctype.n
-    outer = shape.outer().rows
+    outer = shape.outer.rows
 
     def step(cur: tuple[int, ...]):
         above = (cur[-1] + n - m,) + cur[:-1]
@@ -254,7 +261,7 @@ def _cyl_weight_table(shape: CylindricShape, nvars: int) -> WeightTable:
         for nxt in itertools.product(*ranges):
             yield nxt, sum(nxt) - size
 
-    return chain_table(("cylindric", shape.ctype, outer), shape.inner().rows,
+    return chain_table(("cylindric", shape.ctype, outer), shape.inner.rows,
                        nvars, step, outer)
 
 
@@ -285,6 +292,10 @@ def boundary_word(inner: PeriodicSequence,
     go onto the residues not yet hit at the one shift that gives the window
     sum ``n(n+1)/2`` (each step adds ``n``).  The check that ``x`` acts as
     required also proves ``len(x)`` is the cell gain.
+
+    The window is valid, so it is built trusted: addable diagonals are
+    distinct mod n (``a_1 > ... > a_m > a_1 - n``), so the fixed values take
+    ``m`` residues and the free ones the rest, and ``k`` forces the sum.
     """
     if inner.ctype != outer.ctype:
         raise InvalidInputError("type mismatch")
@@ -301,7 +312,7 @@ def boundary_word(inner: PeriodicSequence,
     rest = iter(free[i % len(free)] + (i // len(free)) * n
                 for i in range(k, k + len(free)))
     window = tuple(fixed[j] if j in fixed else next(rest) for j in range(n))
-    x = AffinePermutation(n, window)
+    x = AffinePermutation._trusted(n, window)
     if inner.act(x) != outer:
         raise AssertionError(f"boundary word of {inner} -> {outer} is not {x}")
     return x
@@ -317,8 +328,8 @@ def in_A(w: AffinePermutation, ctype: CylType) -> bool:
     if hit is not None:
         return hit
     ok = (is_321_avoiding(w)
-          and len(max_cyclic_factor(w, "right", "increasing").members) <= m
-          and len(max_cyclic_factor(w, "right", "decreasing").members) <= n - m)
+          and len(max_cyclic_factor(w, "right", "increasing")) <= m
+          and len(max_cyclic_factor(w, "right", "decreasing")) <= n - m)
     return _IN_A_MEMO.setdefault(key, ok)
 
 
@@ -354,7 +365,7 @@ def skew_word(shape: CylindricShape) -> AffinePermutation:
     The boundary word from ``mu[0]`` to ``lam[d]``, of length the cell
     count; on ``nu/e/()`` it is the element that :func:`phi` maps there.
     """
-    return boundary_word(shape.inner(), shape.outer())
+    return boundary_word(shape.inner, shape.outer)
 
 
 # -- ribbons -------------------------------------------------------------------
@@ -403,7 +414,7 @@ def ribbon_decomposition(w: AffinePermutation,
 def render_shape(shape: CylindricShape, periods: int = 2) -> str:
     """Staircase strip view with diagonal indices in the boxes."""
     m, n = shape.ctype.m, shape.ctype.n
-    inner, outer = shape.inner(), shape.outer()
+    inner, outer = shape.inner, shape.outer
     width = len(str(n - 1))
     top = periods * m
     rows = list(range(top, -(periods * m) - 1, -1))

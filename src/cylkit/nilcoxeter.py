@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 from cylkit.affine import (
     AffinePermutation,
+    cyclic_element,
     elements_by_length,
     proper_subsets,
-    CyclicSet,
 )
 from cylkit.cylindric import CylType, in_A
 from cylkit.errors import CapExceededError, GradingError, InvalidInputError
@@ -120,7 +120,7 @@ def hh(i: int, n: int) -> NilCoxeterElement:
     if not 0 <= i < n:
         raise InvalidInputError(f"hh index {i} must lie in [0, {n})")
     return NilCoxeterElement(
-        n, {CyclicSet(n, members, True).element(): 1
+        n, {cyclic_element(n, members, True): 1
             for members in proper_subsets(n, i)})
 
 
@@ -130,7 +130,7 @@ def ee(i: int, n: int) -> NilCoxeterElement:
     if not 0 <= i < n:
         raise InvalidInputError(f"ee index {i} must lie in [0, {n})")
     return NilCoxeterElement(
-        n, {CyclicSet(n, members, False).element(): 1
+        n, {cyclic_element(n, members, False): 1
             for members in proper_subsets(n, i)})
 
 

@@ -45,8 +45,9 @@ from dataclasses import dataclass, field
 from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
-    CyclicSet,
+    cyclic_element,
     cyclic_factors,
+    cyclic_word,
     grassmannian_from_kbounded,
     interval_set,
     letter_multiplicities,
@@ -84,17 +85,7 @@ DEFAULT_ORACLE_CAP = 9
 
 _EXPAND_MEMO: dict = memo.table()
 _TOP_MEMO: dict = memo.table()
-_CYCLIC_ELEMENT_CACHE: dict = memo.table()
 _PEEL_WORDS_CACHE: dict = memo.table()
-
-
-def _cyclic(n: int, members: frozenset[int], decreasing: bool) -> AffinePermutation:
-    key = (n, members, decreasing)
-    hit = _CYCLIC_ELEMENT_CACHE.get(key)
-    if hit is None:
-        hit = _CYCLIC_ELEMENT_CACHE.setdefault(
-            key, CyclicSet(n, members, decreasing).element())
-    return hit
 
 
 def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
@@ -103,7 +94,7 @@ def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
     hit = _PEEL_WORDS_CACHE.get((n, size))
     if hit is None:
         hit = _PEEL_WORDS_CACHE.setdefault((n, size), tuple(
-            CyclicSet(n, members, True).word()
+            cyclic_word(n, members, True)
             for members in proper_subsets(n, size)))
     return hit
 
@@ -239,7 +230,8 @@ def _candidate_boundaries(ctype: CylType):
             if sum(gaps) > n - m:
                 continue
             rows = tuple(itertools.accumulate(gaps, initial=offset))[::-1]
-            yield PeriodicSequence(ctype, rows)
+            # up from R_m the rows rise by gaps >= 0 that sum to <= n - m
+            yield PeriodicSequence._trusted(ctype, rows)
 
 
 def grassmannianize_321(w: AffinePermutation,
@@ -275,7 +267,8 @@ def grassmannianize_321(w: AffinePermutation,
     a = min(range(1, m + 1), key=lambda cand: (flat_cells(cand), cand))
     floor = beta.row_bound(a + m - 1)
     rows = tuple(floor + (n - m) if p < a else floor for p in range(1, m + 1))
-    alpha = PeriodicSequence(ctype, rows)
+    # weakly decreasing, and R_1 - R_m is 0 or n - m
+    alpha = PeriodicSequence._trusted(ctype, rows)
 
     v = boundary_word(alpha, beta)
     p = (floor + 1 - a) % n
@@ -346,8 +339,8 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     n = w.n
     if not 1 <= part_size <= n - 1 or part_index < 1:
         raise InvalidInputError(f"bad block ({part_size}, {part_index})")
-    J0 = interval_set(n, -part_index + 1, part_size - part_index, True).members
-    wprime = w * _cyclic(n, J0, True)
+    J0 = interval_set(n, -part_index + 1, part_size - part_index)
+    wprime = w * cyclic_element(n, J0, True)
     right = cyclic_factors(wprime, part_size, "right", "decreasing")
     # J0 is admissible iff len(w') == len(w) + part_size
     if J0 not in right:
@@ -357,9 +350,9 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
         # every branch has length len(w') - part_size == len(w)
         return AffinePermutation._trusted(n, x.window, w.length)
 
-    b_plus = [branch(_cyclic(n, J, False) * wprime)
+    b_plus = [branch(cyclic_element(n, J, False) * wprime)
               for J in cyclic_factors(wprime, part_size, "left", "decreasing")]
-    b_minus = [(J, branch(wprime * _cyclic(n, J, False)))
+    b_minus = [(J, branch(wprime * cyclic_element(n, J, False)))
                for J in right if J != J0]
     return b_plus, b_minus
 
@@ -382,7 +375,7 @@ def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
     if b_minus:  # only the minus branches read the head's element
         vprime = grassmannian_from_kbounded(n, head)
         for members, y in b_minus:
-            new_tail_elem = _cyclic(n, members, True) * vprime
+            new_tail_elem = cyclic_element(n, members, True) * vprime
             if new_tail_elem.length != tail[-1] + vprime.length:
                 raise AssertionError("negative-branch tail not additive")
             if not new_tail_elem.is_grassmannian(0):

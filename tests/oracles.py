@@ -18,7 +18,7 @@ from math import factorial
 
 from cylkit.affine import (
     AffinePermutation,
-    CyclicSet,
+    cyclic_element,
     grassmannians_of_length,
     interval_set,
     max_cyclic_factor,
@@ -226,12 +226,6 @@ def word_has_braid_factor(n: int, word: tuple[int, ...]) -> bool:
 
 
 @functools.cache
-def _cyclic_element(n: int, members: frozenset[int],
-                    decreasing: bool) -> AffinePermutation:
-    return CyclicSet(n, members, decreasing).element()
-
-
-@functools.cache
 def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "right",
                               direction: str = "decreasing") -> list[frozenset[int]]:
     """Every ``J`` of ``size`` splitting off ``d_J`` (or ``u_J``) on ``side``
@@ -243,7 +237,7 @@ def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "righ
     decreasing = direction == "decreasing"
     out = []
     for members in proper_subsets(w.n, size):
-        inv = _cyclic_element(w.n, members, not decreasing)  # (d_J)^-1 == u_J
+        inv = cyclic_element(w.n, members, not decreasing)  # (d_J)^-1 == u_J
         quotient = w * inv if side == "right" else inv * w
         if quotient.length == w.length - size:
             out.append(members)
@@ -251,7 +245,7 @@ def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "righ
 
 
 def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
-                                 direction: str = "decreasing") -> CyclicSet:
+                                 direction: str = "decreasing") -> frozenset[int]:
     """The maximal one-sided cyclic factor by trying every proper subset.
 
     Keeps every ``J`` of size up to ``len(w)`` that
@@ -263,7 +257,7 @@ def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
     best = max(valid, key=len)
     if any(not members <= best for members in valid):
         raise AssertionError(f"maximal cyclic factor not unique for {w}")
-    return CyclicSet(w.n, best, direction == "decreasing")
+    return best
 
 
 def code_unfolded(w: AffinePermutation, i: int) -> int:
@@ -274,21 +268,19 @@ def code_unfolded(w: AffinePermutation, i: int) -> int:
     return sum(1 for j in range(wi - shift, i) if value(w, j) > wi)
 
 
-def maximal_cdd(w: AffinePermutation) -> tuple[list[CyclicSet], Partition]:
+def maximal_cdd(w: AffinePermutation) -> tuple[list[frozenset[int]], Partition]:
     """Unique maximal decomposition ``w = d_{J_p} ... d_{J_1}``.
 
     Peels maximal right factors; returns ``[J_1, ..., J_p]`` together with
     the shape ``(|J_1|, ..., |J_p|)``, which is a partition with parts < n.
     """
-    sets: list[CyclicSet] = []
-    sizes: list[int] = []
+    sets: list[frozenset[int]] = []
     cur = w
     while not cur.is_identity():
         J = max_cyclic_factor(cur, "right", "decreasing")
         sets.append(J)
-        sizes.append(len(J.members))
-        cur = cur * CyclicSet(J.n, J.members, not J.decreasing).element()
-    return sets, check_partition(tuple(sizes))
+        cur = cur * cyclic_element(w.n, J, False)  # (d_J)^-1 == u_J
+    return sets, check_partition(tuple(len(J) for J in sets))
 
 
 def grassmannianize_by_elements(w: AffinePermutation
@@ -339,17 +331,17 @@ def dual_pieri_branches_exhaustive(w: AffinePermutation, part_size: int,
     :func:`cylkit.stanley.dual_pieri_branches`, or None when the tail block
     is not length-additive."""
     n = w.n
-    J0 = interval_set(n, -part_index + 1, part_size - part_index, True)
-    wprime = w * J0.element()
+    J0 = interval_set(n, -part_index + 1, part_size - part_index)
+    wprime = w * cyclic_element(n, J0, True)
     if wprime.length != w.length + part_size:
         return None
     b_plus, b_minus = [], []
     for members in proper_subsets(n, part_size):
-        u_j = _cyclic_element(n, members, False)
+        u_j = cyclic_element(n, members, False)
         x = u_j * wprime
         if x.length == wprime.length - part_size:
             b_plus.append(x)
-        if members != J0.members:
+        if members != J0:
             y = wprime * u_j
             if y.length == wprime.length - part_size:
                 b_minus.append((members, y))
@@ -367,8 +359,7 @@ def stanley_coefficient_brute(w: AffinePermutation, alpha: tuple[int, ...]) -> i
         size = remaining[0]
         total = 0
         for members in proper_subsets(n, size):
-            d = CyclicSet(n, members, True)
-            rest = CyclicSet(n, d.members, not d.decreasing).element() * u
+            rest = cyclic_element(n, members, False) * u  # (d_J)^-1 * u
             if rest.length == u.length - size:
                 total += rec(rest, remaining[1:])
         return total
@@ -382,16 +373,10 @@ def stanley_monomials_by_products(w: AffinePermutation, nvars: int,
     out ``u_J * u`` for every proper subset ``J`` and keep the ``J`` whose
     product drops the length by ``|J|``.
 
-    ``memo`` may keep the elements ``u_J`` and the per-``(u, left)`` tables
-    across calls; every table in it is computed by the scan."""
+    ``memo`` may keep the per-``(u, left)`` tables across calls; every
+    table in it is computed by the scan."""
     n = w.n
     memo = {} if memo is None else memo
-
-    def u_cyclic(members: frozenset[int]) -> AffinePermutation:
-        key = ("u_J", n, members)
-        if key not in memo:
-            memo[key] = CyclicSet(n, members, False).element()
-        return memo[key]
 
     def rec(u: AffinePermutation, left: int) -> dict:
         key = (n, u.window, left)
@@ -404,7 +389,7 @@ def stanley_monomials_by_products(w: AffinePermutation, nvars: int,
         else:
             for size in range(min(n - 1, u.length) + 1):
                 for members in proper_subsets(n, size):
-                    rest = u_cyclic(members) * u
+                    rest = cyclic_element(n, members, False) * u
                     if rest.length != u.length - size:
                         continue
                     for suffix, c in rec(rest, left - 1).items():
@@ -581,7 +566,7 @@ def is_toric_by_columns(shape: CylindricShape) -> bool:
     """Every row has at most ``n - m`` cells and every column at most ``m``,
     each column counted over a window of rows."""
     m, n = shape.ctype.m, shape.ctype.n
-    inner, outer = shape.inner(), shape.outer()
+    inner, outer = shape.inner, shape.outer
     if any(outer.row_bound(p) - inner.row_bound(p) > n - m
            for p in range(1, m + 1)):
         return False
@@ -602,7 +587,7 @@ def is_toric_by_columns(shape: CylindricShape) -> bool:
 
 def shape_cells(shape: CylindricShape) -> list[tuple[int, int]]:
     """Canonical representatives, one per cell class: rows ``1..m``."""
-    inner, outer = shape.inner(), shape.outer()
+    inner, outer = shape.inner, shape.outer
     return [(p, q)
             for p in range(1, shape.ctype.m + 1)
             for q in range(inner.row_bound(p) + 1, outer.row_bound(p) + 1)]

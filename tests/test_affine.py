@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylkit.affine import (
+    _CYCLIC_ELEMENT_CACHE,
     AffinePermutation,
-    CyclicSet,
+    cyclic_element,
     cyclic_factors,
+    cyclic_word,
     elements_by_length,
     enumerate_reduced_words,
     grassmannian_from_kbounded,
@@ -20,7 +22,7 @@ from cylkit.affine import (
     rotate,
     shape_of,
 )
-from cylkit.cylindric import CylType, in_A, phi, skew_word
+from cylkit.cylindric import CylType, PeriodicSequence, in_A, phi, skew_word
 from cylkit.errors import CapExceededError, InvalidInputError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_of
@@ -77,8 +79,8 @@ class TestWindows:
 
     def test_word_matches_cyclic_element(self):
         # d_J = s_4 s_1 s_0 s_6 for J = {0,1,4,6} in period 7
-        J = CyclicSet(7, frozenset({0, 1, 4, 6}), decreasing=True)
-        assert AffinePermutation.from_word(7, [4, 1, 0, 6]) == J.element()
+        J = frozenset({0, 1, 4, 6})
+        assert AffinePermutation.from_word(7, [4, 1, 0, 6]) == cyclic_element(7, J, True)
 
     def test_worked_length_six_word(self):
         w = W(6, 5, 3, 1, 4, 2, 0)
@@ -335,66 +337,76 @@ class TestCStat:
 
 class TestCyclicElements:
     def test_decreasing_word_n7(self):
-        J = CyclicSet(7, frozenset({0, 1, 4, 6}), decreasing=True)
-        assert J.word() == (4, 1, 0, 6)
+        assert cyclic_word(7, frozenset({0, 1, 4, 6}), True) == (4, 1, 0, 6)
 
     def test_increasing_word_n7(self):
-        J = CyclicSet(7, frozenset({0, 1, 4, 6}), decreasing=False)
-        assert J.word() == (4, 6, 0, 1)
+        assert cyclic_word(7, frozenset({0, 1, 4, 6}), False) == (4, 6, 0, 1)
 
     def test_singleton(self):
         for decreasing in (True, False):
-            J = CyclicSet(6, frozenset({0}), decreasing)
-            assert J.element() == W(6, 0)
+            assert cyclic_element(6, frozenset({0}), decreasing) == W(6, 0)
 
     def test_full_set_rejected(self):
-        with pytest.raises(InvalidInputError):
-            CyclicSet(4, frozenset(range(4)))
+        for decreasing in (True, False):
+            with pytest.raises(InvalidInputError):
+                cyclic_word(4, frozenset(range(4)), decreasing)
+            with pytest.raises(InvalidInputError):
+                cyclic_element(4, frozenset(range(4)), decreasing)
 
     def test_length_is_size(self):
         for size in range(4):
             for members in proper_subsets(4, size):
-                assert CyclicSet(4, members).element().length == size
+                assert cyclic_element(4, members, True).length == size
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_inverse_is_increasing_counterpart(self, n):
         for size in range(n):
             for members in proper_subsets(n, size):
-                d = CyclicSet(n, members, True).element()
-                u = CyclicSet(n, members, False).element()
+                d = cyclic_element(n, members, True)
+                u = cyclic_element(n, members, False)
                 assert d.inverse() == u
+
+    def test_element_is_memoized_until_caches_clear(self):
+        J = frozenset({1, 2, 4})
+        clear_caches()
+        first = cyclic_element(6, J, False)
+        assert first == AffinePermutation.from_word(6, cyclic_word(6, J, False))
+        assert cyclic_element(6, J, False) is first
+        assert _CYCLIC_ELEMENT_CACHE == {(6, J, False): first}
+        clear_caches()
+        assert not _CYCLIC_ELEMENT_CACHE
+        again = cyclic_element(6, J, False)
+        assert again == first and again is not first
 
 
 class TestMaxCyclicFactor:
     def test_self_factor(self):
         for members in proper_subsets(5, 3):
-            d = CyclicSet(5, members, True).element()
-            assert max_cyclic_factor(d, "right", "decreasing").members == members
+            d = cyclic_element(5, members, True)
+            assert max_cyclic_factor(d, "right", "decreasing") == members
 
     def test_identity(self):
-        J = max_cyclic_factor(AffinePermutation.identity(4))
-        assert J.members == frozenset()
+        assert max_cyclic_factor(AffinePermutation.identity(4)) == frozenset()
 
     def test_ribbon_r3(self):
         w = W(6, 3, 4, 5, 2, 1, 0)
-        J = max_cyclic_factor(w, "right", "decreasing")
-        assert J.members == frozenset({0, 1, 2})
+        assert max_cyclic_factor(w, "right", "decreasing") == frozenset({0, 1, 2})
 
     def test_interior_letter_not_a_descent(self):
         # w = d_{0,1} = s_1 s_0: the valid J = {0,1} is not inside the
         # right descent set {0}, so J is not read off the descents alone.
         w = W(4, 1, 0)
         assert w.right_descents() == frozenset({0})
-        assert max_cyclic_factor(w).members == frozenset({0, 1})
+        assert max_cyclic_factor(w) == frozenset({0, 1})
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("direction", ["decreasing", "increasing"])
     def test_factorization_property(self, side, direction):
         for w in elements_by_length(4, 4)[4]:
             J = max_cyclic_factor(w, side, direction)
-            inv = CyclicSet(4, J.members, not J.decreasing).element()
+            inv = cyclic_element(4, J, direction != "decreasing")
             rest = w * inv if side == "right" else inv * w
-            assert rest.length == w.length - len(J.members)
+            assert rest.length == w.length - len(J)
 
     def test_matches_exhaustive_scan(self):
         # every side/direction on every element, n <= 7: 5,360 cases
@@ -422,9 +434,9 @@ class TestMaxCyclicFactor:
         monkeypatch.setattr("cylkit.stanley.proper_subsets", no_scan)
         clear_caches()
         w = W(16, 0, 8, 1, 9)  # u_{0,1} u_{8,9}, values from the scan
-        assert max_cyclic_factor(w).members == frozenset({1, 9})
-        assert max_cyclic_factor(w, "right", "increasing").members == frozenset({0, 1, 8, 9})
-        assert max_cyclic_factor(w, "left", "decreasing").members == frozenset({0, 8})
+        assert max_cyclic_factor(w) == frozenset({1, 9})
+        assert max_cyclic_factor(w, "right", "increasing") == frozenset({0, 1, 8, 9})
+        assert max_cyclic_factor(w, "left", "decreasing") == frozenset({0, 8})
         v, p = grassmannianize(w)
         v0 = rotate(v, -p)  # the tail the expansion starts from
         assert shape_of(v0) == maximal_cdd(v0)[1] == (1,) * 7
@@ -441,7 +453,7 @@ class TestMaxCyclicFactor:
         def refuse(*args):
             raise AssertionError("cyclic-factor route reached")
 
-        monkeypatch.setattr("cylkit.stanley._cyclic", refuse)
+        monkeypatch.setattr("cylkit.stanley.cyclic_element", refuse)
         monkeypatch.setattr("cylkit.stanley.cyclic_factors", refuse)
         monkeypatch.setattr("cylkit.affine._cyclic_reach", refuse)
         clear_caches()
@@ -470,6 +482,20 @@ class TestCylindricHotPath:
         expected = [expand_cylindric(s) for s in shapes]
         monkeypatch.setattr(AffinePermutation, "reduced_word",
                             self._refuse("reduced_word"))
+        clear_caches()
+        assert [expand_cylindric(s) for s in shapes] == expected
+
+    def test_expansion_runs_no_validating_constructor(self, monkeypatch):
+        # validation runs at the edges: once the shapes have been built
+        # (their boundaries with them), an expansion from cold caches builds
+        # every element and boundary it derives without re-validating it
+        shapes = self._shapes()
+        clear_caches()
+        expected = [expand_cylindric(s) for s in shapes]
+        monkeypatch.setattr(AffinePermutation, "__post_init__",
+                            self._refuse("AffinePermutation validation"))
+        monkeypatch.setattr(PeriodicSequence, "__post_init__",
+                            self._refuse("PeriodicSequence validation"))
         clear_caches()
         assert [expand_cylindric(s) for s in shapes] == expected
 
@@ -519,13 +545,13 @@ class TestMaximalCdd:
     def test_example2_v(self):
         sets, lam = maximal_cdd(W(6, 5, 1, 0))
         assert lam == (2, 1)
-        assert [s.members for s in sets] == [frozenset({0, 1}), frozenset({5})]
+        assert sets == [frozenset({0, 1}), frozenset({5})]
 
     def test_single_block(self):
-        J = CyclicSet(5, frozenset({1, 2, 4}), True)
-        sets, lam = maximal_cdd(J.element())
+        J = frozenset({1, 2, 4})
+        sets, lam = maximal_cdd(cyclic_element(5, J, True))
         assert lam == (3,)
-        assert sets[0].members == J.members
+        assert sets == [J]
 
     def test_identity(self):
         assert maximal_cdd(AffinePermutation.identity(3)) == ([], ())
@@ -535,10 +561,10 @@ class TestMaximalCdd:
         for w in elements_by_length(n, 5)[5]:
             sets, lam = maximal_cdd(w)
             # J_1 contains every valid right-decreasing factor set
-            J1 = sets[0].members if sets else frozenset()
+            J1 = sets[0] if sets else frozenset()
             for size in range(n):
                 for members in proper_subsets(n, size):
-                    u = CyclicSet(n, members, False).element()
+                    u = cyclic_element(n, members, False)
                     if (w * u).length == w.length - size:
                         assert members <= J1
 
@@ -548,7 +574,7 @@ class TestMaximalCdd:
             sets, lam = maximal_cdd(w)
             prod = AffinePermutation.identity(n)
             for J in reversed(sets):
-                prod = prod * J.element()
+                prod = prod * cyclic_element(n, J, True)
             assert prod == w
             assert tuple(sorted(lam, reverse=True)) == lam
 

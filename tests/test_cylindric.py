@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from cylkit.affine import (
     AffinePermutation,
-    CyclicSet,
+    cyclic_element,
+    cyclic_word,
     elements_by_length,
     enumerate_reduced_words,
+    letter_multiplicities,
     proper_subsets,
 )
 from cylkit.cylindric import (
+    CylindricShape,
     CylType,
     PeriodicSequence,
     boundary_word,
@@ -33,10 +36,11 @@ from cylkit.cylindric import (
     skew_word,
 )
 from cylkit.errors import InvalidInputError, ShapeError
+from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_in_box
-from cylkit.stanley import _candidate_boundaries
+from cylkit.stanley import _candidate_boundaries, expand_cylindric, grassmannianize_321
 from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
-from cylkit.verify import valid_shapes
+from cylkit.verify import SHAPE_TYPES, valid_shapes
 
 from oracles import (
     act_by_values,
@@ -82,6 +86,16 @@ class TestShapes:
     def test_cell_count_formula_vs_enumeration(self):
         for s in valid_shapes(T24, 8):
             assert cell_count(s) == len(shape_cells(s))
+
+    def test_shape_keeps_its_boundaries(self):
+        s = shape_new(T36, (2, 1), 1, (2, 1))
+        assert s.outer is s.outer and s.inner is s.inner
+        assert s.outer == PeriodicSequence.from_partition(T36, (2, 1), 1)
+        assert s.inner == PeriodicSequence.from_partition(T36, (2, 1), 0)
+        # not fields: a shape that has built neither compares, hashes and
+        # prints the same
+        fresh = CylindricShape(T36, (2, 1), 1, (2, 1))
+        assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
 
 
 class TestBoundaries:
@@ -157,8 +171,8 @@ class TestAddBox:
         decreasing_cap, increasing_cap = n - ctype.m, ctype.m
         for size in range(n):
             for members in proper_subsets(n, size):
-                dec = CyclicSet(n, members, True).word()
-                inc = CyclicSet(n, members, False).word()
+                dec = cyclic_word(n, members, True)
+                inc = cyclic_word(n, members, False)
                 for b in boundaries:
                     if size > decreasing_cap:
                         assert act(b, dec) is None
@@ -211,13 +225,15 @@ class TestAct:
         # act builds its result without validation: on every boundary up to
         # translation of every type with n <= 6 and every element up to
         # length 5, a nonzero result passes the public constructor and has
-        # the rows of the value-by-value action
+        # the rows of the value-by-value action; the candidates themselves
+        # are built trusted too, and pass the public constructor
         cases = nonzero = 0
         for n in range(2, 7):
             elements = [w for level in elements_by_length(n, 5) for w in level]
             for m in range(1, n):
                 ctype = CylType(m, n)
                 for b in _candidate_boundaries(ctype):
+                    assert PeriodicSequence(ctype, b.rows) == b, b
                     for w in elements:
                         got = b.act(w)
                         assert got == act_by_values(b, w), (b, w)
@@ -228,6 +244,38 @@ class TestAct:
         assert (cases, nonzero) == (108581, 3163)
 
 
+class TestTrustedBoundaries:
+    """Every boundary the package builds unvalidated (action images, the
+    empty boundary, Grassmannianization candidates and flat anchors) also
+    passes the public constructor along the expansion routes."""
+
+    @staticmethod
+    def _validating(monkeypatch):
+        monkeypatch.setattr(PeriodicSequence, "_trusted", classmethod(
+            lambda cls, ctype, rows: cls(ctype, rows)))
+        clear_caches()
+
+    def test_expansion_of_every_small_shape(self, monkeypatch):
+        shapes = list(valid_shapes(T36, 8))
+        assert len(shapes) == 447
+        clear_caches()
+        expected = [expand_cylindric(s) for s in shapes]
+        self._validating(monkeypatch)
+        assert [expand_cylindric(s) for s in shapes] == expected
+
+    def test_tight_grassmannianization_grid(self, monkeypatch):
+        # the grid of the grassmannianize-bounds suite
+        words = [(skew_word(s), ctype)
+                 for ctype in (CylType(m, n) for m, n in SHAPE_TYPES)
+                 for s in valid_shapes(ctype, 8)]
+        words = [(w, ctype) for w, ctype in words
+                 if all(letter_multiplicities(w).values())]
+        clear_caches()
+        expected = [grassmannianize_321(w, ctype) for w, ctype in words]
+        self._validating(monkeypatch)
+        assert [grassmannianize_321(w, ctype) for w, ctype in words] == expected
+
+
 class TestBoundaryWord:
     def test_matches_peel(self):
         # every shape of every type with n <= 7, offsets 0-2, <= 12 cells
@@ -235,9 +283,10 @@ class TestBoundaryWord:
         for n in range(2, 8):
             for m in range(1, n):
                 for s in valid_shapes(CylType(m, n), 12, max_d=2):
-                    inner, outer = s.inner(), s.outer()
-                    assert (boundary_word(inner, outer)
-                            == boundary_word_peel(inner, outer)), s
+                    x = boundary_word(s.inner, s.outer)
+                    assert x == boundary_word_peel(s.inner, s.outer), s
+                    # built trusted: the window passes the public constructor
+                    assert AffinePermutation(n, x.window) == x, s
                     shapes += 1
         assert shapes == 8022
 
@@ -365,7 +414,7 @@ class TestPhi:
                 w = skew_word(s)
                 assert in_A0(w, T36)
                 grown = empty_boundary(T36).act(w)
-                assert grown == s.outer()
+                assert grown == s.outer
                 words = enumerate_reduced_words(w, 7)
                 for word in words:
                     assert empty_boundary(T36).apply_word(word) == grown
@@ -443,7 +492,7 @@ class TestInA:
         assert in_A(W(6, 5, 3, 1, 4, 2, 0), T36)
 
     def test_long_decreasing_fails(self):
-        d = CyclicSet(6, frozenset({0, 1, 2, 3}), True).element()  # size 4 > n-m
+        d = cyclic_element(6, frozenset({0, 1, 2, 3}), True)  # size 4 > n-m
         assert not in_A(d, T36)
 
     def test_braid_fails(self):
@@ -466,7 +515,7 @@ class TestWeakOrderContainment:
         elems = {s: skew_word(s) for s in shapes}
         for s1, s2 in itertools.product(shapes, repeat=2):
             w1, w2 = elems[s1], elems[s2]
-            contained = s2.outer().contains(s1.outer())
+            contained = s2.outer.contains(s1.outer)
             # left weak order: w1 <= w2 iff w2 * w1^{-1} splits lengths
             ratio = w2 * w1.inverse()
             below = ratio.length == w2.length - w1.length

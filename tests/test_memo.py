@@ -73,7 +73,7 @@ BRUTE = {
 
 @pytest.mark.parametrize("order", [list(FOLDS), list(reversed(FOLDS))])
 def test_weight_tables_share_one_chain_memo(order):
-    assert CYL.inner().rows == SKEW[1]
+    assert CYL.inner.rows == SKEW[1]
     cold = {}
     for name, fold in FOLDS.items():
         clear_caches()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cylkit.affine import AffinePermutation, CyclicSet, proper_subsets
+from cylkit.affine import AffinePermutation, cyclic_element, proper_subsets
 from cylkit.cylindric import CylType, ribbon_r
 from cylkit.errors import GradingError, InvalidInputError
 from cylkit.nilcoxeter import (
@@ -70,7 +70,7 @@ class TestGenerators:
         e2 = ee(2, 4)
         assert len(e2.terms) == 6
         for members in proper_subsets(4, 2):
-            u = CyclicSet(4, members, False).element()
+            u = cyclic_element(4, members, False)
             assert e2.coeff(u) == 1
 
     def test_index_too_large(self):
@@ -89,7 +89,7 @@ class TestQuotient:
         assert quotient_project(A(6, 0, 1, 0), CylType(3, 6)).is_zero()
 
     def test_long_decreasing_killed(self):
-        d = CyclicSet(4, frozenset({0, 1, 2}), True).element()
+        d = cyclic_element(4, frozenset({0, 1, 2}), True)
         assert quotient_project(NilCoxeterElement.basis(d), CylType(2, 4)).is_zero()
 
     def test_relations_exhaustively(self):
@@ -99,8 +99,8 @@ class TestQuotient:
             m = ctype.m
             for size in range(1, n):
                 for members in proper_subsets(n, size):
-                    d = CyclicSet(n, members, True).element()
-                    u = CyclicSet(n, members, False).element()
+                    d = cyclic_element(n, members, True)
+                    u = cyclic_element(n, members, False)
                     if size > n - m:
                         assert quotient_project(
                             NilCoxeterElement.basis(d), ctype).is_zero()
@@ -180,8 +180,8 @@ class TestRibbonTheorem:
         assert all(c == 1 for c in projected.terms.values())
         expected = set()
         for members in proper_subsets(n, n - m):
-            w = (CyclicSet(n, frozenset(range(n)) - members, False).element()
-                 * CyclicSet(n, members, True).element())
+            w = (cyclic_element(n, frozenset(range(n)) - members, False)
+                 * cyclic_element(n, members, True))
             assert w.length == n
             expected.add(w)
         assert set(projected.terms) == expected

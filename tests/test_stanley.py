@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from cylkit import stanley
 from cylkit.affine import (
     AffinePermutation,
+    cyclic_element,
     elements_by_length,
     grassmannian_from_kbounded,
     interval_set,
     letter_multiplicities,
+    proper_subsets,
     rotate,
     shape_of,
 )
@@ -286,8 +288,8 @@ class TestDualPieriBranches:
                 for lam in partitions_of(size, max_part=n - 1):
                     full = AffinePermutation.identity(n)
                     for j in range(len(lam), 0, -1):
-                        full = full * interval_set(
-                            n, -j + 1, lam[j - 1] - j).element()
+                        full = full * cyclic_element(
+                            n, interval_set(n, -j + 1, lam[j - 1] - j), True)
                     assert grassmannian_from_kbounded(n, lam) == full, (n, lam)
                     cases += 1
         assert cases == 578
@@ -641,8 +643,6 @@ class TestDualPieriTheorem:
     @pytest.mark.parametrize("n", [3, 4])
     def test_left_right_sums_agree(self, n):
         # both factorization sums give the same polynomial
-        from cylkit.affine import CyclicSet, proper_subsets
-
         for w in elements_by_length(n, 4)[4]:
             nvars = max(1, w.length)
             for q in range(1, n):
@@ -650,7 +650,7 @@ class TestDualPieriTheorem:
                 right = SymmetricPolynomial.zero(nvars, w.length - q)
                 hits = 0
                 for members in proper_subsets(n, q):
-                    u_j = CyclicSet(n, members, False).element()
+                    u_j = cyclic_element(n, members, False)
                     v = u_j * w
                     if v.length == w.length - q:
                         left = left + stanley_monomials(v, nvars)
