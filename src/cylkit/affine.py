@@ -10,7 +10,8 @@ and ``sum(w(1..n)) = n(n+1)/2``; it is stored as the window
 Every reader works on the window tuple, or on one list of it: a right
 descent at ``i`` is the adjacent pair ``w(i) > w(i+1)`` (``w(0) = w(n) -
 n``), a Grassmannian test is a descent scan, reduced words and products of
-letters are swaps on one list, and rotation is index arithmetic.  None
+letters are swaps on one list, and rotation is index arithmetic (so is
+the key of a rotation orbit, its least rotated window).  None
 evaluates ``w(i)`` one index at a time or builds an element per step; that
 one-index reader is the test suite's oracle (``tests/oracles.py``).
 
@@ -536,13 +537,37 @@ def rotate(w: AffinePermutation, t: int) -> AffinePermutation:
     """The rotation automorphism ``f^t: s_i -> s_{i+t}``.
 
     Conjugation by the shift ``j -> j + t``; window ``f^t(w)(i) = w(i-t)+t``,
-    which with ``k = t mod n`` is the window turned right by ``k`` places,
-    its last ``k`` entries shifted by ``k - n`` and the others by ``k``.
+    which is the window of :func:`_turned` at ``k = t mod n``.
+    """
+    return AffinePermutation._trusted(w.n, _turned(w.n, w.window, t % w.n),
+                                      w._known_length())
+
+
+def _turned(n: int, win: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The window of ``f^k(w)`` for ``0 <= k < n``: ``win`` turned right by
+    ``k`` places, its last ``k`` entries shifted by ``k - n`` and the others
+    by ``k``."""
+    return tuple(v + k - n for v in win[n - k:]) + tuple(v + k for v in win[:n - k])
+
+
+def rotation_key(w: AffinePermutation) -> tuple[int, ...]:
+    """The least window among the ``n`` rotations ``f^t(w)``: one key per
+    Z/n orbit, since the orbit's elements share their set of rotated windows
+    and a window determines its element.  At most ``O(n^2)``: only the
+    rotations whose windows tie for the least first entry are built.
+
+    >>> w = AffinePermutation.from_word(4, [1, 0])
+    >>> [rotate(w, t).window for t in range(4)]
+    [(0, 1, 3, 6), (3, 1, 2, 4), (1, 4, 2, 3), (0, 2, 5, 3)]
+    >>> rotation_key(rotate(w, 2))
+    (0, 1, 3, 6)
     """
     n, win = w.n, w.window
-    k = t % n
-    turned = tuple(v + k - n for v in win[n - k:]) + tuple(v + k for v in win[:n - k])
-    return AffinePermutation._trusted(n, turned, w._known_length())
+    # the window of f^k(w) starts with w(1 - k) + k, so only the rotations
+    # that tie for the least start are built
+    starts = [win[-k] + k - n if k else win[0] for k in range(n)]
+    low = min(starts)
+    return min(_turned(n, win, k) for k in range(n) if starts[k] == low)
 
 
 # -- enumeration -------------------------------------------------------------

@@ -93,7 +93,10 @@ class PeriodicSequence:
         public constructor instead.
         """
         b = object.__new__(cls)
-        b.__dict__.update(ctype=ctype, rows=rows)
+        # stored as attributes, not through ``__dict__``, which would give
+        # every boundary a dict of its own
+        object.__setattr__(b, "ctype", ctype)
+        object.__setattr__(b, "rows", rows)
         return b
 
     def row_bound(self, p: int) -> int:
@@ -170,12 +173,21 @@ class PeriodicSequence:
         check_partition(lam)
         if not fits_box(lam, m, n - m):
             raise ShapeError(f"{lam} does not fit the ({m},{n}) box")
-        rows = []
-        for p in range(1, m + 1):
-            j = (p - d - 1) % m + 1
-            t = (d + j - p) // m
-            rows.append(part(lam, j) + d + t * (n - m))
-        return PeriodicSequence(ctype, tuple(rows))
+        return PeriodicSequence(ctype, _partition_rows(ctype, lam, d))
+
+
+def _partition_rows(ctype: CylType, lam: Partition, d: int) -> tuple[int, ...]:
+    """The row bounds of ``lam[d]``: window ``lam_j + d`` at rows ``d+1 ..
+    d+m``.  For ``lam`` in the (m, n) box they are a boundary: ``lam_1 >=
+    ... >= lam_m >= 0 >= lam_1 - (n-m)`` at ``d = 0``, and ``d`` shifts the
+    same periodic sequence."""
+    m, n = ctype.m, ctype.n
+    rows = []
+    for p in range(1, m + 1):
+        j = (p - d - 1) % m + 1
+        t = (d + j - p) // m
+        rows.append(part(lam, j) + d + t * (n - m))
+    return tuple(rows)
 
 
 def empty_boundary(ctype: CylType) -> PeriodicSequence:
@@ -189,8 +201,9 @@ def empty_boundary(ctype: CylType) -> PeriodicSequence:
 @dataclass(frozen=True)
 class CylindricShape:
     """``lam/d/mu``: the region between ``mu[0]`` and ``lam[d]``.  Both
-    boundaries are built once and kept; not being fields, they stay out of
-    eq, hash and repr."""
+    boundaries are built once and kept: :func:`shape_new` fills them, and a
+    shape built directly (as by :func:`phi`) builds each on its first read.
+    Not being fields, they stay out of eq, hash and repr."""
 
     ctype: CylType
     lam: Partition
@@ -210,8 +223,10 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     """Validated shape ``lam/d/mu``.
 
     Containment of the ideals is the rowwise inequality ``mu[0]_p <=
-    lam[d]_p`` over one period, checked on the shape's own boundaries, so
-    each is built and validated once, here.
+    lam[d]_p`` over one period, checked on the shape's own boundaries.  The
+    partitions are validated once, here, and the boundaries are built from
+    them without re-validation and stored in the slots of the shape's
+    cached properties, so a first read takes no lock.
     """
     lam = check_partition(tuple(lam))
     mu = check_partition(tuple(mu))
@@ -223,6 +238,11 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     if d < 0:
         raise ShapeError(f"offset d must be non-negative, got {d}")
     shape = CylindricShape(ctype, lam, d, mu)
+    # both partitions fit the box, so their rows are boundaries
+    object.__setattr__(shape, "outer", PeriodicSequence._trusted(
+        ctype, _partition_rows(ctype, lam, d)))
+    object.__setattr__(shape, "inner", PeriodicSequence._trusted(
+        ctype, _partition_rows(ctype, mu, 0)))
     if not shape.outer.contains(shape.inner):
         raise ShapeError(f"containment fails: {mu}[0] is not inside {lam}[{d}]")
     return shape

@@ -20,9 +20,11 @@ termination order :func:`cylkit.partitions.schedule_less` (smaller size
 first, then lexicographically larger first), which the recursion asserts on
 every branch, so the signed recursion terminates with the coefficients of
 the affine Schur functions; positivity of the final table is asserted,
-not assumed.  A brute-force oracle certifies the same expansion
-independently: it resolves the monomial table of ``w`` against the affine
-Schur basis by unitriangular elimination
+not assumed.  ``F_w`` does not change under the rotation ``f: s_i ->
+s_{i+1}``, so the final table is memoized once per Z/n orbit of ``w`` (see
+:func:`expand_affine_schur`).  A brute-force oracle certifies the same
+expansion independently: it resolves the monomial table of ``w`` against
+the affine Schur basis by unitriangular elimination
 (:func:`cylkit.symfunc.resolve`, the solver of the Schur change of basis),
 since the affine Schur function of a bounded partition ``lam`` is ``m_lam``
 plus monomials dominance-below ``lam``.  Its monomial tables are chains of
@@ -53,6 +55,7 @@ from cylkit.affine import (
     letter_multiplicities,
     proper_subsets,
     rotate,
+    rotation_key,
     shape_of,
 )
 from cylkit.cylindric import (
@@ -400,12 +403,29 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
     in the basis, and the result carries the type as its ``basis``.  Raises
     :class:`PositivityError` if a negative coefficient survives to the final
     table (an internal bug, never a property of the input).
+
+    The table is memoized on the rotation class of ``w``
+    (:func:`cylkit.affine.rotation_key`), so the Grassmannianization and
+    the recursion run once per Z/n orbit, on the first element met; every
+    other rotation reads the same table.  That is sound:
+
+    - ``f^t`` maps cyclically decreasing factorizations of ``w`` to those of
+      ``f^t(w)`` (it sends ``d_J`` to ``d_{J+t}`` and keeps lengths), so
+      ``F_{f^t(w)} = F_w`` (Lam 2006);
+    - the affine Schur functions are unitriangular against ``m_lam``, so
+      the coefficients of ``F_w`` on them are unique;
+    - ``in_A`` and the "every letter occurs" test do not change under
+      rotation, so the basis and the choice of the tight
+      Grassmannianization agree across an orbit.
+
+    The cap, the basis and the support check still run on every call.
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
     n = w.n
     basis = ctype if ctype is not None and in_A(w, ctype) else None
-    table = _TOP_MEMO.get((n, w.window))
+    key = (n, rotation_key(w))
+    table = _TOP_MEMO.get(key)
     if table is None:
         tight = (basis is not None
                  and all(c > 0 for c in letter_multiplicities(w).values()))
@@ -417,7 +437,7 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
         table = _expand_state(n, w0, shape_of(v0))
         if any(c < 0 for c in table.values()):
             raise PositivityError(f"negative final coefficient for {w}: {table}")
-        table = _TOP_MEMO.setdefault((n, w.window), table)
+        table = _TOP_MEMO.setdefault(key, table)
     if basis is not None:
         for u in table:
             if not in_A0(u, basis):

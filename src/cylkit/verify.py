@@ -202,7 +202,11 @@ def suite_expansion_oracle(max_n: int | None = None, max_len: int | None = None,
     """Expansion == oracle; positivity; support inside the basis.
 
     Every element of period 3 and 4 up to length 6, and 200 seeded samples
-    each at periods 5 and 6 up to length 7.
+    each at periods 5 and 6 up to length 7.  The exhaustive part is closed
+    under rotation, so its rotations share one expansion (the memo of
+    :func:`cylkit.stanley.expand_affine_schur` is keyed by rotation class);
+    the oracle side is still computed per element, so every returned table
+    is checked against an independent one.
     """
     exhaustive_len, sampled_len = _cap(6, max_len), _cap(7, max_len)
     tally = _Tally()

@@ -20,6 +20,7 @@ from cylkit.affine import (
     max_cyclic_factor,
     proper_subsets,
     rotate,
+    rotation_key,
     shape_of,
 )
 from cylkit.cylindric import CylType, PeriodicSequence, in_A, phi, skew_word
@@ -661,6 +662,21 @@ class TestRotation:
                 shifted = AffinePermutation.from_word(
                     n, [(i + t) % n for i in word])
                 assert rotate(w, t) == shifted
+
+    @pytest.mark.parametrize("n, maxlen", [(2, 6), (3, 6), (4, 5), (5, 4)])
+    def test_rotation_key_names_the_orbit(self, n, maxlen):
+        # exhaustive: the least rotated window, the same on a whole orbit,
+        # and a different one on every other orbit
+        orbit_of_key = {}
+        for level in elements_by_length(n, maxlen):
+            for w in level:
+                key = rotation_key(w)
+                turned = [rotate_by_values(w, t) for t in range(n)]
+                assert key == min(u.window for u in turned)
+                assert {rotation_key(u) for u in turned} == {key}
+                orbit = frozenset(u.window for u in turned)
+                assert orbit_of_key.setdefault(key, orbit) == orbit
+        assert len(set(orbit_of_key.values())) == len(orbit_of_key) > 1
 
 
 class TestLetterMultiplicities:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cylkit import cylindric
 from cylkit.affine import (
     AffinePermutation,
     cyclic_element,
@@ -96,6 +97,44 @@ class TestShapes:
         # prints the same
         fresh = CylindricShape(T36, (2, 1), 1, (2, 1))
         assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
+
+    def test_shape_new_validates_each_partition_once(self, monkeypatch):
+        # shape_new's own checks are the only ones: its boundaries come
+        # built, with no validating constructor and no second partition check
+        shapes = list(valid_shapes(T36, 8))
+        expected = [(PeriodicSequence.from_partition(T36, s.lam, s.d),
+                     PeriodicSequence.from_partition(T36, s.mu, 0)) for s in shapes]
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(cylindric, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def refuse(*args):
+            raise AssertionError("a boundary was validated again")
+
+        monkeypatch.setattr(PeriodicSequence, "__post_init__", refuse)
+        monkeypatch.setattr(PeriodicSequence, "from_partition", refuse)
+        for name in ("check_partition", "fits_box"):
+            monkeypatch.setattr(cylindric, name, counted(name))
+        rebuilt = [shape_new(T36, s.lam, s.d, s.mu) for s in shapes]
+        assert calls == {"check_partition": 2 * 447, "fits_box": 2 * 447}
+        assert all({"outer", "inner"} <= vars(s).keys() for s in rebuilt)
+        assert [(s.outer, s.inner) for s in rebuilt] == expected
+        assert rebuilt == shapes
+
+    def test_phi_leaves_the_boundaries_lazy(self):
+        for shape in valid_shapes(T36, 8):
+            if shape.mu:
+                continue
+            s = phi(skew_word(shape), T36)
+            assert s == shape and not {"outer", "inner"} & vars(s).keys()
+            assert s.outer == PeriodicSequence.from_partition(T36, s.lam, s.d)
+            assert s.inner == empty_boundary(T36)
 
 
 class TestBoundaries:

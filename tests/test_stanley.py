@@ -387,8 +387,74 @@ class TestExpansion:
                                for u in exp2.coeffs)
 
     def test_rotation_gives_same_expansion(self):
+        # every rotation expanded from cold caches, so the orbit memo of
+        # expand_affine_schur is never read: the per-window route it replaced
         w = W(6, 5, 3, 1, 4, 2, 0)
-        assert expand_affine_schur(rotate(w, 3)) == expand_affine_schur(w)
+        clear_caches()
+        turned = expand_affine_schur(rotate(w, 3))
+        clear_caches()
+        assert turned == expand_affine_schur(w)
+        pairs = 0
+        for n, maxlen in ((3, 6), (4, 6), (5, 5), (6, 5)):
+            types = [CylType(m, n) for m in range(1, n)]
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    clear_caches()
+                    expected = expand_affine_schur(w).coeffs
+                    basis = [in_A(w, ctype) for ctype in types]
+                    for t in range(1, n):
+                        u = rotate(w, t)
+                        clear_caches()
+                        assert expand_affine_schur(u).coeffs == expected, (w, t)
+                        assert [in_A(u, ctype) for ctype in types] == basis, (w, t)
+                        pairs += 1
+        assert pairs == 4027
+
+
+class TestRotationMemo:
+    """``expand_affine_schur`` keeps one table per rotation class and
+    answers every rotation of an expanded element from it."""
+
+    @staticmethod
+    def _refuse_expansion(mp):
+        def refuse(*args):
+            raise AssertionError("a rotation was expanded again")
+        for name in ("_expand_state", "grassmannianize", "grassmannianize_321"):
+            mp.setattr(stanley, name, refuse)
+
+    def test_rotations_answer_from_the_memo(self, monkeypatch):
+        # Example 2 (in the (3, 6) basis) and two whole levels; each element
+        # is expanded in the first type whose basis holds it, if any, and
+        # every rotation is then asked with no type and with each such type
+        cases = ([W(6, 5, 3, 1, 4, 2, 0)] + elements_by_length(4, 5)[5]
+                 + elements_by_length(5, 4)[4])
+        held = 0
+        for w in cases:
+            n = w.n
+            held_by = [ctype for ctype in (CylType(m, n) for m in range(1, n))
+                       if in_A(w, ctype)]
+            held += bool(held_by)
+            clear_caches()
+            expected = expand_affine_schur(w, ctype=(held_by or [None])[0]).coeffs
+            with monkeypatch.context() as mp:
+                self._refuse_expansion(mp)
+                for t in range(n):
+                    u = rotate(w, t)
+                    assert expand_affine_schur(u).coeffs == expected
+                    for ctype in held_by:
+                        exp = expand_affine_schur(u, ctype=ctype)
+                        assert exp.coeffs == expected and exp.basis == ctype
+        assert in_A(cases[0], T36) and 1 < held < len(cases)
+
+    @pytest.mark.parametrize("n, ell", [(4, 6), (5, 5), (6, 4)])
+    def test_one_entry_per_rotation_class(self, n, ell):
+        # a level is closed under rotation, which keeps length
+        level = elements_by_length(n, ell)[ell]
+        clear_caches()
+        for w in level:
+            expand_affine_schur(w)
+        classes = {frozenset(rotate(w, t).window for t in range(n)) for w in level}
+        assert len(stanley._TOP_MEMO) == len(classes) < len(level)
 
 
 class TestOracle:
