@@ -18,9 +18,13 @@ one-index reader is the test suite's oracle (``tests/oracles.py``).
 Also here: the code ``(c_1, ..., c_n)``, cyclically decreasing/increasing
 elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ`` (a plain
 frozenset, checked once, when :func:`cyclic_element` first builds it), the
-one-sided cyclic factors of an element (all of one size, and the maximal
-one) by a window criterion, and the bijection between 0-Grassmannian
-elements and partitions with parts < n, read off the code.
+one-sided cyclic factors of an element, and the bijection between
+0-Grassmannian elements and partitions with parts < n, read off the code.
+One walk along the window gives each generator's reach in a right factor
+and so the maximal factor, the union of the fitting intervals; the factors
+of one size are the subsets of the maximal one whose intervals fit, and
+321-avoidance is read off the maximal increasing and decreasing factors
+(``maxc`` and ``maxr``).
 """
 
 from __future__ import annotations
@@ -275,25 +279,18 @@ def enumerate_reduced_words(w: AffinePermutation, cap: int) -> tuple[Word, ...]:
 
 
 def is_321_avoiding(w: AffinePermutation) -> bool:
-    """Window criterion: no ``i < j < l`` in Z with ``w(i) > w(j) > w(l)``.
+    """No ``i < j < l`` in Z with ``w(i) > w(j) > w(l)``: no position both
+    ends an inversion and starts one.
 
-    Equivalent to no reduced word containing a factor ``s_i s_{i+-1} s_i``
-    (the equivalence is exercised by the test suite).
+    Position ``p`` starts an inversion iff some ``u_{[p, q]}`` splits off
+    the right of ``w`` (``w(p), ..., w(q)`` all exceed ``w(q+1)``), i.e.
+    iff ``p`` is in ``maxc(w)``; it ends one iff some ``d_{[q, p-1]}``
+    does, i.e. iff ``p - 1`` is in ``maxr(w)``.  Equivalent to no reduced
+    word containing a factor ``s_i s_{i+-1} s_i`` (the equivalence is
+    exercised by the test suite).
     """
-    n, win = w.n, w.window
-    shift = max(abs(v - t) for t, v in enumerate(win, 1))
-    reach = 2 * shift + 1
-    # ext[i - 1] == w(i) for i = 1 .. n + 2 * reach, the last position read
-    ext = [win[i % n] + i - i % n for i in range(n + 2 * reach)]
-    for i in range(n):
-        wi = ext[i]
-        for j in range(i + 1, i + reach + 1):
-            wj = ext[j]
-            if wi > wj:
-                for l in range(j + 1, j + reach + 1):
-                    if wj > ext[l]:
-                        return False
-    return True
+    maxr = max_cyclic_factor(w)
+    return not any((p - 1) % w.n in maxr for p in max_cyclic_factor(w, "increasing"))
 
 
 def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
@@ -315,6 +312,18 @@ def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
 # -- cyclically decreasing / increasing elements -----------------------------
 
 
+def _intervals(n: int, J) -> Iterator[tuple[int, int]]:
+    """The maximal cyclic intervals ``[p, q]`` of a proper subset ``J`` of
+    ``Z/nZ``, by start ``p`` (``q`` may pass ``n - 1``, wrapping round)."""
+    for p in sorted(J):
+        if (p - 1) % n in J:
+            continue
+        q = p
+        while (q + 1) % n in J:
+            q += 1
+        yield p, q
+
+
 def cyclic_word(n: int, J: frozenset[int], decreasing: bool) -> Word:
     """The canonical word of ``d_J`` (``decreasing``) or ``u_J`` for a
     proper subset ``J`` of ``Z/nZ``: per maximal cyclic interval ``[p, q]``,
@@ -329,12 +338,7 @@ def cyclic_word(n: int, J: frozenset[int], decreasing: bool) -> Word:
     if len(J) == n:
         raise InvalidInputError("J must be a proper subset of Z/nZ")
     letters: list[int] = []
-    for p in sorted(J):
-        if (p - 1) % n in J:
-            continue
-        q = p
-        while (q + 1) % n in J:
-            q += 1
+    for p, q in _intervals(n, J):
         span = range(q, p - 1, -1) if decreasing else range(p, q + 1)
         letters.extend(i % n for i in span)
     return tuple(letters)
@@ -364,21 +368,15 @@ def proper_subsets(n: int, size: int) -> Iterator[frozenset[int]]:
         yield frozenset(combo)
 
 
-def _cyclic_reach(w: AffinePermutation, side: str, direction: str
-                  ) -> tuple[bool, list[int]]:
-    """How far each generator's interval may reach in a one-sided factor.
+def _cyclic_reach(w: AffinePermutation, decreasing: bool
+                  ) -> tuple[list[int], frozenset[int]]:
+    """How far each generator's interval may reach in a right cyclic
+    factor, and the maximal factor, the union of the intervals that fit.
 
-    The left side is reduced to the right side of ``w^-1`` with the other
-    direction, since ``(d_J)^-1 == u_J``.  Returns ``(starts, reach)``: when
-    ``starts`` is true (right, decreasing), ``d_{[p, p+r-1]}`` peels off
-    length-additively exactly for ``r <= reach[p]``; otherwise (right,
-    increasing) ``u_{[p-r+1, p]}`` does exactly for ``r <= reach[p]``.
+    ``d_{[p, p+r-1]}`` (``decreasing``) peels off the right of ``w``
+    length-additively exactly for ``r <= reach[p]``; ``u_{[p-r+1, p]}``
+    (increasing) does exactly for ``r <= reach[p]``.
     """
-    if side not in ("right", "left") or direction not in ("decreasing", "increasing"):
-        raise InvalidInputError(f"bad side/direction: {side}/{direction}")
-    decreasing = direction == "decreasing"
-    if side == "left":
-        w, decreasing = w.inverse(), not decreasing
     n, win = w.n, w.window
     # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
     # stops within one period, as w(i + n) = w(i) + n.
@@ -398,58 +396,54 @@ def _cyclic_reach(w: AffinePermutation, side: str, direction: str
             while ext[j] > bottom:
                 j -= 1
             reach.append(k - j)
-    return decreasing, reach
+    sign = 1 if decreasing else -1
+    return reach, frozenset((p + sign * t) % n
+                            for p, r in enumerate(reach) for t in range(r))
 
 
-def max_cyclic_factor(w: AffinePermutation, side: str = "right",
-                      direction: str = "decreasing") -> frozenset[int]:
-    """The unique maximal ``J`` splitting off a one-sided cyclic factor.
+def max_cyclic_factor(w: AffinePermutation, direction: str = "decreasing"
+                      ) -> frozenset[int]:
+    """The unique maximal ``J`` splitting off a right cyclic factor.
 
-    For ``side="right", direction="decreasing"`` this is the ``J`` with
-    ``w = v * d_J`` length-additively that contains every other valid ``J'``;
-    its size is ``maxr(w)``.  ``side="right", direction="increasing"`` gives
-    ``maxc(w)``.
+    With ``direction="decreasing"`` this is the ``J`` with ``w = v * d_J``
+    length-additively that contains every other such ``J'``; its size is
+    ``maxr(w)``.  ``direction="increasing"`` gives ``maxc(w)``, for
+    ``w = v * u_J``.  A left factor of ``w`` is a right factor of ``w^-1``
+    in the other direction, since ``(d_J)^-1 == u_J``.
 
     Window criterion, O(n^2): the intervals of ``J`` act on disjoint
     positions, so ``J`` is valid iff each of its maximal cyclic intervals
-    ``[p, q]`` is, and the maximal ``J`` is the union of all valid
-    intervals.  Peeling ``d_{[p,q]}`` off the right is length-additive iff
-    ``w(p) > w(j)`` for ``j = p+1, ..., q+1``; peeling ``u_{[p,q]}`` iff
-    ``w(j) > w(q+1)`` for ``j = q, q-1, ..., p``.  So each generator's
-    longest interval is found by one walk along the window.  The left
-    factors are the right factors of ``w^-1`` in the other direction, since
-    ``(d_J)^-1 == u_J``.
+    is, and the maximal ``J`` is the union of all valid intervals, each
+    generator's longest found by one walk along the window
+    (:func:`_cyclic_reach`).
 
     >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
     >>> sorted(max_cyclic_factor(w))
     [0, 1]
-    >>> sorted(max_cyclic_factor(w, "right", "increasing"))
+    >>> sorted(max_cyclic_factor(w, "increasing"))
     [0]
-    >>> sorted(max_cyclic_factor(w, "left", "decreasing"))
-    [0, 1]
     """
-    starts, reach = _cyclic_reach(w, side, direction)
-    n = w.n
-    sign = 1 if starts else -1
-    return frozenset((p + sign * t) % n for p, r in enumerate(reach) for t in range(r))
+    if direction not in ("decreasing", "increasing"):
+        raise InvalidInputError(f"bad direction: {direction}")
+    return _cyclic_reach(w, direction == "decreasing")[1]
 
 
-def cyclic_factors(w: AffinePermutation, size: int, side: str = "right",
-                   direction: str = "decreasing") -> list[frozenset[int]]:
-    """Every ``J`` of ``size`` elements splitting off a one-sided cyclic
-    factor length-additively, in the order of ``proper_subsets``.
+def cyclic_factors(w: AffinePermutation, size: int, side: str = "right"
+                   ) -> list[frozenset[int]]:
+    """Every ``J`` of ``size`` elements splitting off ``d_J`` on ``side``
+    length-additively, in the order of ``proper_subsets``.
 
-    ``side="right", direction="decreasing"`` lists the ``J`` with
-    ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``);
-    ``side="left"`` lists those with ``len(u_J * w) == len(w) - size``.
+    ``side="right"`` lists the ``J`` with ``len(w * u_J) == len(w) - size``
+    (so ``w = (w u_J) d_J``); ``side="left"`` lists those with
+    ``len(u_J * w) == len(w) - size``, the right increasing factors of
+    ``w^-1``.
 
     Criterion: ``J`` is admissible iff each of its maximal cyclic intervals
-    fits within its generator's reach (see :func:`max_cyclic_factor`; the
-    reach is anchored at the interval's first generator for decreasing
-    right factors and at its last for increasing ones).  The admissible
-    ``J`` are therefore the sets of pairwise non-adjacent fitting intervals;
-    they are enumerated by increasing interval start, each once, without
-    forming a product or scanning ``C(n, size)``.
+    fits within its generator's reach (:func:`_cyclic_reach`; anchored at
+    the interval's first generator for decreasing right factors and at its
+    last for increasing ones).  Every admissible ``J`` lies inside the
+    maximal factor, so only its ``C(|maximal|, size)`` subsets are tried,
+    with no product formed.
 
     >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
     >>> [sorted(J) for J in cyclic_factors(w, 2)]
@@ -457,35 +451,19 @@ def cyclic_factors(w: AffinePermutation, size: int, side: str = "right",
     >>> [sorted(J) for J in cyclic_factors(w, 2, "left")]
     [[0, 1], [1, 3]]
     """
-    starts, reach = _cyclic_reach(w, side, direction)
+    if side not in ("right", "left"):
+        raise InvalidInputError(f"bad side: {side}")
     n = w.n
     if not 0 <= size < n:
         return []
-    if size == 0:
-        return [frozenset()]
-    # fitting intervals as (first generator, span), first in 0..n-1
-    fitting = sorted((p, r) if starts else ((p - r + 1) % n, r)
-                     for p, top in enumerate(reach) for r in range(1, top + 1))
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(index: int, low: int, first: int, left: int) -> None:
-        # the next interval starts at ``low`` or later and ends at least one
-        # generator before ``first + n``, the first interval's start one turn
-        # later, so no two chosen intervals touch (``first == n``: none yet)
-        if left == 0:
-            found.append(tuple(sorted(chosen)))
-            return
-        for pos in range(index, len(fitting)):
-            p, r = fitting[pos]
-            if p < low or r > left or p + r > first + n - 1:
-                continue
-            chosen.extend((p + t) % n for t in range(r))
-            extend(pos + 1, p + r + 1, min(first, p), left - r)
-            del chosen[-r:]
-
-    extend(0, 0, n, size)
-    return [frozenset(J) for J in sorted(found)]
+    decreasing = side == "right"
+    reach, maximal = _cyclic_reach(w if decreasing else w.inverse(), decreasing)
+    found = []
+    for combo in itertools.combinations(sorted(maximal), size):
+        J = frozenset(combo)
+        if all(q - p < reach[p if decreasing else q % n] for p, q in _intervals(n, J)):
+            found.append(J)
+    return found
 
 
 def shape_of(w: AffinePermutation) -> Partition:

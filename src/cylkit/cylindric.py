@@ -35,7 +35,6 @@ from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
     Word,
-    is_321_avoiding,
     letter_multiplicities,
     max_cyclic_factor,
 )
@@ -347,9 +346,11 @@ def in_A(w: AffinePermutation, ctype: CylType) -> bool:
     hit = _IN_A_MEMO.get(key)
     if hit is not None:
         return hit
-    ok = (is_321_avoiding(w)
-          and len(max_cyclic_factor(w, "right", "increasing")) <= m
-          and len(max_cyclic_factor(w, "right", "decreasing")) <= n - m)
+    maxc = max_cyclic_factor(w, "increasing")
+    maxr = max_cyclic_factor(w)
+    # 321-avoiding (see affine.is_321_avoiding): no p in maxc with p - 1 in maxr
+    ok = (len(maxc) <= m and len(maxr) <= n - m
+          and not any((p - 1) % n in maxr for p in maxc))
     return _IN_A_MEMO.setdefault(key, ok)
 
 

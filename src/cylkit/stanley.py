@@ -11,9 +11,9 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
 
 The ``J`` whose lengths drop are exactly the left and right cyclically
 decreasing factors of ``w'`` of size ``b``; :func:`dual_pieri_branches` lists
-them with :func:`cylkit.affine.cyclic_factors`, by the window criterion,
-so a state costs its few admissible products rather than a scan of all
-``C(n, b)`` subsets.
+them with :func:`cylkit.affine.cyclic_factors`, which filters the size-``b``
+subsets of the maximal factor by a window criterion, so a state multiplies
+out only its admissible branches rather than all ``C(n, b)`` subsets.
 
 Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
@@ -344,7 +344,7 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
         raise InvalidInputError(f"bad block ({part_size}, {part_index})")
     J0 = interval_set(n, -part_index + 1, part_size - part_index)
     wprime = w * cyclic_element(n, J0, True)
-    right = cyclic_factors(wprime, part_size, "right", "decreasing")
+    right = cyclic_factors(wprime, part_size)
     # J0 is admissible iff len(w') == len(w) + part_size
     if J0 not in right:
         raise InvalidInputError("tail block is not length-additive")
@@ -354,7 +354,7 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
         return AffinePermutation._trusted(n, x.window, w.length)
 
     b_plus = [branch(cyclic_element(n, J, False) * wprime)
-              for J in cyclic_factors(wprime, part_size, "left", "decreasing")]
+              for J in cyclic_factors(wprime, part_size, "left")]
     b_minus = [(J, branch(wprime * cyclic_element(n, J, False)))
                for J in right if J != J0]
     return b_plus, b_minus

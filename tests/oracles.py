@@ -244,16 +244,16 @@ def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "righ
     return out
 
 
-def max_cyclic_factor_exhaustive(w: AffinePermutation, side: str = "right",
+def max_cyclic_factor_exhaustive(w: AffinePermutation,
                                  direction: str = "decreasing") -> frozenset[int]:
-    """The maximal one-sided cyclic factor by trying every proper subset.
+    """The maximal right cyclic factor by trying every proper subset.
 
     Keeps every ``J`` of size up to ``len(w)`` that
     :func:`cyclic_factors_exhaustive` accepts; also checks that the largest
     valid ``J`` contains every other one.
     """
     valid = [members for sz in range(min(w.n - 1, w.length) + 1)
-             for members in cyclic_factors_exhaustive(w, sz, side, direction)]
+             for members in cyclic_factors_exhaustive(w, sz, "right", direction)]
     best = max(valid, key=len)
     if any(not members <= best for members in valid):
         raise AssertionError(f"maximal cyclic factor not unique for {w}")
@@ -277,7 +277,7 @@ def maximal_cdd(w: AffinePermutation) -> tuple[list[frozenset[int]], Partition]:
     sets: list[frozenset[int]] = []
     cur = w
     while not cur.is_identity():
-        J = max_cyclic_factor(cur, "right", "decreasing")
+        J = max_cyclic_factor(cur)
         sets.append(J)
         cur = cur * cyclic_element(w.n, J, False)  # (d_J)^-1 == u_J
     return sets, check_partition(tuple(len(J) for J in sets))

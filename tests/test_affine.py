@@ -384,14 +384,14 @@ class TestMaxCyclicFactor:
     def test_self_factor(self):
         for members in proper_subsets(5, 3):
             d = cyclic_element(5, members, True)
-            assert max_cyclic_factor(d, "right", "decreasing") == members
+            assert max_cyclic_factor(d) == members
 
     def test_identity(self):
         assert max_cyclic_factor(AffinePermutation.identity(4)) == frozenset()
 
     def test_ribbon_r3(self):
         w = W(6, 3, 4, 5, 2, 1, 0)
-        assert max_cyclic_factor(w, "right", "decreasing") == frozenset({0, 1, 2})
+        assert max_cyclic_factor(w) == frozenset({0, 1, 2})
 
     def test_interior_letter_not_a_descent(self):
         # w = d_{0,1} = s_1 s_0: the valid J = {0,1} is not inside the
@@ -403,29 +403,35 @@ class TestMaxCyclicFactor:
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("direction", ["decreasing", "increasing"])
     def test_factorization_property(self, side, direction):
+        # a left factor of w is a right factor of w^-1 in the other direction
+        other = "increasing" if direction == "decreasing" else "decreasing"
         for w in elements_by_length(4, 4)[4]:
-            J = max_cyclic_factor(w, side, direction)
+            if side == "right":
+                J = max_cyclic_factor(w, direction)
+            else:
+                J = max_cyclic_factor(w.inverse(), other)
             inv = cyclic_element(4, J, direction != "decreasing")
             rest = w * inv if side == "right" else inv * w
             assert rest.length == w.length - len(J)
 
     def test_matches_exhaustive_scan(self):
-        # every side/direction on every element, n <= 7: 5,360 cases
+        # both directions on every element, n <= 7: 2,680 cases
         cases = 0
         for n, maxlen in FACTOR_GRID:
             for level in elements_by_length(n, maxlen):
                 for w in level:
-                    for side in ("right", "left"):
-                        for direction in ("decreasing", "increasing"):
-                            assert (max_cyclic_factor(w, side, direction)
-                                    == max_cyclic_factor_exhaustive(w, side, direction)), \
-                                (w, side, direction)
-                            cases += 1
-        assert cases == 5360
+                    for direction in ("decreasing", "increasing"):
+                        assert (max_cyclic_factor(w, direction)
+                                == max_cyclic_factor_exhaustive(w, direction)), \
+                            (w, direction)
+                        cases += 1
+        assert cases == 2680
 
     def test_bad_side_rejected(self):
-        with pytest.raises(InvalidInputError):
-            max_cyclic_factor(W(4, 0), "middle", "decreasing")
+        # only right factors are read, so a side name is a bad direction
+        for bad in ("left", "middle"):
+            with pytest.raises(InvalidInputError):
+                max_cyclic_factor(W(4, 0), bad)
 
     def test_subset_scan_off_hot_path(self, monkeypatch):
         def no_scan(n, size):
@@ -436,8 +442,8 @@ class TestMaxCyclicFactor:
         clear_caches()
         w = W(16, 0, 8, 1, 9)  # u_{0,1} u_{8,9}, values from the scan
         assert max_cyclic_factor(w) == frozenset({1, 9})
-        assert max_cyclic_factor(w, "right", "increasing") == frozenset({0, 1, 8, 9})
-        assert max_cyclic_factor(w, "left", "decreasing") == frozenset({0, 8})
+        assert max_cyclic_factor(w, "increasing") == frozenset({0, 1, 8, 9})
+        assert max_cyclic_factor(w.inverse(), "increasing") == frozenset({0, 8})
         v, p = grassmannianize(w)
         v0 = rotate(v, -p)  # the tail the expansion starts from
         assert shape_of(v0) == maximal_cdd(v0)[1] == (1,) * 7
@@ -459,6 +465,25 @@ class TestMaxCyclicFactor:
         monkeypatch.setattr("cylkit.affine._cyclic_reach", refuse)
         clear_caches()
         assert pinned_tables_hold()
+
+
+class TestInA:
+    def test_matches_definition(self):
+        # A(m, n): 321-avoiding with maxc <= m and maxr <= n - m, each read
+        # by its oracle, on every element of the grid and every m: 6,066 cases
+        clear_caches()
+        cases = 0
+        for n, maxlen in FACTOR_GRID:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    avoiding = is_321_avoiding_by_values(w)
+                    maxc = len(max_cyclic_factor_exhaustive(w, "increasing"))
+                    maxr = len(max_cyclic_factor_exhaustive(w))
+                    for m in range(1, n):
+                        assert in_A(w, CylType(m, n)) == (
+                            avoiding and maxc <= m and maxr <= n - m), (w, m)
+                        cases += 1
+        assert cases == 6066
 
 
 class TestCylindricHotPath:
@@ -515,20 +540,19 @@ class TestCylindricHotPath:
 
 class TestCyclicFactors:
     def test_matches_exhaustive_scan(self):
-        # every size, side and direction on every element, n <= 7: 29,624 cases
+        # every size and side on every element, n <= 7: 14,812 cases
         cases = 0
         for n, maxlen in FACTOR_GRID:
             for level in elements_by_length(n, maxlen):
                 for w in level:
                     for size in range(n):
                         for side in ("right", "left"):
-                            for direction in ("decreasing", "increasing"):
-                                found = cyclic_factors(w, size, side, direction)
-                                assert len(set(found)) == len(found), (w, size, side)
-                                assert found == cyclic_factors_exhaustive(
-                                    w, size, side, direction), (w, size, side, direction)
-                                cases += 1
-        assert cases == 29624
+                            found = cyclic_factors(w, size, side)
+                            assert len(set(found)) == len(found), (w, size, side)
+                            assert found == cyclic_factors_exhaustive(
+                                w, size, side), (w, size, side)
+                            cases += 1
+        assert cases == 14812
 
     def test_empty_and_out_of_range_sizes(self):
         w = W(4, 1, 0)
@@ -539,7 +563,7 @@ class TestCyclicFactors:
 
     def test_bad_side_rejected(self):
         with pytest.raises(InvalidInputError):
-            cyclic_factors(W(4, 0), 1, "right", "sideways")
+            cyclic_factors(W(4, 0), 1, "sideways")
 
 
 class TestMaximalCdd:
@@ -773,3 +797,17 @@ class TestWindowReaders:
         assert w.length == exact_length(w)
         assert_window_readers_match(w)
         assert_window_readers_match(AffinePermutation(n, w.window))
+
+    @settings(max_examples=150)
+    @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=40),
+        st.booleans())))
+    def test_321_rule_on_large_random_elements(self, case):
+        # checked where elements reach far: n <= 24 and length <= 40, from
+        # random words or from random ascents only (longer elements)
+        n, letters, ascents_only = case
+        w = AffinePermutation.identity(n)
+        for i in letters:
+            if not (ascents_only and w.has_right_descent(i)):
+                w = w.times_s(i)
+        assert is_321_avoiding(w) == is_321_avoiding_by_values(w), w

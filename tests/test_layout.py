@@ -9,7 +9,8 @@ an ``Attribute`` or an import), and a method that is not a dunder by an
 attribute access, somewhere in ``src/cylkit`` or in the benchmark scripts
 ``bench/*.py``.  A local variable or builtin that shares a method's name
 does not count.  Helpers that only tests call belong in
-``tests/oracles.py``, not in the package.
+``tests/oracles.py``, not in the package, and every one of those must be
+reached from a test module, directly or through another oracle.
 """
 
 import ast
@@ -64,6 +65,36 @@ def test_every_definition_in_src_has_a_caller_outside_tests():
               if name not in (used_as_attr if method else used)
               and qualified not in ALLOWED]
     assert unused == []
+
+
+def dead_oracles(oracles: ast.Module, tests: list[ast.Module]) -> list[str]:
+    """Top-level defs of the oracle module that no test module references,
+    directly or through the body of an oracle it reaches."""
+    bodies = {node.name: node for node in oracles.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))}
+    reached = set().union(*(references(tree)[0] for tree in tests)) & bodies.keys()
+    stack = list(reached)
+    while stack:
+        fresh = references(bodies[stack.pop()])[0] & bodies.keys() - reached
+        reached |= fresh
+        stack.extend(fresh)
+    return sorted(bodies.keys() - reached)
+
+
+def test_dead_oracle_check_flags_an_orphan_chain():
+    oracles = ast.parse("def a():\n    return b()\n\ndef b():\n    return 1\n\n"
+                        "def c():\n    return d()\n\ndef d():\n    return d()\n")
+    tests = [ast.parse("from oracles import a\n\ndef test_a():\n    assert a()\n")]
+    assert dead_oracles(oracles, tests) == ["c", "d"]
+
+
+def test_every_oracle_is_reached_from_a_test_module():
+    tests_dir = ROOT / "tests"
+    tests = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(tests_dir.glob("test_*.py"))]
+    oracles = ast.parse((tests_dir / "oracles.py").read_text(encoding="utf-8"))
+    assert dead_oracles(oracles, tests) == []
 
 
 def test_allowlist_names_live_definitions():
