@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from cylkit import memo
 from cylkit.errors import CapExceededError, InvalidInputError
@@ -69,9 +68,14 @@ def _descents(win, n: int) -> Iterator[int]:
             yield i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePermutation:
     """An affine permutation of period ``n`` in window notation.
+
+    The length is a slot outside eq, hash and repr: an operation that knows
+    it (a word, a generator step, an inverse, a rotation) sets it when it
+    builds the element, and :attr:`length` fills it on the first read
+    otherwise.
 
     >>> AffinePermutation.identity(3)
     AffinePermutation(n=3, window=(1, 2, 3))
@@ -81,6 +85,7 @@ class AffinePermutation:
 
     n: int
     window: tuple[int, ...]
+    _length: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -108,16 +113,10 @@ class AffinePermutation:
         package goes through the public constructor instead.
         """
         w = object.__new__(cls)
-        fields = w.__dict__
-        fields["n"] = n
-        fields["window"] = window
-        if length is not None:
-            fields["length"] = length  # the cached_property's slot
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "window", window)
+        object.__setattr__(w, "_length", length)
         return w
-
-    def _known_length(self) -> int | None:
-        """The length if it is already cached, else None (no computation)."""
-        return self.__dict__.get("length")
 
     @staticmethod
     def identity(n: int) -> "AffinePermutation":
@@ -164,37 +163,41 @@ class AffinePermutation:
         for j, v in enumerate(self.window, start=1):
             r = (v - 1) % n  # w(j) = v means w^-1(r + 1) = j - (v - 1 - r)
             inv[r] = j - (v - 1 - r)
-        return AffinePermutation._trusted(n, tuple(inv), self._known_length())
+        return AffinePermutation._trusted(n, tuple(inv), self._length)
 
     def times_s(self, i: int) -> "AffinePermutation":
         """Right multiplication ``w * s_i`` (swap window positions).
 
-        A cached length moves by one: down iff ``w(i) > w(i+1)``.
+        A known length moves by one: down iff ``w(i) > w(i+1)``.
         """
         n = self.n
         win = list(self.window)
         descent = _swap(win, n, i % n)
-        length = self._known_length()
+        length = self._length
         if length is not None:
             length += -1 if descent else 1
         return AffinePermutation._trusted(n, tuple(win), length)
 
     # -- length and descents -----------------------------------------------
 
-    @cached_property
+    @property
     def length(self) -> int:
         """Number of inversions ``i < j`` (``1 <= i <= n``) with ``w(i) > w(j)``.
 
-        Computed by the closed formula ``sum |floor((w(j)-w(i))/n)|`` over
-        window pairs ``i < j``; cross-checked against direct unfolding in the
-        test suite.
+        Read from the ``_length`` slot, or computed once into it by the
+        closed formula ``sum |floor((w(j)-w(i))/n)|`` over window pairs
+        ``i < j``; cross-checked against direct unfolding in the test suite.
+        Two threads that both find the slot empty store the same value.
         """
-        n, win = self.n, self.window
-        total = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                q = (win[b] - win[a]) // n
-                total += -q if q < 0 else q
+        total = self._length
+        if total is None:
+            n, win = self.n, self.window
+            total = 0
+            for a in range(n):
+                for b in range(a + 1, n):
+                    q = (win[b] - win[a]) // n
+                    total += -q if q < 0 else q
+            object.__setattr__(self, "_length", total)
         return total
 
     def is_identity(self) -> bool:
@@ -518,7 +521,7 @@ def rotate(w: AffinePermutation, t: int) -> AffinePermutation:
     which is the window of :func:`_turned` at ``k = t mod n``.
     """
     return AffinePermutation._trusted(w.n, _turned(w.n, w.window, t % w.n),
-                                      w._known_length())
+                                      w._length)
 
 
 def _turned(n: int, win: tuple[int, ...], k: int) -> tuple[int, ...]:

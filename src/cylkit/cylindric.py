@@ -10,13 +10,13 @@ algorithm reads the boundary through these row bounds.
 
 A shape ``lam/d/mu`` is the region between the boundaries of ``mu[0]``
 (inner) and ``lam[d]`` (outer), where ``lam[d]`` places window ``lam_j + d``
-at rows ``d+1 .. d+m``; the shape keeps both, validated once by
-:func:`shape_new`.  The nilCoxeter element ``A_w`` acts by permuting
-the addable diagonals: row ``p`` can take a box on diagonal ``a_p = R_p + 1
-- p``, and ``A_w`` moves each ``a_p`` to ``w(a_p)``.  The result is a
-boundary with ``len(w)`` more cells per period, or zero; its rows are read
-off the window of ``w``, and a nonzero result is a boundary by
-construction, so it is built without re-validation.  Read backwards, the
+at rows ``d+1 .. d+m``; the shape is built with both as fields (validated
+once by :func:`shape_new`).  The nilCoxeter element ``A_w`` acts by
+permuting the addable diagonals: row ``p`` can take a box on diagonal
+``a_p = R_p + 1 - p``, and ``A_w`` moves each ``a_p`` to ``w(a_p)``.  The
+result is a boundary with ``len(w)`` more cells per period, or zero; its
+rows are read off the window of ``w``, and a nonzero result is a boundary
+by construction, so it is built without re-validation.  Read backwards, the
 same map gives the boundary word of two nested boundaries, from which come
 skew words and the inverse of the bijection ``phi``; that element too is
 valid by construction, so validation runs only at the edges.
@@ -28,8 +28,7 @@ folded over the row bounds by :func:`cylkit.symfunc.chain_table`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from cylkit import memo
 from cylkit.affine import (
@@ -63,9 +62,9 @@ class CylType:
 class PeriodicSequence:
     """A boundary on the cylinder: its row bounds ``(R_1, ..., R_m)``.
 
-    >>> b = PeriodicSequence.from_partition(CylType(3, 6), (2, 1), 0)
-    >>> b.rows
-    (2, 1, 0)
+    >>> b = PeriodicSequence(CylType(3, 6), (2, 1, 0))
+    >>> b.to_shape()
+    ((2, 1), 0)
     >>> b.apply_word((4,)).rows
     (2, 1, 1)
     """
@@ -92,8 +91,6 @@ class PeriodicSequence:
         public constructor instead.
         """
         b = object.__new__(cls)
-        # stored as attributes, not through ``__dict__``, which would give
-        # every boundary a dict of its own
         object.__setattr__(b, "ctype", ctype)
         object.__setattr__(b, "rows", rows)
         return b
@@ -166,14 +163,6 @@ class PeriodicSequence:
             raise AssertionError(f"normal form not unique for {self}: {found}")
         return found[0]
 
-    @staticmethod
-    def from_partition(ctype: CylType, lam: Partition, d: int) -> "PeriodicSequence":
-        m, n = ctype.m, ctype.n
-        check_partition(lam)
-        if not fits_box(lam, m, n - m):
-            raise ShapeError(f"{lam} does not fit the ({m},{n}) box")
-        return PeriodicSequence(ctype, _partition_rows(ctype, lam, d))
-
 
 def _partition_rows(ctype: CylType, lam: Partition, d: int) -> tuple[int, ...]:
     """The row bounds of ``lam[d]``: window ``lam_j + d`` at rows ``d+1 ..
@@ -200,22 +189,16 @@ def empty_boundary(ctype: CylType) -> PeriodicSequence:
 @dataclass(frozen=True)
 class CylindricShape:
     """``lam/d/mu``: the region between ``mu[0]`` and ``lam[d]``.  Both
-    boundaries are built once and kept: :func:`shape_new` fills them, and a
-    shape built directly (as by :func:`phi`) builds each on its first read.
-    Not being fields, they stay out of eq, hash and repr."""
+    boundaries are fields that the builder passes in (:func:`shape_new`,
+    :func:`phi`); they are derived from ``lam``, ``d`` and ``mu``, so they
+    stay out of eq, hash and repr."""
 
     ctype: CylType
     lam: Partition
     d: int
     mu: Partition
-
-    @cached_property
-    def outer(self) -> PeriodicSequence:
-        return PeriodicSequence.from_partition(self.ctype, self.lam, self.d)
-
-    @cached_property
-    def inner(self) -> PeriodicSequence:
-        return PeriodicSequence.from_partition(self.ctype, self.mu, 0)
+    outer: PeriodicSequence = field(compare=False, repr=False)
+    inner: PeriodicSequence = field(compare=False, repr=False)
 
 
 def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
@@ -224,8 +207,7 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     Containment of the ideals is the rowwise inequality ``mu[0]_p <=
     lam[d]_p`` over one period, checked on the shape's own boundaries.  The
     partitions are validated once, here, and the boundaries are built from
-    them without re-validation and stored in the slots of the shape's
-    cached properties, so a first read takes no lock.
+    them without re-validation.
     """
     lam = check_partition(tuple(lam))
     mu = check_partition(tuple(mu))
@@ -236,15 +218,12 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
         raise ShapeError(f"mu={mu} does not fit the ({m},{n}) box")
     if d < 0:
         raise ShapeError(f"offset d must be non-negative, got {d}")
-    shape = CylindricShape(ctype, lam, d, mu)
     # both partitions fit the box, so their rows are boundaries
-    object.__setattr__(shape, "outer", PeriodicSequence._trusted(
-        ctype, _partition_rows(ctype, lam, d)))
-    object.__setattr__(shape, "inner", PeriodicSequence._trusted(
-        ctype, _partition_rows(ctype, mu, 0)))
-    if not shape.outer.contains(shape.inner):
+    outer = PeriodicSequence._trusted(ctype, _partition_rows(ctype, lam, d))
+    inner = PeriodicSequence._trusted(ctype, _partition_rows(ctype, mu, 0))
+    if not outer.contains(inner):
         raise ShapeError(f"containment fails: {mu}[0] is not inside {lam}[{d}]")
-    return shape
+    return CylindricShape(ctype, lam, d, mu, outer, inner)
 
 
 def cell_count(shape: CylindricShape) -> int:
@@ -362,7 +341,8 @@ def phi(w: AffinePermutation, ctype: CylType) -> CylindricShape:
     """The bijection onto shapes ``nu/e/()``: act on the empty boundary.
 
     Its inverse is :func:`skew_word`; ``to_shape`` has already put ``nu``
-    in the box, so the shape needs no re-validation.
+    in the box, so the shape needs no re-validation.  Its outer boundary
+    is the one the action produced, its inner the empty one.
 
     >>> from cylkit.affine import AffinePermutation
     >>> phi(AffinePermutation.from_word(6, [5, 1, 0]), CylType(3, 6)).lam
@@ -371,13 +351,14 @@ def phi(w: AffinePermutation, ctype: CylType) -> CylindricShape:
     if not in_A0(w, ctype):
         raise InvalidInputError(f"{w} is not a 321-avoiding 0-Grassmannian "
                                 f"element of type ({ctype.m},{ctype.n})")
-    grown = empty_boundary(ctype).act(w)
+    empty = empty_boundary(ctype)
+    grown = empty.act(w)
     if grown is None:
         raise AssertionError(f"action of {w} on the empty boundary vanished")
     nu, e = grown.to_shape()
     if e < 0:
         raise AssertionError("negative offset out of the empty boundary")
-    return CylindricShape(ctype, nu, e, ())
+    return CylindricShape(ctype, nu, e, (), grown, empty)
 
 
 def skew_word(shape: CylindricShape) -> AffinePermutation:
@@ -432,13 +413,13 @@ def ribbon_decomposition(w: AffinePermutation,
 # -- plain-text diagrams --------------------------------------------------------
 
 
-def render_shape(shape: CylindricShape, periods: int = 2) -> str:
-    """Staircase strip view with diagonal indices in the boxes."""
+def render_shape(shape: CylindricShape) -> str:
+    """Staircase strip view with diagonal indices in the boxes, rows ``2m``
+    down to ``-2m`` (two periods each side)."""
     m, n = shape.ctype.m, shape.ctype.n
     inner, outer = shape.inner, shape.outer
     width = len(str(n - 1))
-    top = periods * m
-    rows = list(range(top, -(periods * m) - 1, -1))
+    rows = list(range(2 * m, -2 * m - 1, -1))
     occupied = [(p, inner.row_bound(p) + 1, outer.row_bound(p)) for p in rows]
     qmin = min((lo for _, lo, hi in occupied if lo <= hi), default=0)
     lines = [" " * width + "."]

@@ -105,16 +105,14 @@ def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
 # -- monomial expansion --------------------------------------------------------
 
 
-def stanley_monomials(w: AffinePermutation, nvars: int,
-                      cap: int = DEFAULT_STANLEY_CAP) -> SymmetricPolynomial:
+def stanley_monomials(w: AffinePermutation, nvars: int) -> SymmetricPolynomial:
     """The monomial expansion of ``F_w`` in ``nvars`` variables: the table
     of :func:`_stanley_table`, validated as a symmetric polynomial."""
     return SymmetricPolynomial.from_weight_table(
-        nvars, w.length, _stanley_table(w, nvars, cap))
+        nvars, w.length, _stanley_table(w, nvars))
 
 
-def _stanley_table(w: AffinePermutation, nvars: int,
-                   cap: int = DEFAULT_STANLEY_CAP) -> WeightTable:
+def _stanley_table(w: AffinePermutation, nvars: int) -> WeightTable:
     """Coefficient of ``x^alpha``: factorizations of ``w`` into ``nvars``
     cyclically decreasing factors with lengths ``alpha`` (identity factors
     allowed).  ``F_w`` is symmetric (Lam 2006), so only the factorizations
@@ -132,8 +130,9 @@ def _stanley_table(w: AffinePermutation, nvars: int,
     independent of :func:`cylkit.affine.cyclic_factors`, which the oracle
     certifies.
     """
-    if w.length > cap:
-        raise CapExceededError(f"length {w.length} exceeds cap {cap}")
+    if w.length > DEFAULT_STANLEY_CAP:
+        raise CapExceededError(
+            f"length {w.length} exceeds cap {DEFAULT_STANLEY_CAP}")
     n = w.n
 
     def step(state: tuple[tuple[int, ...], int]):

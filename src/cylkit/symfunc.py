@@ -80,12 +80,6 @@ class SymmetricPolynomial:
 
     # -- ring-ish structure ----------------------------------------------------
 
-    def coeff(self, lam) -> int:
-        return self.coeffs.get(tuple(lam), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _check_grade(self, other: "SymmetricPolynomial"):
         if self.nvars != other.nvars or self.degree != other.degree:
             raise GradingError(

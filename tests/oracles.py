@@ -25,7 +25,7 @@ from cylkit.affine import (
     proper_subsets,
 )
 from cylkit.cli import _parse_csv_ints
-from cylkit.cylindric import CylindricShape, PeriodicSequence
+from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence
 from cylkit.errors import InvalidInputError, SolveError
 from cylkit.partitions import Partition, check_partition, part
 from cylkit.stanley import DEFAULT_EXPAND_CAP, stanley_monomials
@@ -501,6 +501,28 @@ def poly_mul_monomial_tables(nvars: int, p: dict, q: dict) -> dict:
 
 
 # -- boundaries, one box and one column at a time --------------------------
+
+
+def partition_boundary(ctype: CylType, lam: Partition, d: int) -> PeriodicSequence:
+    """The boundary ``lam[d]`` from its definition, for ``lam`` in the
+    (m, n) box: row ``d + j`` ends at column ``lam_j + d`` for ``j = 1..m``,
+    and ``R_{p+m} = R_p - (n-m)`` carries each such row into ``1..m``, one
+    period at a time.  Built through the validating constructor, by a route
+    independent of the row formula :func:`cylkit.cylindric.shape_new` uses.
+    """
+    m, n = ctype.m, ctype.n
+    check_partition(lam)
+    if len(lam) > m or part(lam, 1) > n - m:
+        raise InvalidInputError(f"{lam} does not fit the ({m},{n}) box")
+    rows = {}
+    for j in range(1, m + 1):
+        p, bound = d + j, part(lam, j) + d
+        while p > m:
+            p, bound = p - m, bound + (n - m)
+        while p < 1:
+            p, bound = p + m, bound - (n - m)
+        rows[p] = bound
+    return PeriodicSequence(ctype, tuple(rows[p] for p in range(1, m + 1)))
 
 
 def add_box_by_diagonal(b: PeriodicSequence, i: int) -> PeriodicSequence | None:

@@ -88,6 +88,20 @@ class TestWindows:
         assert w.length == 6
         assert unfolded_inversions(w) == 6
 
+    def test_length_slot_stays_out_of_eq_hash_and_repr(self):
+        # no instance dict, whether built trusted (length known) or through
+        # the public constructor (length filled on the first read)
+        built, fresh = W(4, 1, 0), AffinePermutation(4, (0, 1, 3, 6))
+        assert built._length == 2 and fresh._length is None
+        for _ in range(2):  # before and after fresh's first length read
+            for w in (built, fresh):
+                assert not hasattr(w, "__dict__")
+                assert repr(w) == "AffinePermutation(n=4, window=(0, 1, 3, 6))"
+                assert hash(w) == hash((4, (0, 1, 3, 6)))
+            assert built == fresh
+            assert fresh.length == 2
+        assert fresh._length == 2
+
 
 class TestLength:
     def test_trivial(self):
@@ -162,7 +176,7 @@ def assert_valid(x):
     operation that built it, or computed now and cached for the next) is its
     true length."""
     assert AffinePermutation(x.n, x.window) == x
-    assert x.length == exact_length(x), (x, x._known_length())
+    assert x.length == exact_length(x), (x, x._length)
 
 
 def assert_operations_valid(w, others, t):
@@ -185,7 +199,7 @@ class TestTrustedConstructor:
         short = [v for level in levels[:3] for v in level]
         for ell, level in enumerate(levels):
             for w in level:
-                assert w._known_length() == ell
+                assert w._length == ell
                 assert_operations_valid(w, short, ell)
 
     @settings(max_examples=150)
@@ -763,12 +777,12 @@ def assert_window_readers_match(w):
     for t in range(-n, n + 1):
         turned = rotate(w, t)
         assert turned == rotate_by_values(w, t), (w, t)
-        assert turned._known_length() == w._known_length()
+        assert turned._length == w._length
     for letters in [word] + [word + (i,) for i in range(n)]:
         built = AffinePermutation.from_word(n, letters)
         stepped = from_word_by_steps(n, letters)
         assert AffinePermutation(n, built.window) == built == stepped
-        assert built._known_length() == stepped._known_length() == built.length
+        assert built._length == stepped._length == built.length
     assert AffinePermutation.from_word(n, word) == w
 
 
@@ -793,7 +807,7 @@ class TestWindowReaders:
         n, letters = case
         w = AffinePermutation.from_word(n, letters)
         stepped = from_word_by_steps(n, letters)
-        assert w == stepped and w._known_length() == stepped._known_length()
+        assert w == stepped and w._length == stepped._length
         assert w.length == exact_length(w)
         assert_window_readers_match(w)
         assert_window_readers_match(AffinePermutation(n, w.window))

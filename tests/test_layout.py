@@ -1,8 +1,9 @@
 """Package layout: every definition in ``src/cylkit`` has a caller there,
 no module of the package or the tests imports a name it does not use, no
 function of the package re-imports from a module its file imports at top
-level, the package calls no ``.value(...)`` reader, and it computes with
-integers only.
+level, the package calls no ``.value(...)`` reader, keeps derived values
+in fields (no ``cached_property``, no instance ``__dict__``), and it
+computes with integers only.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -202,6 +203,46 @@ def test_package_calls_no_value_reader():
     found = {path.name: calls
              for path in sorted(PACKAGE.glob("*.py"))
              if (calls := value_calls(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
+def derived_value_stores(tree: ast.Module) -> list[str]:
+    """Lines that use ``cached_property`` or reach an instance dict (an
+    ``__dict__`` attribute or a ``vars`` call): a derived value is a field
+    that its builder sets, or that one accessor fills, never a dict entry."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.rpartition(".")[2] == "cached_property"
+                   for alias in node.names):
+                found.append(f"line {node.lineno}: cached_property")
+        elif ((isinstance(node, ast.Name) and node.id == "cached_property")
+              or (isinstance(node, ast.Attribute) and node.attr == "cached_property")):
+            found.append(f"line {node.lineno}: cached_property")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(f"line {node.lineno}: __dict__")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "vars"):
+            found.append(f"line {node.lineno}: vars call")
+    return found
+
+
+def test_storage_check_flags_planted_stores():
+    tree = ast.parse("from functools import cached_property\nimport functools\n\n"
+                     "class A:\n    @cached_property\n    def x(self):\n"
+                     "        return vars(self)\n\n"
+                     "    @functools.cached_property\n    def y(self):\n"
+                     "        self.__dict__['z'] = 1\n        return self.nvars\n")
+    assert derived_value_stores(tree) == [
+        "line 1: cached_property", "line 5: cached_property",
+        "line 9: cached_property", "line 7: vars call", "line 11: __dict__"]
+
+
+def test_package_keeps_derived_values_in_fields():
+    found = {path.name: stores
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (stores := derived_value_stores(
+                 ast.parse(path.read_text(encoding="utf-8"))))}
     assert found == {}
 
 

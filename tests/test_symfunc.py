@@ -27,7 +27,7 @@ class TestArithmetic:
 
     def test_sub_self(self):
         p = schur_poly((2, 1), 3)
-        assert (p - p).is_zero()
+        assert (p - p).coeffs == {}
 
     def test_scale(self):
         p = SymmetricPolynomial(2, 1, {(1,): 1})
@@ -99,7 +99,7 @@ class TestSchur:
         assert schur_poly((2, 1), 3).coeffs == {(2, 1): 1, (1, 1, 1): 2}
 
     def test_too_many_rows(self):
-        assert schur_poly((1, 1, 1), 2).is_zero()
+        assert schur_poly((1, 1, 1), 2).coeffs == {}
 
     def test_row_is_complete_homogeneous(self):
         assert schur_poly((2,), 2).coeffs == {(2,): 1, (1, 1): 1}
@@ -196,7 +196,7 @@ class TestExpandInSchur:
                 combo = combo + c * schur_poly(lam, nvars)
             recovered = expand_in_schur(combo)
             expected = {lam: c for lam, c in table.items()
-                        if not schur_poly(lam, nvars).is_zero()}
+                        if schur_poly(lam, nvars).coeffs}
             assert recovered == expected
 
     def test_worked_combination(self):
