@@ -22,9 +22,10 @@ one-sided cyclic factors of an element, and the bijection between
 0-Grassmannian elements and partitions with parts < n, read off the code.
 One walk along the window gives each generator's reach in a right factor
 and so the maximal factor, the union of the fitting intervals; the factors
-of one size are the subsets of the maximal one whose intervals fit, and
-321-avoidance is read off the maximal increasing and decreasing factors
-(``maxc`` and ``maxr``).
+of one size are the subsets of the maximal one whose intervals fit.
+321-avoidance is one pass over the window with the running maximum; the
+basis test ``cylindric.in_A`` reads the same positions off the maximal
+increasing and decreasing factors (``maxc`` and ``maxr``).
 """
 
 from __future__ import annotations
@@ -285,15 +286,30 @@ def is_321_avoiding(w: AffinePermutation) -> bool:
     """No ``i < j < l`` in Z with ``w(i) > w(j) > w(l)``: no position both
     ends an inversion and starts one.
 
-    Position ``p`` starts an inversion iff some ``u_{[p, q]}`` splits off
-    the right of ``w`` (``w(p), ..., w(q)`` all exceed ``w(q+1)``), i.e.
-    iff ``p`` is in ``maxc(w)``; it ends one iff some ``d_{[q, p-1]}``
-    does, i.e. iff ``p - 1`` is in ``maxr(w)``.  Equivalent to no reduced
-    word containing a factor ``s_i s_{i+-1} s_i`` (the equivalence is
-    exercised by the test suite).
+    Position ``p`` ends an inversion iff ``max w(p-n .. p-1) > w(p)`` (a
+    value further left is smaller by a multiple of ``n``), and starts one
+    iff ``min w(p+1 .. p+n) < w(p)``.  If ``p`` ends one and starts one,
+    at ``q > p`` with ``w(q) < w(p)``, then ``q`` ends one too, so ``w``
+    avoids 321 iff the values at the positions that end an inversion
+    increase.  One pass over the window with the running maximum decides,
+    and stops at the first drop; by periodicity the last such value must
+    also stay below the first one plus ``n``.
+    The same positions are read off the maximal factors (``p`` starts an
+    inversion iff ``p`` is in ``maxc(w)``, ends one iff ``p - 1`` is in
+    ``maxr(w)``), and the criterion is equivalent to no reduced word
+    containing a factor ``s_i s_{i+-1} s_i`` (both are exercised by the
+    test suite).
     """
-    maxr = max_cyclic_factor(w)
-    return not any((p - 1) % w.n in maxr for p in max_cyclic_factor(w, "increasing"))
+    high = max(w.window) - w.n  # max w(p) over p <= 0
+    ends = []
+    for x in w.window:
+        if x > high:
+            high = x
+        elif ends and x < ends[-1]:
+            return False
+        else:
+            ends.append(x)
+    return not ends or ends[-1] < ends[0] + w.n
 
 
 def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:

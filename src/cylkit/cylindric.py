@@ -260,7 +260,7 @@ def _cyl_weight_table(shape: CylindricShape, nvars: int) -> WeightTable:
             yield nxt, sum(nxt) - size
 
     return chain_table(("cylindric", shape.ctype, outer), shape.inner.rows,
-                       nvars, step, outer)
+                       nvars, step, outer, cell_count(shape))
 
 
 def cylindric_schur_poly(shape: CylindricShape, nvars: int,

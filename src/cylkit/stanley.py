@@ -155,7 +155,7 @@ def _stanley_table(w: AffinePermutation, nvars: int) -> WeightTable:
                     yield (tuple(z), ell - size), size
 
     return chain_table(("stanley", n), (w.inverse().window, w.length), nvars,
-                       step, (tuple(range(1, n + 1)), 0))
+                       step, (tuple(range(1, n + 1)), 0), w.length)
 
 
 # -- Grassmannianization -------------------------------------------------------

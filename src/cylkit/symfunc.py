@@ -10,7 +10,13 @@ factorizations bring their own step rules.  All three weight tables are
 symmetric (skew Schur functions by the Bender-Knuth involution, cylindric
 ones by Gessel-Krattenthaler and Postnikov, affine Stanley functions by Lam),
 so the coefficient of ``m_lambda`` is the number of chains whose weights
-spell ``lambda``, and the fold never builds the other rearrangements.  The
+spell ``lambda``, and the fold never builds the other rearrangements.  In
+all three rules a step's weight is the size it adds, so a weight-0 step is
+a stay: the fold follows positive steps only, each of which uses up weight,
+so the chains terminate, and the zeros are padded on at the top.  Its memo
+keeps one table per state, all chains from it, keyed on ``(tag, state,
+None)``; only where fewer steps are left than weight (tables in fewer
+variables than the degree) does the key carry the steps left.  The
 one runtime check on a table is the constructor's: every key is a partition
 of the degree with at most ``nvars`` parts.
 The change of basis into Schur polynomials is done by unitriangular
@@ -113,40 +119,58 @@ class SymmetricPolynomial:
 
 
 def chain_table(tag, start, steps: int, step: Callable[..., Iterable],
-                end) -> WeightTable:
+                end, total: int) -> WeightTable:
     """Weight table of the chains ``start -> ... -> end`` of ``steps`` steps
     whose step weights never increase.
 
     ``step(state)`` yields ``(next state, weight)`` pairs; a chain is keyed
     by the tuple of its step weights, and only chains that end at ``end``
     count.  The tables folded here are symmetric in the step weights, so
-    these chains, keyed by partitions padded with zeros, fix them.  The fold
-    carries the last weight as a bound on the next one and is memoized in
-    one table on ``(tag, state, steps left, bound)``, so ``tag`` must fix
-    everything that ``step`` and ``end`` read besides the state.
+    these chains, keyed by partitions padded with zeros, fix them.
 
-    >>> def step(k):  # add 0 or 1 to a counter
-    ...     return ((k, 0), (k + 1, 1))
-    >>> chain_table("doc", 0, 3, step, 2)
-    {(1, 1, 0): 1}
+    A weight-0 move must be a stay (``AssertionError`` otherwise), so a
+    chain is its positive steps followed by stays at ``end``: the fold
+    follows positive steps only and pads the zeros to ``steps`` at the top.
+    ``total`` is the weight of every chain from ``start`` to ``end`` (the
+    size it adds).  Each positive step uses up at least 1 of the weight a
+    state has left, so the chains terminate, and a state with at least as
+    many steps left as weight reaches all of its chains.  Such a state keeps
+    one table, of all its chains, memoized on ``(tag, state, None)``; a
+    bound on the first weight is a filter on that table, not a key.  Only
+    where fewer steps are left than weight can the step count cut a chain,
+    and there the key is ``(tag, state, steps left)``.  ``tag`` must fix
+    everything that ``step`` and ``end`` read besides the state; the state
+    and the tag then fix the weight left.
+
+    >>> def step(k):  # stay, or add 1 or 2 to a counter, up to 3
+    ...     return [(k, 0)] + [(k + d, d) for d in (1, 2) if k + d <= 3]
+    >>> chain_table("doc", 0, 3, step, 3, 3)
+    {(1, 1, 1): 1, (2, 1, 0): 1}
+    >>> chain_table("doc", 0, 2, step, 3, 3)
+    {(2, 1): 1}
     """
 
-    def fold(state, left: int, bound: int | None) -> WeightTable:
-        key = (tag, state, left, bound)
+    def fold(state, left: int, remaining: int) -> WeightTable:
+        key = (tag, state, None if left >= remaining else left)
         hit = _CHAIN_MEMO.get(key)
         if hit is not None:
             return hit
-        if left == 0:
-            return _CHAIN_MEMO.setdefault(key, {(): 1} if state == end else {})
-        out: WeightTable = {}
-        for nxt, weight in step(state):
-            if bound is None or weight <= bound:
-                for suffix, c in fold(nxt, left - 1, weight).items():
-                    k = (weight,) + suffix
-                    out[k] = out.get(k, 0) + c
+        out: WeightTable = {(): 1} if state == end else {}
+        if left:
+            for nxt, weight in step(state):
+                if not weight:
+                    if nxt != state:
+                        raise AssertionError(
+                            f"weight-0 move {state} -> {nxt} is not a stay")
+                    continue
+                for suffix, c in fold(nxt, left - 1, remaining - weight).items():
+                    if not suffix or suffix[0] <= weight:
+                        k = (weight,) + suffix
+                        out[k] = out.get(k, 0) + c
         return _CHAIN_MEMO.setdefault(key, out)
 
-    return fold(start, steps, None)
+    return {chain + (0,) * (steps - len(chain)): c
+            for chain, c in fold(start, steps, total).items()}
 
 
 def _skew_weight_table(lam: Partition, mu: Partition, nvars: int) -> WeightTable:
@@ -164,7 +188,7 @@ def _skew_weight_table(lam: Partition, mu: Partition, nvars: int) -> WeightTable
         for full in itertools.product(*ranges):
             yield tuple(v for v in full if v), sum(full) - size
 
-    return chain_table(("skew", lam), mu, nvars, step, lam)
+    return chain_table(("skew", lam), mu, nvars, step, lam, sum(lam) - sum(mu))
 
 
 def schur_poly(lam: Partition, nvars: int) -> SymmetricPolynomial:

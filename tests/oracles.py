@@ -401,6 +401,31 @@ def stanley_monomials_by_products(w: AffinePermutation, nvars: int,
     return orbit_collapse(nvars, w.length, rec(w, nvars))
 
 
+def chain_table_by_steps(start, steps: int, step, end) -> dict:
+    """:func:`cylkit.symfunc.chain_table` by the fold it replaced: every
+    move, weight 0 too, is taken one step at a time, the last weight rides
+    along as a bound on the next, and the memo (local to one call) is keyed
+    on ``(state, steps left, bound)``."""
+    memo: dict = {}
+
+    def fold(state, left: int, bound: int | None) -> dict:
+        key = (state, left, bound)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if left == 0:
+            return memo.setdefault(key, {(): 1} if state == end else {})
+        out: dict = {}
+        for nxt, weight in step(state):
+            if bound is None or weight <= bound:
+                for suffix, c in fold(nxt, left - 1, weight).items():
+                    k = (weight,) + suffix
+                    out[k] = out.get(k, 0) + c
+        return memo.setdefault(key, out)
+
+    return fold(start, steps, None)
+
+
 def skew_schur_by_fillings(lam: Partition, mu: Partition,
                            nvars: int) -> SymmetricPolynomial:
     """:func:`cylkit.symfunc.skew_schur_poly` by trying every filling of the

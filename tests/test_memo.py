@@ -12,7 +12,7 @@ from cylkit.affine import AffinePermutation, enumerate_reduced_words
 from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, shape_new
 from cylkit.memo import clear_caches
 from cylkit.stanley import expand_cylindric, oracle_expand, stanley_monomials
-from cylkit.symfunc import lr_coeff, skew_schur_poly
+from cylkit.symfunc import _CHAIN_MEMO, lr_coeff, skew_schur_poly
 
 from oracles import (
     cylindric_tableaux,
@@ -49,10 +49,11 @@ def test_clear_caches_empties_every_table():
 
 
 # The skew chain starts at the partition (2, 1) and the cylindric chain at
-# the Gr(2,4) boundary with rows (2, 1), both for three steps: the same
-# (state, steps left, bound) keys, which only the tag of ``chain_table``
-# tells apart.
-SKEW = ((3, 2, 1), (2, 1), 3)
+# the Gr(2,4) boundary with rows (2, 1), both in three variables, fewer than
+# their 4 and 5 cells.  Seven of their (state, steps left or None) keys are
+# the same, from ((2, 1), 3) down to ((4, 3), None), and only the tag of
+# ``chain_table`` tells them apart.
+SKEW = ((4, 3), (2, 1), 3)
 CYL = shape_new(CylType(2, 4), (2, 2), 1, (2, 1))
 WORD = AffinePermutation.from_word(4, [1, 0, 2])
 
@@ -69,6 +70,18 @@ BRUTE = {
         Counter(t.weight(3) for t in cylindric_tableaux(CYL, 3))),
     "stanley": lambda: stanley_monomials_by_products(WORD, 3),
 }
+
+
+def test_skew_and_cylindric_keys_meet():
+    keys = {}
+    for name in ("skew", "cylindric"):
+        clear_caches()
+        FOLDS[name]()
+        keys[name] = {key[1:] for key in _CHAIN_MEMO}
+    clear_caches()
+    shared = keys["skew"] & keys["cylindric"]
+    assert len(shared) == 7
+    assert ((2, 1), 3) in shared and ((4, 3), None) in shared
 
 
 @pytest.mark.parametrize("order", [list(FOLDS), list(reversed(FOLDS))])

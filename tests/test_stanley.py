@@ -56,6 +56,18 @@ def W(n, *letters):
     return AffinePermutation.from_word(n, letters)
 
 
+def random_element(n, length, seed):
+    """Start at the identity and apply ``s_i`` for ``i`` drawn by
+    ``random.Random(seed)``, keeping only ascents, until ``length``."""
+    rng = random.Random(seed)
+    w = AffinePermutation.identity(n)
+    while w.length < length:
+        v = w.times_s(rng.randrange(n))
+        if v.length > w.length:
+            w = v
+    return w
+
+
 # (n, word) -> (monomial table in len(w) variables, affine Schur expansion
 # keyed by shape), by hand: s_1 s_0 s_3 at n = 5 is m_3 + 2 m_21 + 3 m_111,
 # which is s_3 + s_21.
@@ -368,15 +380,18 @@ class TestExpansion:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_matches_oracle_random_length_at_least_n(self, n, seed):
-        # length 9, the oracle's cap: start at the identity and keep
-        # random ascents
-        rng = random.Random(seed)
-        w = AffinePermutation.identity(n)
-        while w.length < 9:
-            v = w.times_s(rng.randrange(n))
-            if v.length > w.length:
-                w = v
+        # length 9, the oracle's cap
+        w = random_element(n, 9, seed)
         assert expand_affine_schur(w) == oracle_expand(w)
+
+    @pytest.mark.parametrize("n, length, seed", [
+        (8, 14, 1), (8, 14, 2), (9, 13, 2), (9, 14, 1),
+        (10, 10, 1), (10, 12, 1), (10, 14, 2), (10, 14, 3)])
+    def test_matches_oracle_up_to_the_stanley_cap(self, n, length, seed):
+        # n = 8..10 with n <= length <= 14, the Stanley cap: 19 to 43 terms
+        # each, and together about 3.5 s from cold caches on 2 cores
+        w = random_element(n, length, seed)
+        assert expand_affine_schur(w) == oracle_expand(w, cap=DEFAULT_STANLEY_CAP)
 
     def test_positivity_and_support(self):
         for w in elements_by_length(4, 5)[5]:

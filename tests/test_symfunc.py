@@ -1,18 +1,29 @@
-"""Symmetric polynomial arithmetic, Schur polynomials, the LR oracle."""
+"""Symmetric polynomial arithmetic, Schur polynomials, the LR oracle, and
+the chain fold behind every weight table."""
+
+from collections import Counter
 
 import pytest
 
+from cylkit import cylindric, stanley, symfunc
+from cylkit.affine import elements_by_length
+from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, is_toric
 from cylkit.errors import GradingError, InvalidInputError
+from cylkit.memo import clear_caches
 from cylkit.partitions import contains, partitions_in_box, partitions_of
+from cylkit.stanley import oracle_expand, stanley_monomials, toric_gw_oracle
 from cylkit.symfunc import (
     SymmetricPolynomial,
+    chain_table,
     expand_in_schur,
     lr_coeff,
     schur_poly,
     skew_schur_poly,
 )
+from cylkit.verify import valid_shapes
 
 from oracles import (
+    chain_table_by_steps,
     lr_coefficient_lattice,
     orbit_collapse,
     poly_mul_monomial_tables,
@@ -228,3 +239,112 @@ class TestLittlewoodRichardson:
                 for nu in partitions_of(sum(lam) - sum(mu)):
                     assert lr_coeff(lam, mu, nu) == lr_coefficient_lattice(lam, mu, nu), (
                         lam, mu, nu)
+
+
+# -- the chain fold ------------------------------------------------------------
+
+
+def _skew_grid():
+    # every mu inside lam with |lam| <= 6, in 1 .. |lam/mu| + 1 variables,
+    # and the Schur columns its expansion reaches
+    for size in range(7):
+        for lam in partitions_of(size):
+            for inner_size in range(size + 1):
+                for mu in partitions_of(inner_size):
+                    if contains(lam, mu):
+                        for nvars in range(1, size - inner_size + 2):
+                            expand_in_schur(skew_schur_poly(lam, mu, nvars))
+
+
+def _cylindric_grid():
+    # every shape of Gr(2,4), Gr(2,5) and Gr(3,6) with at most 7 cells, in
+    # 1 .. cells + 1 variables, and the toric oracle on the toric ones: their
+    # tables and Schur columns in m variables
+    for m, n in ((2, 4), (2, 5), (3, 6)):
+        ctype = CylType(m, n)
+        for shape in valid_shapes(ctype, 7):
+            for nvars in range(1, cell_count(shape) + 2):
+                cylindric_schur_poly(shape, nvars)
+            if is_toric(shape):
+                toric_gw_oracle(ctype, shape.lam, shape.d, shape.mu)
+
+
+def _stanley_grid():
+    # every element with n = 3, 4 and length <= 6, and n = 5 and length
+    # <= 4, in 1 .. length + 1 variables, and the affine Schur columns of
+    # its oracle expansion
+    for n, maxlen in ((3, 6), (4, 6), (5, 4)):
+        for layer in elements_by_length(n, maxlen):
+            for w in layer:
+                for nvars in range(1, w.length + 2):
+                    stanley_monomials(w, nvars)
+                oracle_expand(w)
+
+
+class TestChainTable:
+    """``chain_table`` against the fold it replaced, on the three step rules
+    as their callers hand them over."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Route every caller's ``chain_table`` through ``wrap(call)``, from
+        and back to cleared caches."""
+
+        def install(wrap):
+            for module in (symfunc, stanley, cylindric):
+                monkeypatch.setattr(module, "chain_table", wrap)
+
+        clear_caches()
+        yield install
+        clear_caches()
+
+    @pytest.mark.parametrize("rule, grid", [("skew", _skew_grid),
+                                            ("cylindric", _cylindric_grid),
+                                            ("stanley", _stanley_grid)])
+    def test_matches_fold_by_steps(self, spy, rule, grid):
+        # the memo stays warm across the grid, so cut and uncut keys of one
+        # state meet; the grid's rule is folded both with fewer steps than
+        # its degree and with enough
+        kinds = Counter()
+
+        def certified(tag, start, steps, step, end, total):
+            table = chain_table(tag, start, steps, step, end, total)
+            assert table == chain_table_by_steps(start, steps, step, end), (
+                tag, start, steps)
+            kinds[tag[0], steps < total] += 1
+            return table
+
+        spy(certified)
+        grid()
+        assert kinds[rule, True] and kinds[rule, False], kinds
+
+    def test_steps_each_state_once(self, spy):
+        # with steps >= degree no chain is cut, so every state has one table
+        # and its moves are enumerated once, whichever caller reaches it
+        calls = Counter()
+
+        def counting(tag, start, steps, step, end, total):
+            assert steps >= total
+
+            def counted(state):
+                calls[tag, state] += 1
+                return step(state)
+
+            return chain_table(tag, start, steps, counted, end, total)
+
+        spy(counting)
+        for layer in elements_by_length(4, 6):
+            for w in layer:
+                oracle_expand(w)
+        for lam in partitions_in_box(3, 3):
+            for mu in partitions_in_box(3, 3):
+                if contains(lam, mu):
+                    lr_coeff(lam, mu, (1,) * (sum(lam) - sum(mu)))
+        for shape in valid_shapes(CylType(3, 6), 6):
+            cylindric_schur_poly(shape, cell_count(shape))
+        assert {tag[0] for tag, _ in calls} == {"stanley", "skew", "cylindric"}
+        assert set(calls.values()) == {1}
+
+    def test_weight_zero_move_must_stay(self):
+        with pytest.raises(AssertionError, match="not a stay"):
+            chain_table("drift", 0, 2, lambda k: [(k + 1, 0)], 1, 1)
