@@ -18,14 +18,15 @@ one-index reader is the test suite's oracle (``tests/oracles.py``).
 Also here: the code ``(c_1, ..., c_n)``, cyclically decreasing/increasing
 elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ`` (a plain
 frozenset, checked once, when :func:`cyclic_element` first builds it), the
-one-sided cyclic factors of an element, and the bijection between
+right cyclic factors of an element (a left factor of ``w`` is a right
+factor of ``w^-1`` in the other direction), and the bijection between
 0-Grassmannian elements and partitions with parts < n, read off the code.
 One walk along the window gives each generator's reach in a right factor
 and so the maximal factor, the union of the fitting intervals; the factors
 of one size are the subsets of the maximal one whose intervals fit.
-321-avoidance is one pass over the window with the running maximum; the
-basis test ``cylindric.in_A`` reads the same positions off the maximal
-increasing and decreasing factors (``maxc`` and ``maxr``).
+321-avoidance is one pass over the window with the running maximum
+(:func:`inversion_ends`); the basis test ``cylindric.in_A`` takes ``maxr``
+from the same pass and ``maxc`` from one with the running minimum.
 """
 
 from __future__ import annotations
@@ -282,23 +283,27 @@ def enumerate_reduced_words(w: AffinePermutation, cap: int) -> tuple[Word, ...]:
     return rec(w)
 
 
-def is_321_avoiding(w: AffinePermutation) -> bool:
-    """No ``i < j < l`` in Z with ``w(i) > w(j) > w(l)``: no position both
-    ends an inversion and starts one.
+def inversion_ends(w: AffinePermutation) -> list[int] | None:
+    """The values ``w(p)``, ``1 <= p <= n``, at the positions that end an
+    inversion, in window order; None when ``w`` contains 321, i.e. some
+    ``i < j < l`` in Z have ``w(i) > w(j) > w(l)``.
 
     Position ``p`` ends an inversion iff ``max w(p-n .. p-1) > w(p)`` (a
     value further left is smaller by a multiple of ``n``), and starts one
     iff ``min w(p+1 .. p+n) < w(p)``.  If ``p`` ends one and starts one,
     at ``q > p`` with ``w(q) < w(p)``, then ``q`` ends one too, so ``w``
     avoids 321 iff the values at the positions that end an inversion
-    increase.  One pass over the window with the running maximum decides,
-    and stops at the first drop; by periodicity the last such value must
-    also stay below the first one plus ``n``.
-    The same positions are read off the maximal factors (``p`` starts an
-    inversion iff ``p`` is in ``maxc(w)``, ends one iff ``p - 1`` is in
-    ``maxr(w)``), and the criterion is equivalent to no reduced word
-    containing a factor ``s_i s_{i+-1} s_i`` (both are exercised by the
-    test suite).
+    increase.  One pass over the window with the running maximum reads
+    them, and stops at the first drop; by periodicity the last such value
+    must also stay below the first one plus ``n``.  Their number is
+    ``maxr(w)``: ``p - 1`` is in the maximal decreasing right factor iff
+    ``p`` ends an inversion (and ``p`` is in the maximal increasing one iff
+    ``p`` starts one).
+
+    >>> inversion_ends(AffinePermutation.from_word(4, [1, 0]))  # (0, 1, 3, 6)
+    [0, 1]
+    >>> inversion_ends(AffinePermutation.from_word(3, [0, 1, 0])) is None
+    True
     """
     high = max(w.window) - w.n  # max w(p) over p <= 0
     ends = []
@@ -306,10 +311,17 @@ def is_321_avoiding(w: AffinePermutation) -> bool:
         if x > high:
             high = x
         elif ends and x < ends[-1]:
-            return False
+            return None
         else:
             ends.append(x)
-    return not ends or ends[-1] < ends[0] + w.n
+    return ends if not ends or ends[-1] < ends[0] + w.n else None
+
+
+def is_321_avoiding(w: AffinePermutation) -> bool:
+    """No ``i < j < l`` in Z with ``w(i) > w(j) > w(l)``, read by
+    :func:`inversion_ends`; equivalent to no reduced word containing a
+    factor ``s_i s_{i+-1} s_i`` (both are exercised by the test suite)."""
+    return inversion_ends(w) is not None
 
 
 def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
@@ -387,14 +399,29 @@ def proper_subsets(n: int, size: int) -> Iterator[frozenset[int]]:
         yield frozenset(combo)
 
 
-def _cyclic_reach(w: AffinePermutation, decreasing: bool
-                  ) -> tuple[list[int], frozenset[int]]:
-    """How far each generator's interval may reach in a right cyclic
-    factor, and the maximal factor, the union of the intervals that fit.
+def max_cyclic_factor(w: AffinePermutation, decreasing: bool = True
+                      ) -> tuple[frozenset[int], list[int]]:
+    """The unique maximal ``J`` splitting off a right cyclic factor, and
+    how far each generator's interval may reach in one.
 
-    ``d_{[p, p+r-1]}`` (``decreasing``) peels off the right of ``w``
-    length-additively exactly for ``r <= reach[p]``; ``u_{[p-r+1, p]}``
-    (increasing) does exactly for ``r <= reach[p]``.
+    Decreasing, ``J`` is the one with ``w = v * d_J`` length-additively that
+    contains every other such ``J'``; its size is ``maxr(w)``, and
+    ``d_{[p, p+r-1]}`` peels off length-additively exactly for ``r <=
+    reach[p]``.  Increasing, it is ``maxc(w)``, for ``w = v * u_J``, and
+    ``u_{[p-r+1, p]}`` peels off exactly for ``r <= reach[p]``.  A left
+    factor of ``w`` is a right factor of ``w^-1`` in the other direction,
+    since ``(d_J)^-1 == u_J``.
+
+    Window criterion, O(n^2): the intervals of ``J`` act on disjoint
+    positions, so ``J`` is valid iff each of its maximal cyclic intervals
+    is, and the maximal ``J`` is the union of all valid intervals, each
+    generator's longest found by one walk along the window.
+
+    >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
+    >>> max_cyclic_factor(w)
+    (frozenset({0, 1}), [2, 0, 0, 0])
+    >>> sorted(max_cyclic_factor(w, False)[0])
+    [0]
     """
     n, win = w.n, w.window
     # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
@@ -416,50 +443,22 @@ def _cyclic_reach(w: AffinePermutation, decreasing: bool
                 j -= 1
             reach.append(k - j)
     sign = 1 if decreasing else -1
-    return reach, frozenset((p + sign * t) % n
-                            for p, r in enumerate(reach) for t in range(r))
+    return frozenset((p + sign * t) % n
+                     for p, r in enumerate(reach) for t in range(r)), reach
 
 
-def max_cyclic_factor(w: AffinePermutation, direction: str = "decreasing"
-                      ) -> frozenset[int]:
-    """The unique maximal ``J`` splitting off a right cyclic factor.
-
-    With ``direction="decreasing"`` this is the ``J`` with ``w = v * d_J``
-    length-additively that contains every other such ``J'``; its size is
-    ``maxr(w)``.  ``direction="increasing"`` gives ``maxc(w)``, for
-    ``w = v * u_J``.  A left factor of ``w`` is a right factor of ``w^-1``
-    in the other direction, since ``(d_J)^-1 == u_J``.
-
-    Window criterion, O(n^2): the intervals of ``J`` act on disjoint
-    positions, so ``J`` is valid iff each of its maximal cyclic intervals
-    is, and the maximal ``J`` is the union of all valid intervals, each
-    generator's longest found by one walk along the window
-    (:func:`_cyclic_reach`).
-
-    >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
-    >>> sorted(max_cyclic_factor(w))
-    [0, 1]
-    >>> sorted(max_cyclic_factor(w, "increasing"))
-    [0]
-    """
-    if direction not in ("decreasing", "increasing"):
-        raise InvalidInputError(f"bad direction: {direction}")
-    return _cyclic_reach(w, direction == "decreasing")[1]
-
-
-def cyclic_factors(w: AffinePermutation, size: int, side: str = "right"
+def cyclic_factors(w: AffinePermutation, size: int, decreasing: bool = True
                    ) -> list[frozenset[int]]:
-    """Every ``J`` of ``size`` elements splitting off ``d_J`` on ``side``
-    length-additively, in the order of ``proper_subsets``.
-
-    ``side="right"`` lists the ``J`` with ``len(w * u_J) == len(w) - size``
-    (so ``w = (w u_J) d_J``); ``side="left"`` lists those with
-    ``len(u_J * w) == len(w) - size``, the right increasing factors of
-    ``w^-1``.
+    """Every ``J`` of ``size`` elements splitting off ``d_J`` (``decreasing``)
+    or ``u_J`` on the right length-additively, in the order of
+    ``proper_subsets``: the ``J`` with ``len(w * u_J) == len(w) - size``
+    (so ``w = (w u_J) d_J``), or with ``len(w * d_J) == len(w) - size``.
+    The left decreasing factors of ``w`` are the right increasing factors
+    of ``w^-1``.
 
     Criterion: ``J`` is admissible iff each of its maximal cyclic intervals
-    fits within its generator's reach (:func:`_cyclic_reach`; anchored at
-    the interval's first generator for decreasing right factors and at its
+    fits within its generator's reach (:func:`max_cyclic_factor`; anchored
+    at the interval's first generator for decreasing factors and at its
     last for increasing ones).  Every admissible ``J`` lies inside the
     maximal factor, so only its ``C(|maximal|, size)`` subsets are tried,
     with no product formed.
@@ -467,16 +466,13 @@ def cyclic_factors(w: AffinePermutation, size: int, side: str = "right"
     >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
     >>> [sorted(J) for J in cyclic_factors(w, 2)]
     [[0, 1], [0, 3]]
-    >>> [sorted(J) for J in cyclic_factors(w, 2, "left")]
+    >>> [sorted(J) for J in cyclic_factors(w.inverse(), 2, False)]  # left
     [[0, 1], [1, 3]]
     """
-    if side not in ("right", "left"):
-        raise InvalidInputError(f"bad side: {side}")
     n = w.n
     if not 0 <= size < n:
         return []
-    decreasing = side == "right"
-    reach, maximal = _cyclic_reach(w if decreasing else w.inverse(), decreasing)
+    maximal, reach = max_cyclic_factor(w, decreasing)
     found = []
     for combo in itertools.combinations(sorted(maximal), size):
         J = frozenset(combo)

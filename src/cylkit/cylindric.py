@@ -30,18 +30,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from cylkit import memo
-from cylkit.affine import (
-    AffinePermutation,
-    Word,
-    letter_multiplicities,
-    max_cyclic_factor,
-)
+from cylkit.affine import AffinePermutation, Word, inversion_ends, letter_multiplicities
 from cylkit.errors import CapExceededError, InvalidInputError, ShapeError
 from cylkit.partitions import Partition, check_partition, fits_box, part
 from cylkit.symfunc import SymmetricPolynomial, WeightTable, chain_table
-
-_IN_A_MEMO: dict = memo.table()
 
 DEFAULT_TABLEAU_CAP = 16
 
@@ -317,20 +309,25 @@ def boundary_word(inner: PeriodicSequence,
 
 
 def in_A(w: AffinePermutation, ctype: CylType) -> bool:
-    """Basis membership: 321-avoiding with ``maxc <= m`` and ``maxr <= n-m``."""
+    """Basis membership: 321-avoiding with ``maxc <= m`` and ``maxr <= n-m``,
+    read off the window: ``maxr`` counts the positions that end an inversion
+    (:func:`cylkit.affine.inversion_ends`, which also tests 321) and ``maxc``
+    those that start one, whose values exceed the running minimum from the
+    right."""
     m, n = ctype.m, ctype.n
     if w.n != n:
         raise InvalidInputError(f"period mismatch: {w.n} vs {n}")
-    key = (n, w.window, m)
-    hit = _IN_A_MEMO.get(key)
-    if hit is not None:
-        return hit
-    maxc = max_cyclic_factor(w, "increasing")
-    maxr = max_cyclic_factor(w)
-    # 321-avoiding (see affine.is_321_avoiding): no p in maxc with p - 1 in maxr
-    ok = (len(maxc) <= m and len(maxr) <= n - m
-          and not any((p - 1) % n in maxr for p in maxc))
-    return _IN_A_MEMO.setdefault(key, ok)
+    ends = inversion_ends(w)
+    if ends is None or len(ends) > n - m:
+        return False
+    low = min(w.window) + n  # min w(p) over p > n
+    starts = 0
+    for x in reversed(w.window):
+        if x < low:
+            low = x
+        else:
+            starts += 1
+    return starts <= m
 
 
 def in_A0(w: AffinePermutation, ctype: CylType) -> bool:

@@ -10,10 +10,11 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
                                                     J != J0 in the second sum)
 
 The ``J`` whose lengths drop are exactly the left and right cyclically
-decreasing factors of ``w'`` of size ``b``; :func:`dual_pieri_branches` lists
-them with :func:`cylkit.affine.cyclic_factors`, which filters the size-``b``
-subsets of the maximal factor by a window criterion, so a state multiplies
-out only its admissible branches rather than all ``C(n, b)`` subsets.
+decreasing factors of ``w'`` of size ``b`` (a left one is a right increasing
+factor of ``w'^-1``); :func:`dual_pieri_branches` lists them with
+:func:`cylkit.affine.cyclic_factors`, which filters the size-``b`` subsets
+of the maximal factor by a window criterion, so a state multiplies out only
+its admissible branches rather than all ``C(n, b)`` subsets.
 
 Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
@@ -335,7 +336,8 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
 
     over ``|J| = part_size`` with lengths dropping by ``part_size``.  Each
     minus branch comes as the pair ``(J, w' u_J)``.  The admissible ``J``
-    come from :func:`cylkit.affine.cyclic_factors`, so only the branches
+    come from :func:`cylkit.affine.cyclic_factors`, the left ones (plus) as
+    the right increasing factors of ``w'^-1``, so only the branches
     themselves are multiplied out; each has the length of ``w``.
     """
     n = w.n
@@ -353,7 +355,7 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
         return AffinePermutation._trusted(n, x.window, w.length)
 
     b_plus = [branch(cyclic_element(n, J, False) * wprime)
-              for J in cyclic_factors(wprime, part_size, "left")]
+              for J in cyclic_factors(wprime.inverse(), part_size, False)]
     b_minus = [(J, branch(wprime * cyclic_element(n, J, False)))
                for J in right if J != J0]
     return b_plus, b_minus

@@ -226,26 +226,25 @@ def word_has_braid_factor(n: int, word: tuple[int, ...]) -> bool:
 
 
 @functools.cache
-def cyclic_factors_exhaustive(w: AffinePermutation, size: int, side: str = "right",
-                              direction: str = "decreasing") -> list[frozenset[int]]:
-    """Every ``J`` of ``size`` splitting off ``d_J`` (or ``u_J``) on ``side``
-    length-additively, by multiplying out all ``C(n, size)`` candidates.
+def cyclic_factors_exhaustive(w: AffinePermutation, size: int,
+                              decreasing: bool = True) -> list[frozenset[int]]:
+    """Every ``J`` of ``size`` splitting off ``d_J`` (``decreasing``) or
+    ``u_J`` on the right length-additively, by multiplying out all
+    ``C(n, size)`` candidates.
 
-    Memoized per ``(w, size, side, direction)``: the certifications of
-    ``cyclic_factors`` and ``max_cyclic_factor`` scan the same elements, so
-    each scan runs once; callers must not change the list."""
-    decreasing = direction == "decreasing"
+    Memoized per ``(w, size, decreasing)``: the certifications of
+    ``cyclic_factors``, ``max_cyclic_factor`` and ``in_A`` scan the same
+    elements, so each scan runs once; callers must not change the list."""
     out = []
     for members in proper_subsets(w.n, size):
         inv = cyclic_element(w.n, members, not decreasing)  # (d_J)^-1 == u_J
-        quotient = w * inv if side == "right" else inv * w
-        if quotient.length == w.length - size:
+        if (w * inv).length == w.length - size:
             out.append(members)
     return out
 
 
 def max_cyclic_factor_exhaustive(w: AffinePermutation,
-                                 direction: str = "decreasing") -> frozenset[int]:
+                                 decreasing: bool = True) -> frozenset[int]:
     """The maximal right cyclic factor by trying every proper subset.
 
     Keeps every ``J`` of size up to ``len(w)`` that
@@ -253,11 +252,48 @@ def max_cyclic_factor_exhaustive(w: AffinePermutation,
     valid ``J`` contains every other one.
     """
     valid = [members for sz in range(min(w.n - 1, w.length) + 1)
-             for members in cyclic_factors_exhaustive(w, sz, "right", direction)]
+             for members in cyclic_factors_exhaustive(w, sz, decreasing)]
     best = max(valid, key=len)
     if any(not members <= best for members in valid):
         raise AssertionError(f"maximal cyclic factor not unique for {w}")
     return best
+
+
+def inversion_positions(w: AffinePermutation
+                        ) -> tuple[frozenset[int], frozenset[int]]:
+    """The positions ``1..n`` that start an inversion (a later position has
+    a smaller value) and those that end one (an earlier position has a
+    larger value), one value at a time over every position the
+    displacement allows: ``|w(t) - t| <= shift`` puts the partner within
+    ``2 * shift`` places."""
+    n = w.n
+    shift = max(abs(value(w, t) - t) for t in range(1, n + 1))
+    starts = frozenset(p for p in range(1, n + 1)
+                       if any(value(w, q) < value(w, p)
+                              for q in range(p + 1, p + 2 * shift + 1)))
+    ends = frozenset(p for p in range(1, n + 1)
+                     if any(value(w, q) > value(w, p)
+                            for q in range(p - 2 * shift, p)))
+    return starts, ends
+
+
+def max_cyclic_factor_by_positions(w: AffinePermutation,
+                                   decreasing: bool = True) -> frozenset[int]:
+    """The maximal right cyclic factor from :func:`inversion_positions`:
+    ``maxr`` holds ``p - 1`` for each ``p`` that ends an inversion, ``maxc``
+    each ``p`` that starts one (residues mod n)."""
+    starts, ends = inversion_positions(w)
+    if decreasing:
+        return frozenset((p - 1) % w.n for p in ends)
+    return frozenset(p % w.n for p in starts)
+
+
+def in_A_by_positions(w: AffinePermutation, m: int) -> bool:
+    """Membership in A(m, n) by its definition, each part read one value at
+    a time: 321-avoiding, ``maxc <= m`` and ``maxr <= n - m``."""
+    starts, ends = inversion_positions(w)
+    return (is_321_avoiding_by_values(w) and len(starts) <= m
+            and len(ends) <= w.n - m)
 
 
 def code_unfolded(w: AffinePermutation, i: int) -> int:
@@ -277,7 +313,7 @@ def maximal_cdd(w: AffinePermutation) -> tuple[list[frozenset[int]], Partition]:
     sets: list[frozenset[int]] = []
     cur = w
     while not cur.is_identity():
-        J = max_cyclic_factor(cur)
+        J = max_cyclic_factor(cur)[0]
         sets.append(J)
         cur = cur * cyclic_element(w.n, J, False)  # (d_J)^-1 == u_J
     return sets, check_partition(tuple(len(J) for J in sets))

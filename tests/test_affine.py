@@ -46,6 +46,8 @@ from oracles import (
     is_321_avoiding_by_values,
     is_grassmannian_by_values,
     letter_multiplicities_greedy,
+    in_A_by_positions,
+    max_cyclic_factor_by_positions,
     max_cyclic_factor_exhaustive,
     maximal_cdd,
     reduced_word_by_steps,
@@ -398,34 +400,35 @@ class TestMaxCyclicFactor:
     def test_self_factor(self):
         for members in proper_subsets(5, 3):
             d = cyclic_element(5, members, True)
-            assert max_cyclic_factor(d) == members
+            assert max_cyclic_factor(d)[0] == members
 
     def test_identity(self):
-        assert max_cyclic_factor(AffinePermutation.identity(4)) == frozenset()
+        assert max_cyclic_factor(AffinePermutation.identity(4)) == (
+            frozenset(), [0, 0, 0, 0])
 
     def test_ribbon_r3(self):
         w = W(6, 3, 4, 5, 2, 1, 0)
-        assert max_cyclic_factor(w) == frozenset({0, 1, 2})
+        assert max_cyclic_factor(w)[0] == frozenset({0, 1, 2})
 
     def test_interior_letter_not_a_descent(self):
         # w = d_{0,1} = s_1 s_0: the valid J = {0,1} is not inside the
         # right descent set {0}, so J is not read off the descents alone.
         w = W(4, 1, 0)
         assert w.right_descents() == frozenset({0})
-        assert max_cyclic_factor(w) == frozenset({0, 1})
+        assert max_cyclic_factor(w)[0] == frozenset({0, 1})
 
-    @pytest.mark.parametrize("side", ["right", "left"])
-    @pytest.mark.parametrize("direction", ["decreasing", "increasing"])
-    def test_factorization_property(self, side, direction):
+    @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+    @pytest.mark.parametrize("decreasing", [True, False],
+                             ids=["decreasing", "increasing"])
+    def test_factorization_property(self, left, decreasing):
         # a left factor of w is a right factor of w^-1 in the other direction
-        other = "increasing" if direction == "decreasing" else "decreasing"
         for w in elements_by_length(4, 4)[4]:
-            if side == "right":
-                J = max_cyclic_factor(w, direction)
+            if left:
+                J = max_cyclic_factor(w.inverse(), not decreasing)[0]
             else:
-                J = max_cyclic_factor(w.inverse(), other)
-            inv = cyclic_element(4, J, direction != "decreasing")
-            rest = w * inv if side == "right" else inv * w
+                J = max_cyclic_factor(w, decreasing)[0]
+            inv = cyclic_element(4, J, not decreasing)
+            rest = inv * w if left else w * inv
             assert rest.length == w.length - len(J)
 
     def test_matches_exhaustive_scan(self):
@@ -434,18 +437,12 @@ class TestMaxCyclicFactor:
         for n, maxlen in FACTOR_GRID:
             for level in elements_by_length(n, maxlen):
                 for w in level:
-                    for direction in ("decreasing", "increasing"):
-                        assert (max_cyclic_factor(w, direction)
-                                == max_cyclic_factor_exhaustive(w, direction)), \
-                            (w, direction)
+                    for decreasing in (True, False):
+                        assert (max_cyclic_factor(w, decreasing)[0]
+                                == max_cyclic_factor_exhaustive(w, decreasing)), \
+                            (w, decreasing)
                         cases += 1
         assert cases == 2680
-
-    def test_bad_side_rejected(self):
-        # only right factors are read, so a side name is a bad direction
-        for bad in ("left", "middle"):
-            with pytest.raises(InvalidInputError):
-                max_cyclic_factor(W(4, 0), bad)
 
     def test_subset_scan_off_hot_path(self, monkeypatch):
         def no_scan(n, size):
@@ -455,9 +452,9 @@ class TestMaxCyclicFactor:
         monkeypatch.setattr("cylkit.stanley.proper_subsets", no_scan)
         clear_caches()
         w = W(16, 0, 8, 1, 9)  # u_{0,1} u_{8,9}, values from the scan
-        assert max_cyclic_factor(w) == frozenset({1, 9})
-        assert max_cyclic_factor(w, "increasing") == frozenset({0, 1, 8, 9})
-        assert max_cyclic_factor(w.inverse(), "increasing") == frozenset({0, 8})
+        assert max_cyclic_factor(w)[0] == frozenset({1, 9})
+        assert max_cyclic_factor(w, False)[0] == frozenset({0, 1, 8, 9})
+        assert max_cyclic_factor(w.inverse(), False)[0] == frozenset({0, 8})
         v, p = grassmannianize(w)
         v0 = rotate(v, -p)  # the tail the expansion starts from
         assert shape_of(v0) == maximal_cdd(v0)[1] == (1,) * 7
@@ -476,7 +473,7 @@ class TestMaxCyclicFactor:
 
         monkeypatch.setattr("cylkit.stanley.cyclic_element", refuse)
         monkeypatch.setattr("cylkit.stanley.cyclic_factors", refuse)
-        monkeypatch.setattr("cylkit.affine._cyclic_reach", refuse)
+        monkeypatch.setattr("cylkit.affine.max_cyclic_factor", refuse)
         clear_caches()
         assert pinned_tables_hold()
 
@@ -491,13 +488,29 @@ class TestInA:
             for level in elements_by_length(n, maxlen):
                 for w in level:
                     avoiding = is_321_avoiding_by_values(w)
-                    maxc = len(max_cyclic_factor_exhaustive(w, "increasing"))
+                    maxc = len(max_cyclic_factor_exhaustive(w, False))
                     maxr = len(max_cyclic_factor_exhaustive(w))
                     for m in range(1, n):
                         assert in_A(w, CylType(m, n)) == (
                             avoiding and maxc <= m and maxr <= n - m), (w, m)
                         cases += 1
         assert cases == 6066
+
+    def test_read_off_the_window(self, monkeypatch):
+        # in_A reaches no cyclic-factor walk, under whatever name a module
+        # holds it by
+        def refuse(*args):
+            raise AssertionError("cyclic-factor walk reached")
+
+        monkeypatch.setattr("cylkit.affine.max_cyclic_factor", refuse)
+        monkeypatch.setattr("cylkit.cylindric.max_cyclic_factor", refuse,
+                            raising=False)
+        clear_caches()
+        for n, maxlen in FACTOR_GRID:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    for m in range(1, n):
+                        assert in_A(w, CylType(m, n)) == in_A_by_positions(w, m), (w, m)
 
 
 class TestCylindricHotPath:
@@ -560,11 +573,11 @@ class TestCyclicFactors:
             for level in elements_by_length(n, maxlen):
                 for w in level:
                     for size in range(n):
-                        for side in ("right", "left"):
-                            found = cyclic_factors(w, size, side)
-                            assert len(set(found)) == len(found), (w, size, side)
+                        for decreasing in (True, False):
+                            found = cyclic_factors(w, size, decreasing)
+                            assert len(set(found)) == len(found), (w, size, decreasing)
                             assert found == cyclic_factors_exhaustive(
-                                w, size, side), (w, size, side)
+                                w, size, decreasing), (w, size, decreasing)
                             cases += 1
         assert cases == 14812
 
@@ -574,10 +587,6 @@ class TestCyclicFactors:
         assert cyclic_factors(w, 3) == []
         assert cyclic_factors(w, 4) == []
         assert cyclic_factors(w, -1) == []
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cyclic_factors(W(4, 0), 1, "sideways")
 
 
 class TestMaximalCdd:
@@ -818,10 +827,16 @@ class TestWindowReaders:
         st.booleans())))
     def test_321_rule_on_large_random_elements(self, case):
         # checked where elements reach far: n <= 24 and length <= 40, from
-        # random words or from random ascents only (longer elements)
+        # random words or from random ascents only (longer elements); with
+        # it the basis test and the maximal factors
         n, letters, ascents_only = case
         w = AffinePermutation.identity(n)
         for i in letters:
             if not (ascents_only and w.has_right_descent(i)):
                 w = w.times_s(i)
         assert is_321_avoiding(w) == is_321_avoiding_by_values(w), w
+        for m in range(1, n):
+            assert in_A(w, CylType(m, n)) == in_A_by_positions(w, m), (w, m)
+        for decreasing in (True, False):
+            assert (max_cyclic_factor(w, decreasing)[0]
+                    == max_cyclic_factor_by_positions(w, decreasing)), (w, decreasing)
