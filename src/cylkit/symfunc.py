@@ -17,10 +17,11 @@ so the chains terminate, and the zeros are padded on at the top.  Its memo
 keeps one table per state, all chains from it, keyed on ``(tag, state,
 None)``; only where fewer steps are left than weight (tables in fewer
 variables than the degree) does the key carry the steps left.  The
-one runtime check on a table is the constructor's: every key is a partition
-of the degree with at most ``nvars`` parts.
+one runtime check on a table handed to a caller is the constructor's: every
+key is a partition of the degree with at most ``nvars`` parts.
 The change of basis into Schur polynomials is done by unitriangular
-elimination (:func:`resolve`, which the affine Schur oracle shares).
+elimination (:func:`resolve`, which the affine Schur oracle shares) on raw
+chain tables, so no column is rebuilt or re-validated as a polynomial.
 Everything is integer-exact; this module is the oracle side of the package
 and is deliberately independent of the cylindric machinery.
 """
@@ -257,11 +258,18 @@ def expand_in_schur(p: SymmetricPolynomial) -> dict[Partition, int]:
     """Exact coefficients ``c`` with ``p = sum c[nu] * s_nu(x_1..x_N)``.
 
     :func:`resolve` against the Schur polynomials: ``s_nu`` is ``m_nu`` plus
-    monomials strictly dominance-below ``nu``.  Raises :class:`SolveError`
-    if a remainder cannot be cleared (``p`` is then not in the span, which
-    signals an upstream bug).
+    monomials strictly dominance-below ``nu``.  As in the affine Schur
+    oracle, it runs on raw chain tables: keys padded with zeros to ``nvars``
+    entries (which keeps the lex order), cut again on output.  Raises
+    :class:`SolveError` if a remainder cannot be cleared (``p`` is then not
+    in the span, which signals an upstream bug).
     """
-    return resolve(p.coeffs, lambda lam: schur_poly(lam, p.nvars).coeffs)
+    nvars = p.nvars
+    coeffs = resolve({lam + (0,) * (nvars - len(lam)): c
+                      for lam, c in p.coeffs.items()},
+                     lambda lead: _skew_weight_table(
+                         lead[:nvars - lead.count(0)], (), nvars))
+    return {lead[:nvars - lead.count(0)]: c for lead, c in coeffs.items()}
 
 
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:

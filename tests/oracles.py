@@ -29,7 +29,7 @@ from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence
 from cylkit.errors import InvalidInputError, SolveError
 from cylkit.partitions import Partition, check_partition, part
 from cylkit.stanley import DEFAULT_EXPAND_CAP, stanley_monomials
-from cylkit.symfunc import SymmetricPolynomial
+from cylkit.symfunc import SymmetricPolynomial, resolve, schur_poly
 
 
 def orbit_size(lam: Partition, nvars: int) -> int:
@@ -476,6 +476,13 @@ def skew_schur_by_fillings(lam: Partition, mu: Partition,
                for (r, c), v in entry.items()):
             weights[tuple(values.count(k) for k in range(1, nvars + 1))] += 1
     return orbit_collapse(nvars, len(cells), weights)
+
+
+def expand_in_schur_by_polynomials(p: SymmetricPolynomial) -> dict:
+    """:func:`cylkit.symfunc.expand_in_schur` by the route it replaced: each
+    column a validated Schur polynomial, its monomial table keyed by
+    partitions without padding."""
+    return resolve(p.coeffs, lambda lam: schur_poly(lam, p.nvars).coeffs)
 
 
 def lr_coefficient_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:

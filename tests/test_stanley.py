@@ -330,8 +330,9 @@ class TestDualPieriBranches:
                             b_plus, b_minus = dual_pieri_branches(w, size, index)
                             e_plus, e_minus = expected
                             assert len(b_plus) == len(e_plus) and len(b_minus) == len(e_minus)
-                            # the branches' carried lengths against lengths
-                            # the oracle computes from the windows
+                            # the branches' lengths, computed on read,
+                            # against lengths the oracle computes from the
+                            # windows
                             assert ({(x.window, x.length) for x in b_plus}
                                     == {(x.window, x.length) for x in e_plus})
                             assert ({(J, y.window, y.length) for J, y in b_minus}
@@ -394,9 +395,15 @@ class TestExpansion:
         assert expand_affine_schur(w) == oracle_expand(w, cap=DEFAULT_STANLEY_CAP)
 
     def test_positivity_and_support(self):
+        # the facts the expansion's tables are made with: every key
+        # 0-Grassmannian, every coefficient positive, from both routes
+        for n, maxlen in ((3, 6), (4, 6), (5, 5)):
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    for exp in (expand_affine_schur(w), oracle_expand(w)):
+                        assert all(u.is_grassmannian(0) and c > 0
+                                   for u, c in exp.coeffs.items()), w
         for w in elements_by_length(4, 5)[5]:
-            exp = expand_affine_schur(w)
-            assert all(c > 0 for c in exp.coeffs.values())
             for m in (1, 2, 3):
                 ctype = CylType(m, 4)
                 if in_A(w, ctype):

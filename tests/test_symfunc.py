@@ -24,6 +24,7 @@ from cylkit.verify import valid_shapes
 
 from oracles import (
     chain_table_by_steps,
+    expand_in_schur_by_polynomials,
     lr_coefficient_lattice,
     orbit_collapse,
     poly_mul_monomial_tables,
@@ -210,6 +211,46 @@ class TestExpandInSchur:
                         if schur_poly(lam, nvars).coeffs}
             assert recovered == expected
 
+    def test_matches_polynomial_columns(self):
+        # the raw chain-table route against validated Schur polynomials as
+        # columns: the skew grid, and the toric tables of the toric oracle
+        skew = toric = 0
+        for p in _skew_polys():
+            assert expand_in_schur(p) == expand_in_schur_by_polynomials(p), p
+            skew += 1
+        for m, n in ((2, 4), (2, 5), (3, 6)):
+            ctype = CylType(m, n)
+            for shape in valid_shapes(ctype, 8):
+                if is_toric(shape):
+                    p = cylindric_schur_poly(shape, m)
+                    assert (expand_in_schur(p)
+                            == expand_in_schur_by_polynomials(p)), shape
+                    toric += 1
+        assert (skew, toric) == (790, 553)
+
+    def test_builds_no_polynomial_per_column(self, monkeypatch):
+        # the SymmetricPolynomial check runs on the tables handed to
+        # callers: none in the change of basis, one per lr_coeff
+        built = []
+        check = SymmetricPolynomial.__post_init__
+
+        def spied(p):
+            built.append(p.degree)
+            check(p)
+
+        polys = [skew_schur_poly((3, 3, 2), mu, 6) for mu in ((1, 1), (2,))]
+        monkeypatch.setattr(SymmetricPolynomial, "__post_init__", spied)
+        for p in polys:
+            assert expand_in_schur(p)
+        assert built == []
+        calls = 0
+        for lam in partitions_in_box(3, 3):
+            for mu in partitions_in_box(3, 3):
+                if contains(lam, mu) and lam != mu:
+                    lr_coeff(lam, mu, (1,) * (sum(lam) - sum(mu)))
+                    calls += 1
+                    assert len(built) == calls, (lam, mu)
+
     def test_worked_combination(self):
         # s_{(3,3,2)/(1,1)} + s_{(3,3,2)/(2)} - s_{(3,2,1)}
         p = (skew_schur_poly((3, 3, 2), (1, 1), 6)
@@ -244,16 +285,21 @@ class TestLittlewoodRichardson:
 # -- the chain fold ------------------------------------------------------------
 
 
-def _skew_grid():
-    # every mu inside lam with |lam| <= 6, in 1 .. |lam/mu| + 1 variables,
-    # and the Schur columns its expansion reaches
+def _skew_polys():
+    # every mu inside lam with |lam| <= 6, in 1 .. |lam/mu| + 1 variables
     for size in range(7):
         for lam in partitions_of(size):
             for inner_size in range(size + 1):
                 for mu in partitions_of(inner_size):
                     if contains(lam, mu):
                         for nvars in range(1, size - inner_size + 2):
-                            expand_in_schur(skew_schur_poly(lam, mu, nvars))
+                            yield skew_schur_poly(lam, mu, nvars)
+
+
+def _skew_grid():
+    # the skew polynomials and the Schur columns their expansions reach
+    for p in _skew_polys():
+        expand_in_schur(p)
 
 
 def _cylindric_grid():
