@@ -20,12 +20,11 @@ Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
 first, then lexicographically larger first), which the recursion asserts on
 every branch, so the signed recursion terminates with the coefficients of
-the affine Schur functions; positivity of the final table is asserted,
-not assumed.  ``F_w`` does not change under the rotation ``f: s_i ->
-s_{i+1}``, so the final table is memoized once per Z/n orbit of ``w`` (see
-:func:`expand_affine_schur`).  A brute-force oracle certifies the same
-expansion independently: it resolves the monomial table of ``w`` against
-the affine Schur basis by unitriangular elimination
+the affine Schur functions.  A state's table, the expansion of ``F_u``, is
+memoized once per rotation orbit of ``u`` and asserted positive, not
+assumed, as it is stored (see :func:`_expand_state`).  A brute-force oracle
+certifies the same expansion independently: it resolves the monomial
+table of ``w`` against the affine Schur basis by unitriangular elimination
 (:func:`cylkit.symfunc.resolve`, the solver of the Schur change of basis),
 since the affine Schur function of a bounded partition ``lam`` is ``m_lam``
 plus monomials dominance-below ``lam``.  Its monomial tables are chains of
@@ -88,7 +87,6 @@ DEFAULT_STANLEY_CAP = 14
 DEFAULT_ORACLE_CAP = 9
 
 _EXPAND_MEMO: dict = memo.table()
-_TOP_MEMO: dict = memo.table()
 _PEEL_WORDS_CACHE: dict = memo.table()
 
 
@@ -353,10 +351,22 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     return b_plus, b_minus
 
 
-def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
+def _expand_state(u: AffinePermutation, tail: Partition) -> dict:
     """Expansion table of ``F_u`` given that ``u * (canonical tail)`` is
-    0-Grassmannian; memoized on ``(u, tail)`` so shared subproblems merge."""
-    key = (n, u.window, tail)
+    0-Grassmannian, memoized on the rotation class of ``u`` alone
+    (:func:`cylkit.affine.rotation_key`): a ``u`` met again with another
+    tail, in another rotation or at the top of an expansion reads one table.
+    That is sound: the affine Schur functions are unitriangular against
+    ``m_lam``, so the coefficients of ``F_u`` are unique whatever the tail;
+    and ``f^t`` sends ``d_J`` to ``d_{J+t}`` keeping lengths, so it maps the
+    cyclically decreasing factorizations of ``u`` onto those of ``f^t(u)``
+    and ``F_{f^t(u)} = F_u`` (Lam 2006).  Every table expands some
+    ``F_u``, so it is affine Schur positive (Lam 2008): a negative
+    coefficient raises :class:`PositivityError` naming ``u`` as the table
+    is stored (an internal bug, never a property of the input).
+    """
+    n = u.n
+    key = (n, rotation_key(u))
     hit = _EXPAND_MEMO.get(key)
     if hit is not None:
         return hit
@@ -382,9 +392,11 @@ def _expand_state(n: int, u: AffinePermutation, tail: Partition) -> dict:
     for x, sign, sub_tail in branches:
         if not schedule_less(sub_tail, tail):
             raise AssertionError("termination metric did not decrease")
-        for key2, c in _expand_state(n, x, sub_tail).items():
+        for key2, c in _expand_state(x, sub_tail).items():
             out[key2] += sign * c
     result = {k: c for k, c in out.items() if c}
+    if any(c < 0 for c in result.values()):
+        raise PositivityError(f"negative coefficient for {u}: {result}")
     return _EXPAND_MEMO.setdefault(key, result)
 
 
@@ -393,48 +405,33 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
     """``F_w = sum c_u F_u`` over 0-Grassmannian ``u``; all ``c_u >= 0``.
 
     With a type given and ``w`` in its basis, the support is checked to stay
-    in the basis, and the result carries the type as its ``basis``.  Raises
-    :class:`PositivityError` if a negative coefficient survives to the final
-    table (an internal bug, never a property of the input).
+    in the basis, and the result carries the type as its ``basis``.
 
-    The table is memoized on the rotation class of ``w``
-    (:func:`cylkit.affine.rotation_key`), so the Grassmannianization and
-    the recursion run once per Z/n orbit, on the first element met; every
-    other rotation reads the same table.  That is sound:
-
-    - ``f^t`` maps cyclically decreasing factorizations of ``w`` to those of
-      ``f^t(w)`` (it sends ``d_J`` to ``d_{J+t}`` and keeps lengths), so
-      ``F_{f^t(w)} = F_w`` (Lam 2006);
-    - the affine Schur functions are unitriangular against ``m_lam``, so
-      the coefficients of ``F_w`` on them are unique;
-    - ``in_A`` and the "every letter occurs" test do not change under
-      rotation, so the basis and the choice of the tight
-      Grassmannianization agree across an orbit.
-
-    The cap, the basis and the support check still run on every call.  The
-    rotated ``w*v`` is not checked again: both Grassmannianizations assert
-    it before rotation, and a rotation keeps lengths and shifts descents.
+    The table is read from the memo of :func:`_expand_state` under the
+    rotation class of ``w`` before anything is Grassmannianized; on a miss
+    the recursion starts at ``rotate(w, -p)``, in the same class, and
+    stores the table there, positivity checked.  ``in_A`` and the "every
+    letter occurs" test do not change under rotation, so the basis and the
+    choice of the tight Grassmannianization agree across an orbit.  The cap,
+    the basis and the support check still run on every call.  The rotated
+    ``w*v`` is not checked again: both Grassmannianizations assert it
+    before rotation, and a rotation keeps lengths and shifts descents.
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
-    n = w.n
     basis = ctype if ctype is not None and in_A(w, ctype) else None
-    key = (n, rotation_key(w))
-    table = _TOP_MEMO.get(key)
+    table = _EXPAND_MEMO.get((w.n, rotation_key(w)))
     if table is None:
         tight = (basis is not None
                  and all(c > 0 for c in letter_multiplicities(w).values()))
         v, p = grassmannianize_321(w, ctype) if tight else grassmannianize(w)
-        table = _expand_state(n, rotate(w, -p), shape_of(rotate(v, -p)))
-        if any(c < 0 for c in table.values()):
-            raise PositivityError(f"negative final coefficient for {w}: {table}")
-        table = _TOP_MEMO.setdefault(key, table)
+        table = _expand_state(rotate(w, -p), shape_of(rotate(v, -p)))
     if basis is not None:
         for u in table:
             if not in_A0(u, basis):
                 raise PositivityError(
                     f"support left the basis: {u} for input {w}")
-    return AffineSchurExpansion(n, table, basis)
+    return AffineSchurExpansion(w.n, table, basis)
 
 
 # -- brute-force oracle ----------------------------------------------------------

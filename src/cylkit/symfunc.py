@@ -277,7 +277,8 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Computed through the skew Schur route: the coefficient of ``s_nu`` in
     ``s_{lam/mu}``.  Zero when sizes do not match or ``mu`` is not contained
-    in ``lam``.
+    in ``lam``.  Each argument is validated once, here: ``s_{lam/mu}`` is
+    built from its weight table, not re-validated by :func:`skew_schur_poly`.
     """
     lam = check_partition(tuple(lam))
     mu = check_partition(tuple(mu))
@@ -287,5 +288,6 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if not contains(lam, mu):
         return 0
     nvars = max(1, sum(nu))
-    expansion = expand_in_schur(skew_schur_poly(lam, mu, nvars))
-    return expansion.get(nu, 0)
+    poly = SymmetricPolynomial.from_weight_table(
+        nvars, sum(nu), _skew_weight_table(lam, mu, nvars))
+    return expand_in_schur(poly).get(nu, 0)

@@ -19,16 +19,22 @@ from math import factorial
 from cylkit.affine import (
     AffinePermutation,
     cyclic_element,
+    grassmannian_from_kbounded,
     grassmannians_of_length,
     interval_set,
     max_cyclic_factor,
     proper_subsets,
+    shape_of,
 )
 from cylkit.cli import _parse_csv_ints
 from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence
 from cylkit.errors import InvalidInputError, SolveError
 from cylkit.partitions import Partition, check_partition, part
-from cylkit.stanley import DEFAULT_EXPAND_CAP, stanley_monomials
+from cylkit.stanley import (
+    DEFAULT_EXPAND_CAP,
+    dual_pieri_branches,
+    stanley_monomials,
+)
 from cylkit.symfunc import SymmetricPolynomial, resolve, schur_poly
 
 
@@ -382,6 +388,39 @@ def dual_pieri_branches_exhaustive(w: AffinePermutation, part_size: int,
             if y.length == wprime.length - part_size:
                 b_minus.append((members, y))
     return b_plus, b_minus
+
+
+def expand_state_by_tail(u: AffinePermutation, tail: Partition) -> dict:
+    """:func:`cylkit.stanley._expand_state` by the route it replaced: the
+    dual-Pieri recursion memoized on ``(u.window, tail)``, so a ``u`` met
+    with several tails, or in several rotations, is expanded once for each.
+    The memo lives for one call."""
+    n = u.n
+    memo: dict = {}
+
+    def rec(u: AffinePermutation, tail: Partition) -> dict:
+        key = (u.window, tail)
+        if key in memo:
+            return memo[key]
+        if not tail:
+            if not u.is_grassmannian(0):
+                raise AssertionError(f"base case is not Grassmannian: {u}")
+            memo[key] = {u: 1}
+            return memo[key]
+        b_plus, b_minus = dual_pieri_branches(u, tail[-1], len(tail))
+        head = tail[:-1]
+        vprime = grassmannian_from_kbounded(n, head)
+        branches = [(x, 1, head) for x in b_plus] + [
+            (y, -1, shape_of(cyclic_element(n, members, True) * vprime))
+            for members, y in b_minus]
+        out: Counter = Counter()
+        for x, sign, sub_tail in branches:
+            for k, c in rec(x, sub_tail).items():
+                out[k] += sign * c
+        memo[key] = {k: c for k, c in out.items() if c}
+        return memo[key]
+
+    return rec(u, tail)
 
 
 def stanley_coefficient_brute(w: AffinePermutation, alpha: tuple[int, ...]) -> int:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,16 @@ from cylkit.affine import (
     letter_multiplicities,
     proper_subsets,
     rotate,
+    rotation_key,
     shape_of,
 )
 from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, in_A, shape_new
-from cylkit.errors import CapExceededError, InvalidInputError, SolveError
+from cylkit.errors import (
+    CapExceededError,
+    InvalidInputError,
+    PositivityError,
+    SolveError,
+)
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_in_box, partitions_of, schedule_less
 from cylkit.stanley import (
@@ -41,6 +48,7 @@ from cylkit.symfunc import SymmetricPolynomial, lr_coeff, resolve
 from oracles import (
     dominance_le,
     dual_pieri_branches_exhaustive,
+    expand_state_by_tail,
     grassmannianize_by_elements,
     oracle_expand_per_element,
     solve_exact_integer,
@@ -394,6 +402,28 @@ class TestExpansion:
         w = random_element(n, length, seed)
         assert expand_affine_schur(w) == oracle_expand(w, cap=DEFAULT_STANLEY_CAP)
 
+    @staticmethod
+    def _by_tail(w):
+        v, p = grassmannianize(w)
+        return expand_state_by_tail(rotate(w, -p), shape_of(rotate(v, -p)))
+
+    def test_matches_tail_keyed_recursion(self):
+        # the recursion memoized on (u, tail) with a memo per call, against
+        # one memo keyed on rotation classes and kept warm across elements:
+        # every element with n = 3..6 up to lengths 8, 7, 6, 6 (1,783), and
+        # two elements of the n-ladder
+        clear_caches()
+        cases = 0
+        for n, maxlen in ((3, 8), (4, 7), (5, 6), (6, 6)):
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    assert expand_affine_schur(w).coeffs == self._by_tail(w), w
+                    cases += 1
+        assert cases == 1783
+        for n, length, seed in ((12, 10, 1), (16, 10, 2)):
+            w = random_element(n, length, seed)
+            assert expand_affine_schur(w).coeffs == self._by_tail(w), w
+
     def test_positivity_and_support(self):
         # the facts the expansion's tables are made with: every key
         # 0-Grassmannian, every coefficient positive, from both routes
@@ -437,8 +467,8 @@ class TestExpansion:
 
 
 class TestRotationMemo:
-    """``expand_affine_schur`` keeps one table per rotation class and
-    answers every rotation of an expanded element from it."""
+    """The recursion keeps one table per rotation class of its states, and
+    answers every tail and every rotation of an expanded state from it."""
 
     @staticmethod
     def _refuse_expansion(mp):
@@ -479,7 +509,68 @@ class TestRotationMemo:
         for w in level:
             expand_affine_schur(w)
         classes = {frozenset(rotate(w, t).window for t in range(n)) for w in level}
-        assert len(stanley._TOP_MEMO) == len(classes) < len(level)
+        keys = list(stanley._EXPAND_MEMO)
+        # every key is the least window of its own element's class, and
+        # every state has the length of its top, so each class of the level
+        # is stored exactly once and nothing else is
+        assert all(key == (n, rotation_key(AffinePermutation(n, key[1])))
+                   for key in keys)
+        assert all(sum(key[1] in c for key in keys) == 1 for c in classes)
+        assert len(keys) == len(classes) < len(level)
+
+    def test_warm_state_answers_every_tail_and_rotation(self, monkeypatch):
+        # s_2 s_3 s_4 at n = 5 is reached with the tails (1,) and (2,) from
+        # elements of length 5, and its rotation s_1 s_2 s_3 with (1, 1) and
+        # (2, 1); each pair is a state: u * g(tail) is 0-Grassmannian and the
+        # lengths add
+        u = W(5, 2, 3, 4)
+        turned = rotate(u, -1)
+        assert turned == W(5, 1, 2, 3)
+        states = [(u, (1,)), (u, (2,)), (turned, (1, 1)), (turned, (2, 1))]
+        expected = expand_state_by_tail(u, (1,))
+        for x, tail in states:
+            g = grassmannian_from_kbounded(5, tail)
+            xg = x * g
+            assert xg.is_grassmannian(0) and xg.length == x.length + g.length
+            assert expand_state_by_tail(x, tail) == expected
+        clear_caches()
+        assert stanley._expand_state(u, (1,)) == expected
+
+        def refuse(*args):
+            raise AssertionError("a warm state was branched again")
+
+        monkeypatch.setattr(stanley, "dual_pieri_branches", refuse)
+        for x, tail in states[1:]:
+            assert stanley._expand_state(x, tail) == expected, (x, tail)
+
+    def test_flipped_sign_raises_at_its_state(self, monkeypatch):
+        # s_2 s_3 s_1 with tail (1, 1) is an inner state of s_0 s_1 s_0 at
+        # n = 5, outside its rotation class, with one branch of each sign
+        # (s_3 s_4 s_1 and s_2 s_3 s_4); its plus branch is moved to the
+        # minus family (with the minus branch's tail, and its own table
+        # warm, so that tail is never read), which leaves the state a
+        # negative table
+        w, state = W(5, 0, 1, 0), W(5, 2, 3, 1)
+        assert rotation_key(state) != rotation_key(w)
+        real = stanley.dual_pieri_branches
+        flipped = []
+
+        def flip_one(u, size, index):
+            b_plus, b_minus = real(u, size, index)
+            if u != state:
+                return b_plus, b_minus
+            flipped.append(b_plus[0])
+            return b_plus[1:], b_minus + [(b_minus[0][0], b_plus[0])]
+
+        clear_caches()
+        x = real(state, 1, 2)[0][0]
+        expand_affine_schur(x)
+        monkeypatch.setattr(stanley, "dual_pieri_branches", flip_one)
+        with pytest.raises(PositivityError, match=re.escape(repr(state))):
+            expand_affine_schur(w)
+        assert flipped == [x]
+        assert (5, rotation_key(state)) not in stanley._EXPAND_MEMO
+        assert (5, rotation_key(w)) not in stanley._EXPAND_MEMO
 
 
 class TestOracle:

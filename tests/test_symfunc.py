@@ -270,6 +270,36 @@ class TestLittlewoodRichardson:
         assert lr_coeff((2, 1), (1,), (1, 1)) == 1
         assert lr_coeff((2, 1), (1,), (2,)) == 1
 
+    def test_checks_each_argument_once(self, monkeypatch):
+        # three check_partition calls per lr_coeff, one per argument, on
+        # every path; the key checks of the one polynomial it builds are the
+        # constructor's and are not counted
+        checked, building = [], []
+        check, build = symfunc.check_partition, SymmetricPolynomial.__post_init__
+
+        def spied_check(parts):
+            if not building:
+                checked.append(parts)
+            return check(parts)
+
+        def spied_build(p):
+            building.append(p)
+            try:
+                build(p)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(symfunc, "check_partition", spied_check)
+        monkeypatch.setattr(SymmetricPolynomial, "__post_init__", spied_build)
+        for lam, mu, nu, value in [((3, 2, 1), (2, 1), (2, 1), 2),
+                                   ((2, 2), (2, 1), (2,), 0),  # sizes differ
+                                   ((2, 2), (3,), (1,), 0)]:  # mu not inside
+            checked.clear()
+            assert lr_coeff(lam, mu, nu) == value
+            assert checked == [lam, mu, nu]
+        with pytest.raises(InvalidInputError):
+            lr_coeff((1, 2), (), (3,))
+
     def test_against_lattice_words(self):
         for lam in partitions_in_box(3, 3):
             if sum(lam) < 2 or sum(lam) > 6:
