@@ -335,26 +335,28 @@ def in_A0(w: AffinePermutation, ctype: CylType) -> bool:
 
 
 def phi(w: AffinePermutation, ctype: CylType) -> CylindricShape:
-    """The bijection onto shapes ``nu/e/()``: act on the empty boundary.
+    """The bijection ``A0(m, n)`` onto shapes ``nu/e/()``: act on the empty
+    boundary.  The action vanishes exactly off ``A0(m, n)``, so it is also
+    the membership test: only row 1 of the empty boundary can grow (addable
+    diagonal 0), so a nonzero ``A_w`` forces every reduced word to end in
+    ``s_0``; ``A_w`` kills every boundary when ``w`` is not in ``A(m, n)``;
+    and on ``A0(m, n)`` it is the bijection (Postnikov 2005, McNamara 2006).
 
     Its inverse is :func:`skew_word`; ``to_shape`` has already put ``nu``
     in the box, so the shape needs no re-validation.  Its outer boundary
-    is the one the action produced, its inner the empty one.
+    is the one the action produced, its inner the empty one; the outer
+    contains the inner, so ``e >= 0``.
 
     >>> from cylkit.affine import AffinePermutation
     >>> phi(AffinePermutation.from_word(6, [5, 1, 0]), CylType(3, 6)).lam
     (2, 1)
     """
-    if not in_A0(w, ctype):
-        raise InvalidInputError(f"{w} is not a 321-avoiding 0-Grassmannian "
-                                f"element of type ({ctype.m},{ctype.n})")
     empty = empty_boundary(ctype)
     grown = empty.act(w)
     if grown is None:
-        raise AssertionError(f"action of {w} on the empty boundary vanished")
+        raise InvalidInputError(f"{w} is not a 321-avoiding 0-Grassmannian "
+                                f"element of type ({ctype.m},{ctype.n})")
     nu, e = grown.to_shape()
-    if e < 0:
-        raise AssertionError("negative offset out of the empty boundary")
     return CylindricShape(ctype, nu, e, (), grown, empty)
 
 

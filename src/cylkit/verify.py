@@ -221,9 +221,8 @@ def suite_expansion_oracle(max_n: int | None = None, max_len: int | None = None,
             failures.append(("negative coefficient", w.n, w.window))
         for m in range(1, w.n):
             ctype = CylType(m, w.n)
-            if in_A(w, ctype):
-                if not all(in_A0(u, ctype) for u in exp.coeffs):
-                    failures.append(("support escape", m, w.n, w.window))
+            if in_A(w, ctype) and not all(in_A0(u, ctype) for u in exp.coeffs):
+                failures.append(("support escape", m, w.n, w.window))
 
     for n in _cut((3, 4), max_n):
         for level in elements_by_length(n, exhaustive_len):

@@ -647,6 +647,42 @@ class TestShapeOf:
         w = grassmannian_from_kbounded(n, lam)
         assert shape_of(w) == maximal_cdd(w)[1] == lam
 
+    @staticmethod
+    def _grow(x):
+        """The 0-Grassmannian left ascents ``s_i x``, stepped on the inverse
+        window, where ``x^-1 s_i`` carries the known length."""
+        inv = x.inverse()
+        for i in range(x.n):
+            step = inv.times_s(i)
+            if step.length > inv.length and step.inverse().is_grassmannian(0):
+                yield step.inverse()
+
+    def test_size_is_length(self):
+        # |shape_of(x)| = len(x), which the expansion's minus branches read
+        # as their additivity: every 0-Grassmannian element with n = 2..8
+        # up to length 10, found by left ascents from the identity
+        cases = 0
+        for n in range(2, 9):
+            level = [AffinePermutation.identity(n)]
+            for ell in range(11):
+                assert len(level) == len(list(partitions_of(ell, max_part=n - 1)))
+                for x in level:
+                    assert sum(shape_of(x)) == ell == x.length, x
+                    cases += 1
+                level = list({y.window: y for x in level for y in self._grow(x)}.values())
+        assert cases == 578
+
+    @settings(max_examples=100)
+    @given(st.integers(9, 48).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=30))))
+    def test_size_is_length_on_random_walks(self, case):
+        n, draws = case
+        x = AffinePermutation.identity(n)
+        for i in draws:
+            ups = list(self._grow(x))
+            x = ups[i % len(ups)]
+        assert sum(shape_of(x)) == len(draws) == AffinePermutation(n, x.window).length
+
     def test_rejects_non_grassmannian(self):
         for w in (W(4, 0, 1), W(16, 0, 8, 1, 9)):
             with pytest.raises(InvalidInputError):

@@ -15,6 +15,7 @@ from cylkit.affine import (
     cyclic_word,
     elements_by_length,
     enumerate_reduced_words,
+    grassmannians_of_length,
     letter_multiplicities,
     proper_subsets,
 )
@@ -441,8 +442,36 @@ class TestPhi:
         assert (s.lam, s.d) == ((2, 1), 0)
 
     def test_precondition(self):
-        with pytest.raises(InvalidInputError):
-            phi(W(6, 0, 1, 0), T36)  # not 321-avoiding
+        not_321 = W(6, 0, 1, 0)
+        too_wide = cyclic_element(6, frozenset({0, 1, 2, 3}), True)  # maxr 4
+        not_grassmannian = W(6, 1)
+        assert too_wide.is_grassmannian(0) and not in_A(too_wide, T36)
+        assert in_A(not_grassmannian, T36)
+        assert not not_grassmannian.is_grassmannian(0)
+        for w in (not_321, too_wide, not_grassmannian):
+            with pytest.raises(InvalidInputError, match="0-Grassmannian"):
+                phi(w, T36)
+
+    def test_action_decides_membership(self):
+        # phi's only membership test is its action on the empty boundary,
+        # against in_A0 on every element with n = 2..6 up to length 7 and
+        # every 0-Grassmannian element with n <= 8 up to length 10
+        cases = [(n, [w for level in elements_by_length(n, 7) for w in level])
+                 for n in range(2, 7)]
+        cases += [(n, [g for ell in range(11) for g in grassmannians_of_length(n, ell)])
+                  for n in range(2, 9)]
+        pairs = members = 0
+        for n, elements in cases:
+            for m in range(1, n):
+                ctype = CylType(m, n)
+                empty = empty_boundary(ctype)
+                for w in elements:
+                    member = in_A0(w, ctype)
+                    assert (empty.act(w) is not None) == member, (w, ctype)
+                    assert not member or phi(w, ctype).d >= 0
+                    pairs += 1
+                    members += member
+        assert (pairs, members) == (12699 + 2899, 163 + 626)
 
     def test_word_independence(self):
         # every reduced word of the skew word of every nu/e/() with at

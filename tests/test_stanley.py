@@ -21,7 +21,15 @@ from cylkit.affine import (
     rotation_key,
     shape_of,
 )
-from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, in_A, shape_new
+from cylkit.cylindric import (
+    CylType,
+    cell_count,
+    cylindric_schur_poly,
+    in_A,
+    phi,
+    shape_new,
+    skew_word,
+)
 from cylkit.errors import (
     CapExceededError,
     InvalidInputError,
@@ -44,6 +52,7 @@ from cylkit.stanley import (
     toric_gw_oracle,
 )
 from cylkit.symfunc import SymmetricPolynomial, lr_coeff, resolve
+from cylkit.verify import SHAPE_TYPES, valid_shapes
 
 from oracles import (
     dominance_le,
@@ -232,8 +241,6 @@ class TestGrassmannianize321:
 
     @pytest.mark.parametrize("ctype", [T24, CylType(2, 5), T36])
     def test_bound_on_skew_words(self, ctype):
-        from cylkit.cylindric import skew_word
-
         m, n = ctype.m, ctype.n
         bound = (n - m) * (m - 1) // 2
         box = partitions_in_box(m, n - m)
@@ -498,7 +505,8 @@ class TestRotationMemo:
                     assert expand_affine_schur(u).coeffs == expected
                     for ctype in held_by:
                         exp = expand_affine_schur(u, ctype=ctype)
-                        assert exp.coeffs == expected and exp.basis == ctype
+                        assert exp.coeffs == expected
+                        assert exp.shapes == {x: phi(x, ctype) for x in expected}
         assert in_A(cases[0], T36) and 1 < held < len(cases)
 
     @pytest.mark.parametrize("n, ell", [(4, 6), (5, 5), (6, 4)])
@@ -571,6 +579,20 @@ class TestRotationMemo:
         assert flipped == [x]
         assert (5, rotation_key(state)) not in stanley._EXPAND_MEMO
         assert (5, rotation_key(w)) not in stanley._EXPAND_MEMO
+
+    @pytest.mark.parametrize("planted", [
+        cyclic_element(6, frozenset({0, 1, 2, 3}), True),  # maxr 4 > n - m
+        W(6, 1),  # in A(3, 6), not 0-Grassmannian
+    ])
+    def test_planted_escape_raises_naming_its_key(self, monkeypatch, planted):
+        # a key outside A0(3, 6) stored under Example 2's rotation class is
+        # caught by the support check, phi on each key
+        w = W(6, 5, 3, 1, 4, 2, 0)
+        monkeypatch.setitem(stanley._EXPAND_MEMO, (6, rotation_key(w)),
+                            {planted: 1})
+        assert expand_affine_schur(w).coeffs == {planted: 1}
+        with pytest.raises(PositivityError, match=re.escape(repr(planted))):
+            expand_affine_schur(w, ctype=T36)
 
 
 class TestOracle:
@@ -750,6 +772,21 @@ class TestExpandCylindric:
         for (nu, e), c in hi.coeffs.items():
             if e >= 1:
                 assert lo.coeffs.get((nu, e - 1), 0) == c
+
+    def test_full_support_shapes_never_reach_the_sweep(self, monkeypatch):
+        # every full-support shape of the grassmannianize-bounds grid takes
+        # the flat anchor: the sweep's longer v grows the recursion's states
+        # many times over on such shapes
+        def refuse(w):
+            raise AssertionError(f"swept a full-support skew word: {w}")
+
+        shapes = [s for m, n in SHAPE_TYPES for s in valid_shapes(CylType(m, n), 8)
+                  if all(letter_multiplicities(skew_word(s)).values())]
+        assert len(shapes) == 169
+        clear_caches()
+        monkeypatch.setattr(stanley, "grassmannianize", refuse)
+        for s in shapes:
+            expand_cylindric(s)
 
 
 class TestGromovWitten:
