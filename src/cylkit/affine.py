@@ -20,10 +20,13 @@ elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ`` (a plain
 frozenset, checked once, when :func:`cyclic_element` first builds it), the
 right cyclic factors of an element (a left factor of ``w`` is a right
 factor of ``w^-1`` in the other direction), and the bijection between
-0-Grassmannian elements and partitions with parts < n, read off the code.
+0-Grassmannian elements and partitions with parts < n, read off the code
+(for those elements in O(n log n), as their windows increase).
 One walk along the window gives each generator's reach in a right factor
 and so the maximal factor, the union of the fitting intervals; the factors
-of one size are the subsets of the maximal one whose intervals fit.
+of one size are chosen run by run inside its components, each run
+extended only while it fits, and a product with ``d_J`` or ``u_J`` is a
+run of swaps per run of ``J`` (:func:`times_runs`).
 321-avoidance is one pass over the window with the running maximum
 (:func:`inversion_ends`); the basis test ``cylindric.in_A`` takes ``maxr``
 from the same pass and ``maxc`` from one with the running minimum.
@@ -32,6 +35,7 @@ from the same pass and ``maxc`` from one with the running minimum.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -58,6 +62,31 @@ def _swap(win: list[int], n: int, i: int) -> bool:
         left, right = win[n - 1] - n, win[0]
         win[0], win[n - 1] = left, right + n
     return left > right
+
+
+def inverse_window(n: int, win) -> tuple[int, ...]:
+    """The window of ``w^-1``: ``w(j) = v`` with ``v - 1 = r + kn``
+    (``0 <= r < n``) means ``w^-1(r + 1) = j - kn``."""
+    inv = [0] * n
+    for j, v in enumerate(win, start=1):
+        r = (v - 1) % n
+        inv[r] = j - (v - 1 - r)
+    return tuple(inv)
+
+
+def times_runs(win, n: int, runs, decreasing: bool) -> tuple[tuple[int, ...], int]:
+    """The window of ``w * d_J`` (``decreasing``) or ``w * u_J``, for ``J``
+    given by its maximal cyclic runs ``(p, q)``, and the number of its
+    swaps that were descents: per run, the swaps ``q`` down to ``p`` for
+    ``d_J`` or ``p`` up to ``q`` for ``u_J`` (:func:`_swap`), on one copy of
+    ``win``.  Lengths add iff no swap was a descent, and fall by ``|J|``
+    iff every one was."""
+    win = list(win)
+    falls = 0
+    for p, q in runs:
+        for i in (range(q, p - 1, -1) if decreasing else range(p, q + 1)):
+            falls += _swap(win, n, i % n)
+    return tuple(win), falls
 
 
 def _descents(win, n: int) -> Iterator[int]:
@@ -160,12 +189,8 @@ class AffinePermutation:
         return AffinePermutation._trusted(n, tuple(out))
 
     def inverse(self) -> "AffinePermutation":
-        n = self.n
-        inv = [0] * n
-        for j, v in enumerate(self.window, start=1):
-            r = (v - 1) % n  # w(j) = v means w^-1(r + 1) = j - (v - 1 - r)
-            inv[r] = j - (v - 1 - r)
-        return AffinePermutation._trusted(n, tuple(inv), self._length)
+        return AffinePermutation._trusted(
+            self.n, inverse_window(self.n, self.window), self._length)
 
     def times_s(self, i: int) -> "AffinePermutation":
         """Right multiplication ``w * s_i`` (swap window positions).
@@ -343,9 +368,10 @@ def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
 # -- cyclically decreasing / increasing elements -----------------------------
 
 
-def _intervals(n: int, J) -> Iterator[tuple[int, int]]:
+def cyclic_runs(n: int, J) -> Iterator[tuple[int, int]]:
     """The maximal cyclic intervals ``[p, q]`` of a proper subset ``J`` of
-    ``Z/nZ``, by start ``p`` (``q`` may pass ``n - 1``, wrapping round)."""
+    ``Z/nZ``, its runs, by start ``p`` (``q`` may pass ``n - 1``, wrapping
+    round)."""
     for p in sorted(J):
         if (p - 1) % n in J:
             continue
@@ -369,7 +395,7 @@ def cyclic_word(n: int, J: frozenset[int], decreasing: bool) -> Word:
     if len(J) == n:
         raise InvalidInputError("J must be a proper subset of Z/nZ")
     letters: list[int] = []
-    for p, q in _intervals(n, J):
+    for p, q in cyclic_runs(n, J):
         span = range(q, p - 1, -1) if decreasing else range(p, q + 1)
         letters.extend(i % n for i in span)
     return tuple(letters)
@@ -415,69 +441,126 @@ def max_cyclic_factor(w: AffinePermutation, decreasing: bool = True
     Window criterion, O(n^2): the intervals of ``J`` act on disjoint
     positions, so ``J`` is valid iff each of its maximal cyclic intervals
     is, and the maximal ``J`` is the union of all valid intervals, each
-    generator's longest found by one walk along the window.
+    generator's longest found by one walk along the window.  The intervals
+    are laminar: decreasing, every ``q`` inside ``p``'s interval has
+    ``w(q) < w(p)``, so its walk stops no later than ``p``'s, and the
+    generator just past ``p``'s interval reaches nowhere.  So the maximal
+    factor falls into components, each the interval of the generator that
+    starts it, with a generator outside it after each.  The same walk
+    marks the generators it covers, each inside some interval that starts
+    at or before it.
 
     >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
     >>> max_cyclic_factor(w)
     (frozenset({0, 1}), [2, 0, 0, 0])
     >>> sorted(max_cyclic_factor(w, False)[0])
     [0]
+    >>> max_cyclic_factor(AffinePermutation.from_word(5, [0, 4, 0]))  # nested
+    (frozenset({0, 4}), [1, 0, 0, 0, 2])
     """
     n, win = w.n, w.window
-    # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
-    # stops within one period, as w(i + n) = w(i) + n.
-    ext = [v - n for v in win] + list(win) + [v + n for v in win]
-    reach = []
-    for p in range(n):
-        k = p + n - 1
-        if decreasing:
-            # d_{[p,q]}: the value w(p) moves right past w(p+1), ..., w(q+1)
-            top, j = ext[k], k + 1
+    reach = [0] * n
+    members = []
+    if decreasing:
+        # w(0), ..., w(2n) at index i.  d_{[p,q]}: the value w(p) moves
+        # right past w(p+1), ..., w(q+1); the walk stops by w(p+n) = w(p)+n.
+        # p is covered iff some interval from p or before ends past it.
+        ext = [win[-1] - n, *win, *[v + n for v in win]]
+        end = 0
+        for p in range(n):
+            top, j = ext[p], p + 1
             while ext[j] < top:
                 j += 1
-            reach.append(j - k - 1)
-        else:
-            # u_{[i,p]}: the value w(p+1) moves left past w(p), ..., w(i)
-            bottom, j = ext[k + 1], k
+            reach[p] = j - p - 1
+            if j - 1 > end:
+                end = j - 1
+            if p < end:
+                members.append(p)
+        members.extend(range(end - n))  # intervals passing n - 1 wrap round
+    else:
+        # w(1-n), ..., w(n) at index i + n - 1.  u_{[i,p]}: the value
+        # w(p+1) moves left past w(p), ..., w(i); the walk stops by w(p+1-n)
+        ext = [*[v - n for v in win], *win]
+        start = n
+        for p in range(n - 1, -1, -1):
+            bottom, j = win[p], p + n - 1
             while ext[j] > bottom:
                 j -= 1
-            reach.append(k - j)
-    sign = 1 if decreasing else -1
-    return frozenset((p + sign * t) % n
-                     for p, r in enumerate(reach) for t in range(r)), reach
+            reach[p] = p + n - 1 - j
+            if j - n + 2 < start:
+                start = j - n + 2
+            if p >= start:
+                members.append(p)
+        members.extend(range(start + n, n))
+    return frozenset(members), reach
 
 
 def cyclic_factors(w: AffinePermutation, size: int, decreasing: bool = True
-                   ) -> list[frozenset[int]]:
+                   ) -> list[tuple[frozenset[int], list[tuple[int, int]]]]:
     """Every ``J`` of ``size`` elements splitting off ``d_J`` (``decreasing``)
-    or ``u_J`` on the right length-additively, in the order of
-    ``proper_subsets``: the ``J`` with ``len(w * u_J) == len(w) - size``
-    (so ``w = (w u_J) d_J``), or with ``len(w * d_J) == len(w) - size``.
-    The left decreasing factors of ``w`` are the right increasing factors
-    of ``w^-1``.
+    or ``u_J`` on the right length-additively, each once with its runs
+    ``(p, q)`` (:func:`cyclic_runs`, ``0 <= p < n``): the ``J`` with
+    ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``), or with
+    ``len(w * d_J) == len(w) - size``.  The left decreasing factors of ``w``
+    are the right increasing factors of ``w^-1``.
 
-    Criterion: ``J`` is admissible iff each of its maximal cyclic intervals
-    fits within its generator's reach (:func:`max_cyclic_factor`; anchored
-    at the interval's first generator for decreasing factors and at its
-    last for increasing ones).  Every admissible ``J`` lies inside the
-    maximal factor, so only its ``C(|maximal|, size)`` subsets are tried,
-    with no product formed.
+    ``J`` is admissible iff each run fits its anchor's reach
+    (:func:`max_cyclic_factor`), and the maximal factor falls into
+    components with a residue off it after each.  The residues are laid
+    out as slots in walk order from just past one off it, so no component
+    wraps round the slots, and runs are chosen slot by slot: a run is
+    extended only while it fits its anchor's reach and the slots past it
+    can still hold the rest of ``J``.  ``best[s]``, the most that slots
+    ``s`` onward hold, takes each anchor's full reach (whatever lies inside
+    a reach interval is nested in it), and a shortened run still fits, so
+    every size up to ``best[s]`` is reached: no inadmissible subset is
+    built, and the work grows with the output, not with ``C(|maximal|,
+    size)``.
 
     >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
-    >>> [sorted(J) for J in cyclic_factors(w, 2)]
-    [[0, 1], [0, 3]]
-    >>> [sorted(J) for J in cyclic_factors(w.inverse(), 2, False)]  # left
-    [[0, 1], [1, 3]]
+    >>> cyclic_factors(w, 2)
+    [(frozenset({0, 3}), [(3, 3), (0, 0)]), (frozenset({0, 1}), [(0, 1)])]
+    >>> [sorted(J) for J, _ in cyclic_factors(w.inverse(), 2, False)]  # left
+    [[1, 3], [0, 1]]
     """
     n = w.n
-    if not 0 <= size < n:
-        return []
     maximal, reach = max_cyclic_factor(w, decreasing)
+    if size == 1:  # any generator that reaches: no layout
+        return [(frozenset([p]), [(p, p)]) for p, r in enumerate(reach) if r]
+    if not 1 < size <= len(maximal):
+        return [(frozenset(), [])] if size == 0 else []
+    gap = 0
+    while gap in maximal:
+        gap += 1
+    if decreasing:
+        order = [*range(gap + 1, n), *range(gap + 1)]
+    else:
+        order = [*range(gap - 1, -1, -1), *range(n - 1, gap - 1, -1)]
+    reaches = [reach[p] for p in order]
+    best = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        r = reaches[s]
+        best[s] = max(best[s + 1], r + best[s + r + 1]) if r else best[s + 1]
     found = []
-    for combo in itertools.combinations(sorted(maximal), size):
-        J = frozenset(combo)
-        if all(q - p < reach[p if decreasing else q % n] for p, q in _intervals(n, J)):
-            found.append(J)
+
+    def extend(s: int, need: int, members: list[int], runs: list[tuple[int, int]]):
+        if need == 1:  # the last run: one generator at any anchor left
+            found.extend((frozenset([*members, p]), [*runs, (p, p)])
+                         for p, r in zip(order[s:], reaches[s:]) if r)
+            return
+        while best[s] >= need:
+            for r in range(1, min(reaches[s], need) + 1):
+                if r + best[s + r + 1] >= need:
+                    p = order[s] if decreasing else (order[s] - r + 1) % n
+                    if r == need:
+                        found.append((frozenset(members + order[s:s + r]),
+                                      runs + [(p, p + r - 1)]))
+                    else:
+                        extend(s + r + 1, need - r, members + order[s:s + r],
+                               runs + [(p, p + r - 1)])
+            s += 1
+
+    extend(0, size, [], [])
     return found
 
 
@@ -492,8 +575,44 @@ def shape_of(w: AffinePermutation) -> Partition:
     """
     if not w.is_grassmannian(0):
         raise InvalidInputError(f"not 0-Grassmannian: {w}")
-    code = w.code()
-    return tuple(sum(1 for c in code if c > t) for t in range(code[0]))
+    return code_shape(grassmannian_code(w))
+
+
+def grassmannian_code(w: AffinePermutation) -> tuple[int, ...]:
+    """The code of a 0-Grassmannian ``w`` (:meth:`AffinePermutation.code`)
+    in O(n log n).  Its window increases, so only the translates of later
+    positions ``b > i`` count, ``floor((w(b) - w(i))/n)`` each; with ``w(b)
+    = q_b n + r_b`` that is ``q_b - q_i - [r_b < r_i]``, so ``c_i`` is a
+    suffix sum of the ``q_b``, less ``q_i`` per later position, less the
+    later residues below ``r_i``, found by bisection.
+
+    >>> grassmannian_code(AffinePermutation.from_word(6, [5, 1, 0]))
+    (2, 1, 0, 0, 0, 0)
+    """
+    n, code, later, total = w.n, [], [], 0
+    for k, v in enumerate(reversed(w.window)):
+        q, r = divmod(v, n)
+        below = bisect_left(later, r)
+        code.append(total - k * q - below)
+        later.insert(below, r)
+        total += q
+    return tuple(reversed(code))
+
+
+def code_shape(code: tuple[int, ...]) -> Partition:
+    """The conjugate of a weakly decreasing code ``c_1 >= c_2 >= ...``: the
+    shape of a 0-Grassmannian element from its code, of size its length
+    (``sum(code)``).
+
+    >>> code_shape((2, 1, 0, 0, 0, 0))
+    (2, 1)
+    """
+    shape, k = [], len(code)
+    for t in range(code[0]):
+        while code[k - 1] <= t:  # part t + 1 counts the entries above t
+            k -= 1
+        shape.append(k)
+    return tuple(shape)
 
 
 def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
@@ -540,14 +659,17 @@ def _turned(n: int, win: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The window of ``f^k(w)`` for ``0 <= k < n``: ``win`` turned right by
     ``k`` places, its last ``k`` entries shifted by ``k - n`` and the others
     by ``k``."""
-    return tuple(v + k - n for v in win[n - k:]) + tuple(v + k for v in win[:n - k])
+    return tuple([v + k - n for v in win[n - k:]] + [v + k for v in win[:n - k]])
 
 
 def rotation_key(w: AffinePermutation) -> tuple[int, ...]:
     """The least window among the ``n`` rotations ``f^t(w)``: one key per
     Z/n orbit, since the orbit's elements share their set of rotated windows
-    and a window determines its element.  At most ``O(n^2)``: only the
-    rotations whose windows tie for the least first entry are built.
+    and a window determines its element.  Entry ``t`` of the window of
+    ``f^k(w)`` is ``s[(i + t) % n] + t`` with ``s[j] = w(j + 1) - j`` and
+    ``i = -k mod n``, so the key turns the least rotation of ``s`` to the
+    front: one window is built, and only rotations that tie for the least
+    start are compared, as slices of ``s`` (at most ``O(n^2)``).
 
     >>> w = AffinePermutation.from_word(4, [1, 0])
     >>> [rotate(w, t).window for t in range(4)]
@@ -556,11 +678,14 @@ def rotation_key(w: AffinePermutation) -> tuple[int, ...]:
     (0, 1, 3, 6)
     """
     n, win = w.n, w.window
-    # the window of f^k(w) starts with w(1 - k) + k, so only the rotations
-    # that tie for the least start are built
-    starts = [win[-k] + k - n if k else win[0] for k in range(n)]
+    starts = [v - i for i, v in enumerate(win)]
     low = min(starts)
-    return min(_turned(n, win, k) for k in range(n) if starts[k] == low)
+    i = starts.index(low)
+    if starts.count(low) > 1:
+        twice = starts + starts
+        i = min((j for j, v in enumerate(starts) if v == low),
+                key=lambda j: twice[j:j + n])
+    return _turned(n, win, -i % n)
 
 
 # -- enumeration -------------------------------------------------------------

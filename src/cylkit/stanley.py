@@ -12,9 +12,13 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
 The ``J`` whose lengths drop are exactly the left and right cyclically
 decreasing factors of ``w'`` of size ``b`` (a left one is a right increasing
 factor of ``w'^-1``); :func:`dual_pieri_branches` lists them with
-:func:`cylkit.affine.cyclic_factors`, which filters the size-``b`` subsets
-of the maximal factor by a window criterion, so a state multiplies out only
-its admissible branches rather than all ``C(n, b)`` subsets.
+:func:`cylkit.affine.cyclic_factors`, which chooses each admissible ``J``
+run by run inside the maximal factor and never builds another subset.
+Every branch is a run of swaps on a window, ``d_J``'s on the inverse
+window for a left product, so no branch multiplies out an element, and
+each is born with its length.  A state with at most one right descent is a
+leaf: it is Grassmannian up to rotation, and its table is the one affine
+Schur function of its rotation (see :func:`_expand_state`).
 
 Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
@@ -48,16 +52,19 @@ from dataclasses import dataclass, field
 from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
-    cyclic_element,
+    code_shape,
     cyclic_factors,
+    cyclic_runs,
     cyclic_word,
+    grassmannian_code,
     grassmannian_from_kbounded,
-    interval_set,
+    inverse_window,
     letter_multiplicities,
     proper_subsets,
     rotate,
     rotation_key,
     shape_of,
+    times_runs,
 )
 from cylkit.cylindric import (
     DEFAULT_TABLEAU_CAP,
@@ -325,26 +332,36 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     ``B_plus  = { u_J w' }``  and  ``B_minus = { w' u_J : J != J0 }``
 
     over ``|J| = part_size`` with lengths dropping by ``part_size``.  Each
-    minus branch comes as the pair ``(J, w' u_J)``.  The admissible ``J``
-    come from :func:`cylkit.affine.cyclic_factors`, the left ones (plus) as
-    the right increasing factors of ``w'^-1``, so only the branches
-    themselves are multiplied out; each has the length of ``w``, computed
-    when first read.
+    minus branch comes as the pair ``(J, w' u_J)``.
+
+    Every product is a run of swaps on a window
+    (:func:`cylkit.affine.times_runs`).  ``w'`` is ``d_J0``'s swaps on
+    ``w``'s window, and ``J0`` is admissible iff each of them was an ascent.
+    The admissible ``J`` come from :func:`cylkit.affine.cyclic_factors`
+    with their runs: a minus branch is ``u_J``'s swaps on the window of
+    ``w'``, and a plus branch, a left product, is ``d_J``'s swaps on the
+    inverse window (``(u_J w')^-1 = w'^-1 d_J``), inverted back.  Every
+    branch is born with its length, ``len(w)``.
     """
-    n = w.n
+    n, length = w.n, w.length
     if not 1 <= part_size <= n - 1 or part_index < 1:
         raise InvalidInputError(f"bad block ({part_size}, {part_index})")
-    J0 = interval_set(n, -part_index + 1, part_size - part_index)
-    wprime = w * cyclic_element(n, J0, True)
-    right = cyclic_factors(wprime, part_size)
-    # J0 is admissible iff len(w') == len(w) + part_size
-    if J0 not in right:
+    start = (1 - part_index) % n
+    block = [(start, start + part_size - 1)]  # J0 = [-l+1, b-l]
+    top, falls = times_runs(w.window, n, block, True)
+    if falls:
         raise InvalidInputError("tail block is not length-additive")
-
-    b_plus = [cyclic_element(n, J, False) * wprime
-              for J in cyclic_factors(wprime.inverse(), part_size, False)]
-    b_minus = [(J, wprime * cyclic_element(n, J, False))
-               for J in right if J != J0]
+    inv = inverse_window(n, top)
+    left = cyclic_factors(AffinePermutation._trusted(n, inv, length + part_size),
+                          part_size, False)
+    right = cyclic_factors(AffinePermutation._trusted(n, top, length + part_size),
+                           part_size)
+    b_plus = [AffinePermutation._trusted(
+                  n, inverse_window(n, times_runs(inv, n, runs, True)[0]), length)
+              for _, runs in left]
+    b_minus = [(J, AffinePermutation._trusted(
+                   n, times_runs(top, n, runs, False)[0], length))
+               for J, runs in right if runs != block]
     return b_plus, b_minus
 
 
@@ -357,7 +374,16 @@ def _expand_state(u: AffinePermutation, tail: Partition) -> dict:
     ``m_lam``, so the coefficients of ``F_u`` are unique whatever the tail;
     and ``f^t`` sends ``d_J`` to ``d_{J+t}`` keeping lengths, so it maps the
     cyclically decreasing factorizations of ``u`` onto those of ``f^t(u)``
-    and ``F_{f^t(u)} = F_u`` (Lam 2006).  Every table expands some
+    and ``F_{f^t(u)} = F_u`` (Lam 2006).
+
+    A state with at most one right descent ``p`` is a leaf, whatever its
+    tail: ``rotate(u, -p)`` is 0-Grassmannian, and ``F`` of a
+    0-Grassmannian ``g`` is the affine Schur function of ``g`` (Lam 2006),
+    so the table is ``{rotate(u, -p): 1}``.  Other states branch by
+    :func:`dual_pieri_branches`; a minus branch's new tail ``d_J g(head)``
+    is ``u_J``'s swaps on the inverse window of ``g(head)``, inverted back,
+    asserted 0-Grassmannian, and its code gives both its shape and its size,
+    the length that additivity asks for.  Every table expands some
     ``F_u``, so it is affine Schur positive (Lam 2008): a negative
     coefficient raises :class:`PositivityError` naming ``u`` as the table
     is stored (an internal bug, never a property of the input).
@@ -367,25 +393,28 @@ def _expand_state(u: AffinePermutation, tail: Partition) -> dict:
     hit = _EXPAND_MEMO.get(key)
     if hit is not None:
         return hit
-    if not tail:
-        if not u.is_grassmannian(0):
-            raise AssertionError(f"base case is not Grassmannian: {u}")
-        return _EXPAND_MEMO.setdefault(key, {u: 1})
+    if not tail and not u.is_grassmannian(0):
+        raise AssertionError(f"base case is not Grassmannian: {u}")
+    descents = u.right_descents()
+    if len(descents) <= 1:
+        return _EXPAND_MEMO.setdefault(key, {rotate(u, -min(descents, default=0)): 1})
 
     b_plus, b_minus = dual_pieri_branches(u, tail[-1], len(tail))
     head = tail[:-1]
     branches = [(x, +1, head) for x in b_plus]
     if b_minus:  # only the minus branches read the head's element
-        vprime = grassmannian_from_kbounded(n, head)
+        g_inv = inverse_window(n, grassmannian_from_kbounded(n, head).window)
+        size = sum(tail)
         for members, y in b_minus:
-            new_tail_elem = cyclic_element(n, members, True) * vprime
+            z = times_runs(g_inv, n, cyclic_runs(n, members), False)[0]
+            new_tail_elem = AffinePermutation._trusted(n, inverse_window(n, z))
             if not new_tail_elem.is_grassmannian(0):
                 raise AssertionError("negative-branch tail not Grassmannian")
-            # |shape_of(x)| = len(x) on 0-Grassmannian x: sizes read additivity
-            new_tail = shape_of(new_tail_elem)
-            if sum(new_tail) != sum(tail):
+            code = grassmannian_code(new_tail_elem)
+            # sum(code) is the length: the sizes read additivity
+            if sum(code) != size:
                 raise AssertionError("negative-branch tail not additive")
-            branches.append((y, -1, new_tail))
+            branches.append((y, -1, code_shape(code)))
 
     out: Counter = Counter()
     for x, sign, sub_tail in branches:

@@ -19,6 +19,7 @@ from math import factorial
 from cylkit.affine import (
     AffinePermutation,
     cyclic_element,
+    cyclic_runs,
     grassmannian_from_kbounded,
     grassmannians_of_length,
     interval_set,
@@ -247,6 +248,22 @@ def cyclic_factors_exhaustive(w: AffinePermutation, size: int,
         if (w * inv).length == w.length - size:
             out.append(members)
     return out
+
+
+def cyclic_factors_by_subsets(w: AffinePermutation, size: int,
+                             decreasing: bool = True) -> list[frozenset[int]]:
+    """:func:`cylkit.affine.cyclic_factors` by the route it replaced: every
+    ``size``-subset of the maximal factor, kept iff each of its runs fits
+    its anchor's reach (the run's first generator for decreasing factors,
+    its last for increasing ones), in the order of ``proper_subsets``."""
+    n = w.n
+    if not 0 <= size < n:
+        return []
+    maximal, reach = max_cyclic_factor(w, decreasing)
+    return [frozenset(combo)
+            for combo in itertools.combinations(sorted(maximal), size)
+            if all(q - p < reach[p if decreasing else q % n]
+                   for p, q in cyclic_runs(n, combo))]
 
 
 def max_cyclic_factor_exhaustive(w: AffinePermutation,

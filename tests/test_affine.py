@@ -10,11 +10,14 @@ from cylkit.affine import (
     AffinePermutation,
     cyclic_element,
     cyclic_factors,
+    cyclic_runs,
     cyclic_word,
     elements_by_length,
     enumerate_reduced_words,
+    grassmannian_code,
     grassmannian_from_kbounded,
     grassmannians_of_length,
+    inverse_window,
     is_321_avoiding,
     letter_multiplicities,
     max_cyclic_factor,
@@ -22,6 +25,7 @@ from cylkit.affine import (
     rotate,
     rotation_key,
     shape_of,
+    times_runs,
 )
 from cylkit.cylindric import CylType, PeriodicSequence, in_A, phi, skew_word
 from cylkit.errors import CapExceededError, InvalidInputError
@@ -40,6 +44,7 @@ from oracles import (
     already_grassmannian_scan,
     bfs_word_length,
     code_unfolded,
+    cyclic_factors_by_subsets,
     cyclic_factors_exhaustive,
     from_word_by_steps,
     has_right_descent_by_values,
@@ -383,6 +388,22 @@ class TestCyclicElements:
                 u = cyclic_element(n, members, False)
                 assert d.inverse() == u
 
+    @pytest.mark.parametrize("n, maxlen", [(3, 4), (4, 4), (5, 3)])
+    def test_swap_runs_match_products(self, n, maxlen):
+        # times_runs against the product with the built element, both
+        # directions and every J: descents counted are the length's fall
+        for level in elements_by_length(n, maxlen):
+            for w in level:
+                assert inverse_window(n, w.window) == w.inverse().window
+                for size in range(n):
+                    for members in proper_subsets(n, size):
+                        for decreasing in (True, False):
+                            win, falls = times_runs(w.window, n,
+                                                    cyclic_runs(n, members), decreasing)
+                            x = w * cyclic_element(n, members, decreasing)
+                            assert win == x.window, (w, members, decreasing)
+                            assert w.length + size - 2 * falls == x.length
+
     def test_element_is_memoized_until_caches_clear(self):
         J = frozenset({1, 2, 4})
         clear_caches()
@@ -459,7 +480,7 @@ class TestMaxCyclicFactor:
         v0 = rotate(v, -p)  # the tail the expansion starts from
         assert shape_of(v0) == maximal_cdd(v0)[1] == (1,) * 7
         assert in_A(w, CylType(8, 16)) and not in_A(w, CylType(2, 16))
-        assert cyclic_factors(w, 2) == [frozenset({1, 9})]
+        assert cyclic_factors(w, 2) == [(frozenset({1, 9}), [(1, 1), (9, 9)])]
         # F_w = e_2 * e_2, as oracle_expand finds in test_stanley
         expansion = expand_affine_schur(w)
         assert {shape_of(u): c for u, c in expansion.coeffs.items()} == {
@@ -467,11 +488,11 @@ class TestMaxCyclicFactor:
 
     def test_monomial_tables_independent_of_cyclic_factors(self, monkeypatch):
         # the oracle certifies cyclic_factors, so its monomial tables must
-        # not reach it, its window walk or the cached u_J elements
+        # not reach it, its window walk or the swap runs of its branches
         def refuse(*args):
             raise AssertionError("cyclic-factor route reached")
 
-        monkeypatch.setattr("cylkit.stanley.cyclic_element", refuse)
+        monkeypatch.setattr("cylkit.stanley.times_runs", refuse)
         monkeypatch.setattr("cylkit.stanley.cyclic_factors", refuse)
         monkeypatch.setattr("cylkit.affine.max_cyclic_factor", refuse)
         clear_caches()
@@ -565,6 +586,19 @@ class TestCylindricHotPath:
                 assert phi(w, s.ctype) == s
 
 
+def assert_factors_with_runs(w, size, decreasing, expected):
+    """``cyclic_factors`` lists each ``J`` of ``expected`` once, with its
+    runs from :func:`cyclic_runs`, each starting in ``0..n-1``."""
+    found = cyclic_factors(w, size, decreasing)
+    sets = [J for J, _ in found]
+    assert len(set(sets)) == len(sets), (w, size, decreasing)
+    assert sorted(map(sorted, sets)) == sorted(map(sorted, expected)), \
+        (w, size, decreasing)
+    for J, runs in found:
+        assert sorted(runs) == list(cyclic_runs(w.n, J)), (w, J, runs)
+        assert all(0 <= p < w.n for p, _ in runs), (w, J, runs)
+
+
 class TestCyclicFactors:
     def test_matches_exhaustive_scan(self):
         # every size and side on every element, n <= 7: 14,812 cases
@@ -574,16 +608,46 @@ class TestCyclicFactors:
                 for w in level:
                     for size in range(n):
                         for decreasing in (True, False):
-                            found = cyclic_factors(w, size, decreasing)
-                            assert len(set(found)) == len(found), (w, size, decreasing)
-                            assert found == cyclic_factors_exhaustive(
-                                w, size, decreasing), (w, size, decreasing)
+                            assert_factors_with_runs(
+                                w, size, decreasing,
+                                cyclic_factors_exhaustive(w, size, decreasing))
                             cases += 1
         assert cases == 14812
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=60),
+        st.booleans())))
+    def test_matches_subset_filter_on_random_elements(self, case):
+        # random ascents up to length 30, both sides, every size
+        n, draws, decreasing = case
+        w = AffinePermutation.identity(n)
+        for i in draws:
+            if w.length == 30:
+                break
+            if not w.has_right_descent(i):
+                w = w.times_s(i)
+        for size in range(n):
+            assert_factors_with_runs(w, size, decreasing,
+                                     cyclic_factors_by_subsets(w, size, decreasing))
+
+    def test_many_factors_of_one_size(self):
+        # n = 24, length 21: the decreasing maximal factor has 17 generators,
+        # and 679 of its C(17, 9) = 24,310 subsets of size 9 are admissible,
+        # the figures of the subset filter's worst case over random elements
+        # with n <= 24 and length <= 30; every size, both sides
+        w = AffinePermutation(24, (0, 2, 1, 8, 4, 5, 6, 9, 7, 12, 10, 18, 11, 14,
+                                   13, 15, 16, 17, 20, 19, 23, 21, 22, 27))
+        assert w.length == 21 and len(max_cyclic_factor(w)[0]) == 17
+        assert len(cyclic_factors(w, 9)) == 679
+        for size in range(24):
+            for decreasing in (True, False):
+                assert_factors_with_runs(w, size, decreasing,
+                                         cyclic_factors_by_subsets(w, size, decreasing))
+
     def test_empty_and_out_of_range_sizes(self):
         w = W(4, 1, 0)
-        assert cyclic_factors(w, 0) == [frozenset()]
+        assert cyclic_factors(w, 0) == [(frozenset(), [])]
         assert cyclic_factors(w, 3) == []
         assert cyclic_factors(w, 4) == []
         assert cyclic_factors(w, -1) == []
@@ -668,6 +732,7 @@ class TestShapeOf:
                 assert len(level) == len(list(partitions_of(ell, max_part=n - 1)))
                 for x in level:
                     assert sum(shape_of(x)) == ell == x.length, x
+                    assert grassmannian_code(x) == x.code(), x
                     cases += 1
                 level = list({y.window: y for x in level for y in self._grow(x)}.values())
         assert cases == 578
@@ -682,6 +747,7 @@ class TestShapeOf:
             ups = list(self._grow(x))
             x = ups[i % len(ups)]
         assert sum(shape_of(x)) == len(draws) == AffinePermutation(n, x.window).length
+        assert grassmannian_code(x) == x.code()
 
     def test_rejects_non_grassmannian(self):
         for w in (W(4, 0, 1), W(16, 0, 8, 1, 9)):

@@ -345,12 +345,12 @@ class TestDualPieriBranches:
                             b_plus, b_minus = dual_pieri_branches(w, size, index)
                             e_plus, e_minus = expected
                             assert len(b_plus) == len(e_plus) and len(b_minus) == len(e_minus)
-                            # the branches' lengths, computed on read,
-                            # against lengths the oracle computes from the
-                            # windows
-                            assert ({(x.window, x.length) for x in b_plus}
+                            # every branch is born with its length, which
+                            # must equal the length the oracle computes
+                            # from its window
+                            assert ({(x.window, x._length) for x in b_plus}
                                     == {(x.window, x.length) for x in e_plus})
-                            assert ({(J, y.window, y.length) for J, y in b_minus}
+                            assert ({(J, y.window, y._length) for J, y in b_minus}
                                     == {(J, y.window, y.length) for J, y in e_minus})
                             accepted += 1
         assert accepted == 12367
@@ -550,6 +550,39 @@ class TestRotationMemo:
         monkeypatch.setattr(stanley, "dual_pieri_branches", refuse)
         for x, tail in states[1:]:
             assert stanley._expand_state(x, tail) == expected, (x, tail)
+
+    def test_one_descent_states_are_leaves(self, monkeypatch):
+        # every state (u, tail) with u p-Grassmannian and a non-empty tail,
+        # n = 3..5, len(u) <= 4, |tail| <= 3: answered as the affine Schur
+        # function of rotate(u, -p) with no branch taken, equal to the
+        # tail-keyed recursion, and stored under u's rotation class
+        states = []
+        for n in (3, 4, 5):
+            tails = [lam for size in (1, 2, 3)
+                     for lam in partitions_of(size, max_part=n - 1)]
+            for level in elements_by_length(n, 4):
+                for u in level:
+                    descents = u.right_descents()
+                    if len(descents) > 1:
+                        continue
+                    for tail in tails:
+                        g = grassmannian_from_kbounded(n, tail)
+                        ug = u * g
+                        if ug.is_grassmannian(0) and ug.length == u.length + g.length:
+                            p = min(descents, default=0)
+                            states.append((u, tail, p, expand_state_by_tail(u, tail)))
+
+        def refuse(*args):
+            raise AssertionError("a one-descent state was branched")
+
+        monkeypatch.setattr(stanley, "dual_pieri_branches", refuse)
+        for u, tail, p, expected in states:
+            clear_caches()
+            leaf = {rotate(u, -p): 1}
+            assert stanley._expand_state(u, tail) == leaf == expected, (u, tail)
+            assert stanley._EXPAND_MEMO == {(u.n, rotation_key(u)): leaf}
+        assert len(states) == 188
+        assert sum(p != 0 for _, _, p, _ in states) == 161
 
     def test_flipped_sign_raises_at_its_state(self, monkeypatch):
         # s_2 s_3 s_1 with tail (1, 1) is an inner state of s_0 s_1 s_0 at
