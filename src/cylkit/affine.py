@@ -24,9 +24,9 @@ factor of ``w^-1`` in the other direction), and the bijection between
 (for those elements in O(n log n), as their windows increase).
 One walk along the window gives each generator's reach in a right factor
 and so the maximal factor, the union of the fitting intervals; the factors
-of one size are chosen run by run inside its components, each run
-extended only while it fits, and a product with ``d_J`` or ``u_J`` is a
-run of swaps per run of ``J`` (:func:`times_runs`).
+of one size are the subsets of the maximal one whose runs fit, and a
+product with ``d_J`` or ``u_J`` is a run of swaps per run of ``J``
+(:func:`times_runs`).
 321-avoidance is one pass over the window with the running maximum
 (:func:`inversion_ends`); the basis test ``cylindric.in_A`` takes ``maxr``
 from the same pass and ``maxc`` from one with the running minimum.
@@ -441,126 +441,71 @@ def max_cyclic_factor(w: AffinePermutation, decreasing: bool = True
     Window criterion, O(n^2): the intervals of ``J`` act on disjoint
     positions, so ``J`` is valid iff each of its maximal cyclic intervals
     is, and the maximal ``J`` is the union of all valid intervals, each
-    generator's longest found by one walk along the window.  The intervals
-    are laminar: decreasing, every ``q`` inside ``p``'s interval has
-    ``w(q) < w(p)``, so its walk stops no later than ``p``'s, and the
-    generator just past ``p``'s interval reaches nowhere.  So the maximal
-    factor falls into components, each the interval of the generator that
-    starts it, with a generator outside it after each.  The same walk
-    marks the generators it covers, each inside some interval that starts
-    at or before it.
+    generator's longest found by one walk along the window.
 
     >>> w = AffinePermutation.from_word(4, [1, 0])  # d_{0,1} = s_1 s_0
     >>> max_cyclic_factor(w)
     (frozenset({0, 1}), [2, 0, 0, 0])
     >>> sorted(max_cyclic_factor(w, False)[0])
     [0]
-    >>> max_cyclic_factor(AffinePermutation.from_word(5, [0, 4, 0]))  # nested
-    (frozenset({0, 4}), [1, 0, 0, 0, 2])
     """
     n, win = w.n, w.window
-    reach = [0] * n
-    members = []
-    if decreasing:
-        # w(0), ..., w(2n) at index i.  d_{[p,q]}: the value w(p) moves
-        # right past w(p+1), ..., w(q+1); the walk stops by w(p+n) = w(p)+n.
-        # p is covered iff some interval from p or before ends past it.
-        ext = [win[-1] - n, *win, *[v + n for v in win]]
-        end = 0
-        for p in range(n):
-            top, j = ext[p], p + 1
+    # w(1-n), ..., w(2n): position i sits at index i + n - 1.  Each walk
+    # stops within one period, as w(i + n) = w(i) + n.
+    ext = [v - n for v in win] + list(win) + [v + n for v in win]
+    reach = []
+    for p in range(n):
+        k = p + n - 1
+        if decreasing:
+            # d_{[p,q]}: the value w(p) moves right past w(p+1), ..., w(q+1)
+            top, j = ext[k], k + 1
             while ext[j] < top:
                 j += 1
-            reach[p] = j - p - 1
-            if j - 1 > end:
-                end = j - 1
-            if p < end:
-                members.append(p)
-        members.extend(range(end - n))  # intervals passing n - 1 wrap round
-    else:
-        # w(1-n), ..., w(n) at index i + n - 1.  u_{[i,p]}: the value
-        # w(p+1) moves left past w(p), ..., w(i); the walk stops by w(p+1-n)
-        ext = [*[v - n for v in win], *win]
-        start = n
-        for p in range(n - 1, -1, -1):
-            bottom, j = win[p], p + n - 1
+            reach.append(j - k - 1)
+        else:
+            # u_{[i,p]}: the value w(p+1) moves left past w(p), ..., w(i)
+            bottom, j = ext[k + 1], k
             while ext[j] > bottom:
                 j -= 1
-            reach[p] = p + n - 1 - j
-            if j - n + 2 < start:
-                start = j - n + 2
-            if p >= start:
-                members.append(p)
-        members.extend(range(start + n, n))
-    return frozenset(members), reach
+            reach.append(k - j)
+    sign = 1 if decreasing else -1
+    return frozenset((p + sign * t) % n
+                     for p, r in enumerate(reach) for t in range(r)), reach
 
 
 def cyclic_factors(w: AffinePermutation, size: int, decreasing: bool = True
                    ) -> list[tuple[frozenset[int], list[tuple[int, int]]]]:
     """Every ``J`` of ``size`` elements splitting off ``d_J`` (``decreasing``)
-    or ``u_J`` on the right length-additively, each once with its runs
-    ``(p, q)`` (:func:`cyclic_runs`, ``0 <= p < n``): the ``J`` with
-    ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``), or with
-    ``len(w * d_J) == len(w) - size``.  The left decreasing factors of ``w``
-    are the right increasing factors of ``w^-1``.
+    or ``u_J`` on the right length-additively, in the order of
+    ``proper_subsets``, each with its runs (:func:`cyclic_runs`): the ``J``
+    with ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``), or
+    with ``len(w * d_J) == len(w) - size``.  The left decreasing factors of
+    ``w`` are the right increasing factors of ``w^-1``.
 
-    ``J`` is admissible iff each run fits its anchor's reach
-    (:func:`max_cyclic_factor`), and the maximal factor falls into
-    components with a residue off it after each.  The residues are laid
-    out as slots in walk order from just past one off it, so no component
-    wraps round the slots, and runs are chosen slot by slot: a run is
-    extended only while it fits its anchor's reach and the slots past it
-    can still hold the rest of ``J``.  ``best[s]``, the most that slots
-    ``s`` onward hold, takes each anchor's full reach (whatever lies inside
-    a reach interval is nested in it), and a shortened run still fits, so
-    every size up to ``best[s]`` is reached: no inadmissible subset is
-    built, and the work grows with the output, not with ``C(|maximal|,
-    size)``.
+    Criterion: ``J`` is admissible iff each of its runs fits within its
+    generator's reach (:func:`max_cyclic_factor`; anchored at the run's
+    first generator for decreasing factors and at its last for increasing
+    ones).  Every admissible ``J`` lies inside the maximal factor, so only
+    its ``C(|maximal|, size)`` subsets are tried, with no product formed.
 
     >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
     >>> cyclic_factors(w, 2)
-    [(frozenset({0, 3}), [(3, 3), (0, 0)]), (frozenset({0, 1}), [(0, 1)])]
+    [(frozenset({0, 1}), [(0, 1)]), (frozenset({0, 3}), [(0, 0), (3, 3)])]
     >>> [sorted(J) for J, _ in cyclic_factors(w.inverse(), 2, False)]  # left
-    [[1, 3], [0, 1]]
+    [[0, 1], [1, 3]]
     """
     n = w.n
+    if not 0 <= size < n:
+        return []
     maximal, reach = max_cyclic_factor(w, decreasing)
-    if size == 1:  # any generator that reaches: no layout
+    if size == 1:  # {p} is one run, anchored at p
         return [(frozenset([p]), [(p, p)]) for p, r in enumerate(reach) if r]
-    if not 1 < size <= len(maximal):
-        return [(frozenset(), [])] if size == 0 else []
-    gap = 0
-    while gap in maximal:
-        gap += 1
-    if decreasing:
-        order = [*range(gap + 1, n), *range(gap + 1)]
-    else:
-        order = [*range(gap - 1, -1, -1), *range(n - 1, gap - 1, -1)]
-    reaches = [reach[p] for p in order]
-    best = [0] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        r = reaches[s]
-        best[s] = max(best[s + 1], r + best[s + r + 1]) if r else best[s + 1]
     found = []
-
-    def extend(s: int, need: int, members: list[int], runs: list[tuple[int, int]]):
-        if need == 1:  # the last run: one generator at any anchor left
-            found.extend((frozenset([*members, p]), [*runs, (p, p)])
-                         for p, r in zip(order[s:], reaches[s:]) if r)
-            return
-        while best[s] >= need:
-            for r in range(1, min(reaches[s], need) + 1):
-                if r + best[s + r + 1] >= need:
-                    p = order[s] if decreasing else (order[s] - r + 1) % n
-                    if r == need:
-                        found.append((frozenset(members + order[s:s + r]),
-                                      runs + [(p, p + r - 1)]))
-                    else:
-                        extend(s + r + 1, need - r, members + order[s:s + r],
-                               runs + [(p, p + r - 1)])
-            s += 1
-
-    extend(0, size, [], [])
+    for combo in itertools.combinations(sorted(maximal), size):
+        J = frozenset(combo)
+        runs = list(cyclic_runs(n, J))
+        if all(q - p < reach[p if decreasing else q % n] for p, q in runs):
+            found.append((J, runs))
     return found
 
 

@@ -12,9 +12,10 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
 The ``J`` whose lengths drop are exactly the left and right cyclically
 decreasing factors of ``w'`` of size ``b`` (a left one is a right increasing
 factor of ``w'^-1``); :func:`dual_pieri_branches` lists them with
-:func:`cylkit.affine.cyclic_factors`, which chooses each admissible ``J``
-run by run inside the maximal factor and never builds another subset.
-Every branch is a run of swaps on a window, ``d_J``'s on the inverse
+:func:`cylkit.affine.cyclic_factors`, which filters the size-``b`` subsets
+of the maximal factor by a window criterion and gives each admissible
+``J`` with its runs, rather than trying all ``C(n, b)`` subsets.  Every
+branch is a run of swaps on a window, ``d_J``'s on the inverse
 window for a left product, so no branch multiplies out an element, and
 each is born with its length.  A state with at most one right descent is a
 leaf: it is Grassmannian up to rotation, and its table is the one affine
@@ -54,7 +55,6 @@ from cylkit.affine import (
     AffinePermutation,
     code_shape,
     cyclic_factors,
-    cyclic_runs,
     cyclic_word,
     grassmannian_code,
     grassmannian_from_kbounded,
@@ -325,14 +325,15 @@ class AffineSchurExpansion:
 
 def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
                         ) -> tuple[list[AffinePermutation],
-                                   list[tuple[frozenset[int], AffinePermutation]]]:
+                                   list[tuple[list[tuple[int, int]], AffinePermutation]]]:
     """The two branch families for peeling a tail block of ``part_size`` at
     1-based ``part_index``:  with ``w' = w * d_J0``,
 
     ``B_plus  = { u_J w' }``  and  ``B_minus = { w' u_J : J != J0 }``
 
     over ``|J| = part_size`` with lengths dropping by ``part_size``.  Each
-    minus branch comes as the pair ``(J, w' u_J)``.
+    minus branch comes as the pair ``(runs, w' u_J)``, with the runs ``(p,
+    q)`` of ``J`` as :func:`cylkit.affine.cyclic_factors` gives them.
 
     Every product is a run of swaps on a window
     (:func:`cylkit.affine.times_runs`).  ``w'`` is ``d_J0``'s swaps on
@@ -359,9 +360,9 @@ def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
     b_plus = [AffinePermutation._trusted(
                   n, inverse_window(n, times_runs(inv, n, runs, True)[0]), length)
               for _, runs in left]
-    b_minus = [(J, AffinePermutation._trusted(
+    b_minus = [(runs, AffinePermutation._trusted(
                    n, times_runs(top, n, runs, False)[0], length))
-               for J, runs in right if runs != block]
+               for _, runs in right if runs != block]
     return b_plus, b_minus
 
 
@@ -405,8 +406,8 @@ def _expand_state(u: AffinePermutation, tail: Partition) -> dict:
     if b_minus:  # only the minus branches read the head's element
         g_inv = inverse_window(n, grassmannian_from_kbounded(n, head).window)
         size = sum(tail)
-        for members, y in b_minus:
-            z = times_runs(g_inv, n, cyclic_runs(n, members), False)[0]
+        for runs, y in b_minus:
+            z = times_runs(g_inv, n, runs, False)[0]
             new_tail_elem = AffinePermutation._trusted(n, inverse_window(n, z))
             if not new_tail_elem.is_grassmannian(0):
                 raise AssertionError("negative-branch tail not Grassmannian")

@@ -19,7 +19,6 @@ from math import factorial
 from cylkit.affine import (
     AffinePermutation,
     cyclic_element,
-    cyclic_runs,
     grassmannian_from_kbounded,
     grassmannians_of_length,
     interval_set,
@@ -250,22 +249,6 @@ def cyclic_factors_exhaustive(w: AffinePermutation, size: int,
     return out
 
 
-def cyclic_factors_by_subsets(w: AffinePermutation, size: int,
-                             decreasing: bool = True) -> list[frozenset[int]]:
-    """:func:`cylkit.affine.cyclic_factors` by the route it replaced: every
-    ``size``-subset of the maximal factor, kept iff each of its runs fits
-    its anchor's reach (the run's first generator for decreasing factors,
-    its last for increasing ones), in the order of ``proper_subsets``."""
-    n = w.n
-    if not 0 <= size < n:
-        return []
-    maximal, reach = max_cyclic_factor(w, decreasing)
-    return [frozenset(combo)
-            for combo in itertools.combinations(sorted(maximal), size)
-            if all(q - p < reach[p if decreasing else q % n]
-                   for p, q in cyclic_runs(n, combo))]
-
-
 def max_cyclic_factor_exhaustive(w: AffinePermutation,
                                  decreasing: bool = True) -> frozenset[int]:
     """The maximal right cyclic factor by trying every proper subset.
@@ -428,8 +411,10 @@ def expand_state_by_tail(u: AffinePermutation, tail: Partition) -> dict:
         head = tail[:-1]
         vprime = grassmannian_from_kbounded(n, head)
         branches = [(x, 1, head) for x in b_plus] + [
-            (y, -1, shape_of(cyclic_element(n, members, True) * vprime))
-            for members, y in b_minus]
+            (y, -1, shape_of(cyclic_element(
+                n, frozenset().union(*(interval_set(n, p, q) for p, q in runs)),
+                True) * vprime))
+            for runs, y in b_minus]
         out: Counter = Counter()
         for x, sign, sub_tail in branches:
             for k, c in rec(x, sub_tail).items():
