@@ -89,7 +89,7 @@ def times_runs(win, n: int, runs, decreasing: bool) -> tuple[tuple[int, ...], in
     return tuple(win), falls
 
 
-def _descents(win, n: int) -> Iterator[int]:
+def window_descents(n: int, win) -> Iterator[int]:
     """The right descents ``i`` of a window (``w(i) > w(i+1)``, with
     ``w(0) = w(n) - n``), in increasing order."""
     if win[n - 1] - n > win[0]:
@@ -237,17 +237,20 @@ class AffinePermutation:
         return win[i - 1] > win[i] if i else win[n - 1] - n > win[0]
 
     def right_descents(self) -> frozenset[int]:
-        return frozenset(_descents(self.window, self.n))
+        return frozenset(window_descents(self.n, self.window))
 
     def reduced_word(self) -> Word:
-        """One canonical reduced word (greedy smallest right descent),
-        peeled off one list of the window."""
-        n, win, letters = self.n, list(self.window), []
-        i = next(_descents(win, n), None)
-        while i is not None:
-            _swap(win, n, i)
-            letters.append(i)
-            i = next(_descents(win, n), None)
+        """One canonical reduced word (greedy smallest right descent), off
+        one list of the window: a swap at ``i`` can only make ``i +- 1`` (mod
+        n) descents, so the scan resumes at ``i - 1`` (0 after 1 or ``n - 1``, 1 after 0)."""
+        n, win, letters, i = self.n, list(self.window), [], 0
+        while i < n:
+            if (win[i - 1] if i else win[n - 1] - n) < win[i]:
+                i += 1
+            else:
+                _swap(win, n, i)
+                letters.append(i)
+                i = i - 1 if 1 < i < n - 1 else (0 if i else 1)
         return tuple(reversed(letters))
 
     # -- Grassmannian tests and statistics -----------------------------------
@@ -368,17 +371,19 @@ def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
 # -- cyclically decreasing / increasing elements -----------------------------
 
 
-def cyclic_runs(n: int, J) -> Iterator[tuple[int, int]]:
+def cyclic_runs(n: int, J) -> list[tuple[int, int]]:
     """The maximal cyclic intervals ``[p, q]`` of a proper subset ``J`` of
     ``Z/nZ``, its runs, by start ``p`` (``q`` may pass ``n - 1``, wrapping
-    round)."""
-    for p in sorted(J):
-        if (p - 1) % n in J:
-            continue
-        q = p
-        while (q + 1) % n in J:
-            q += 1
-        yield p, q
+    round): one pass over the sorted members, joining ``n - 1`` to 0."""
+    runs: list[tuple[int, int]] = []
+    for x in sorted(J):
+        if runs and runs[-1][1] == x - 1:
+            runs[-1] = (runs[-1][0], x)
+        else:
+            runs.append((x, x))
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
+        runs.append((runs.pop()[0], n + runs.pop(0)[1]))  # last, then first
+    return runs
 
 
 def cyclic_word(n: int, J: frozenset[int], decreasing: bool) -> Word:
@@ -486,7 +491,8 @@ def cyclic_factors(w: AffinePermutation, size: int, decreasing: bool = True
     generator's reach (:func:`max_cyclic_factor`; anchored at the run's
     first generator for decreasing factors and at its last for increasing
     ones).  Every admissible ``J`` lies inside the maximal factor, so only
-    its ``C(|maximal|, size)`` subsets are tried, with no product formed.
+    its ``C(|maximal|, size)`` subsets are tried, as sorted combinations
+    with no product formed; only an admissible one is made a frozenset.
 
     >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
     >>> cyclic_factors(w, 2)
@@ -502,10 +508,9 @@ def cyclic_factors(w: AffinePermutation, size: int, decreasing: bool = True
         return [(frozenset([p]), [(p, p)]) for p, r in enumerate(reach) if r]
     found = []
     for combo in itertools.combinations(sorted(maximal), size):
-        J = frozenset(combo)
-        runs = list(cyclic_runs(n, J))
+        runs = cyclic_runs(n, combo)
         if all(q - p < reach[p if decreasing else q % n] for p, q in runs):
-            found.append((J, runs))
+            found.append((frozenset(combo), runs))
     return found
 
 
@@ -520,22 +525,22 @@ def shape_of(w: AffinePermutation) -> Partition:
     """
     if not w.is_grassmannian(0):
         raise InvalidInputError(f"not 0-Grassmannian: {w}")
-    return code_shape(grassmannian_code(w))
+    return code_shape(grassmannian_code(w.n, w.window))
 
 
-def grassmannian_code(w: AffinePermutation) -> tuple[int, ...]:
+def grassmannian_code(n: int, win: tuple[int, ...]) -> tuple[int, ...]:
     """The code of a 0-Grassmannian ``w`` (:meth:`AffinePermutation.code`)
-    in O(n log n).  Its window increases, so only the translates of later
-    positions ``b > i`` count, ``floor((w(b) - w(i))/n)`` each; with ``w(b)
+    from its window, in O(n log n).  The window increases, so only the
+    translates of later positions ``b > i`` count, ``floor((w(b) - w(i))/n)`` each; with ``w(b)
     = q_b n + r_b`` that is ``q_b - q_i - [r_b < r_i]``, so ``c_i`` is a
     suffix sum of the ``q_b``, less ``q_i`` per later position, less the
     later residues below ``r_i``, found by bisection.
 
-    >>> grassmannian_code(AffinePermutation.from_word(6, [5, 1, 0]))
+    >>> grassmannian_code(6, AffinePermutation.from_word(6, [5, 1, 0]).window)
     (2, 1, 0, 0, 0, 0)
     """
-    n, code, later, total = w.n, [], [], 0
-    for k, v in enumerate(reversed(w.window)):
+    code, later, total = [], [], 0
+    for k, v in enumerate(reversed(win)):
         q, r = divmod(v, n)
         below = bisect_left(later, r)
         code.append(total - k * q - below)
@@ -594,23 +599,23 @@ def rotate(w: AffinePermutation, t: int) -> AffinePermutation:
     """The rotation automorphism ``f^t: s_i -> s_{i+t}``.
 
     Conjugation by the shift ``j -> j + t``; window ``f^t(w)(i) = w(i-t)+t``,
-    which is the window of :func:`_turned` at ``k = t mod n``.
+    which is the window of :func:`turned_window` at ``k = t mod n``.
     """
-    return AffinePermutation._trusted(w.n, _turned(w.n, w.window, t % w.n),
+    return AffinePermutation._trusted(w.n, turned_window(w.n, w.window, t % w.n),
                                       w._length)
 
 
-def _turned(n: int, win: tuple[int, ...], k: int) -> tuple[int, ...]:
+def turned_window(n: int, win: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The window of ``f^k(w)`` for ``0 <= k < n``: ``win`` turned right by
     ``k`` places, its last ``k`` entries shifted by ``k - n`` and the others
     by ``k``."""
     return tuple([v + k - n for v in win[n - k:]] + [v + k for v in win[:n - k]])
 
 
-def rotation_key(w: AffinePermutation) -> tuple[int, ...]:
-    """The least window among the ``n`` rotations ``f^t(w)``: one key per
-    Z/n orbit, since the orbit's elements share their set of rotated windows
-    and a window determines its element.  Entry ``t`` of the window of
+def rotation_key(n: int, win: tuple[int, ...]) -> tuple[int, ...]:
+    """The least window among the ``n`` rotations ``f^t(w)`` of the ``w``
+    of window ``win``: one key per Z/n orbit, since the orbit's elements
+    share their rotated windows and a window determines its element.  Entry ``t`` of the window of
     ``f^k(w)`` is ``s[(i + t) % n] + t`` with ``s[j] = w(j + 1) - j`` and
     ``i = -k mod n``, so the key turns the least rotation of ``s`` to the
     front: one window is built, and only rotations that tie for the least
@@ -619,10 +624,9 @@ def rotation_key(w: AffinePermutation) -> tuple[int, ...]:
     >>> w = AffinePermutation.from_word(4, [1, 0])
     >>> [rotate(w, t).window for t in range(4)]
     [(0, 1, 3, 6), (3, 1, 2, 4), (1, 4, 2, 3), (0, 2, 5, 3)]
-    >>> rotation_key(rotate(w, 2))
+    >>> rotation_key(4, rotate(w, 2).window)
     (0, 1, 3, 6)
     """
-    n, win = w.n, w.window
     starts = [v - i for i, v in enumerate(win)]
     low = min(starts)
     i = starts.index(low)
@@ -630,7 +634,7 @@ def rotation_key(w: AffinePermutation) -> tuple[int, ...]:
         twice = starts + starts
         i = min((j for j, v in enumerate(starts) if v == low),
                 key=lambda j: twice[j:j + n])
-    return _turned(n, win, -i % n)
+    return turned_window(n, win, -i % n)
 
 
 # -- enumeration -------------------------------------------------------------

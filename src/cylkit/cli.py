@@ -35,6 +35,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from types import SimpleNamespace
 from typing import NoReturn
 
@@ -97,7 +98,7 @@ def _word_header(word: tuple[int, ...]) -> str:
     return f"input word (left to right): {joined}"
 
 
-def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: SimpleNamespace, payload: dict, text_lines: Iterable[str]) -> None:
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -124,14 +125,16 @@ def cmd_expand(args: SimpleNamespace) -> int:
     payload = {"command": "expand", "n": args.n,
                "word": list(args.word), "window": list(w.window),
                "terms": rows}
-    lines = [_word_header(args.word),
-             f"window: {list(w.window)}  length: {w.length}"]
-    for row in rows:
-        label = f"  coeff {row['coeff']:>3}  word {row['word']}  kbounded {row['kbounded']}"
-        if "nu" in row:
-            label += f"  shape {row['nu']}/{row['e']}/[]"
-        lines.append(label)
-    _emit(args, payload, lines)
+
+    def lines():  # a generator: JSON output never formats the text
+        yield _word_header(args.word)
+        yield f"window: {list(w.window)}  length: {w.length}"
+        for row in rows:
+            label = f"  coeff {row['coeff']:>3}  word {row['word']}  kbounded {row['kbounded']}"
+            if "nu" in row:
+                label += f"  shape {row['nu']}/{row['e']}/[]"
+            yield label
+    _emit(args, payload, lines())
     return EXIT_OK
 
 

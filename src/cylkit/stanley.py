@@ -11,15 +11,11 @@ with last part ``b`` at index ``l``, the dual Pieri rule applied to
 
 The ``J`` whose lengths drop are exactly the left and right cyclically
 decreasing factors of ``w'`` of size ``b`` (a left one is a right increasing
-factor of ``w'^-1``); :func:`dual_pieri_branches` lists them with
-:func:`cylkit.affine.cyclic_factors`, which filters the size-``b`` subsets
-of the maximal factor by a window criterion and gives each admissible
-``J`` with its runs, rather than trying all ``C(n, b)`` subsets.  Every
-branch is a run of swaps on a window, ``d_J``'s on the inverse
-window for a left product, so no branch multiplies out an element, and
-each is born with its length.  A state with at most one right descent is a
-leaf: it is Grassmannian up to rotation, and its table is the one affine
-Schur function of its rotation (see :func:`_expand_state`).
+factor of ``w'^-1``), which :func:`cylkit.affine.cyclic_factors` gives with
+their runs.  The recursion runs on ``(window, tail)``: every product is a
+run of swaps on a window, the head's ``g(lam)^-1 = u_{J_1} ... u_{J_p}`` too,
+and it builds no element per branch: only the two that each branching
+state hands to the factor search, and its table keys, once per leaf class.
 
 Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
@@ -65,6 +61,8 @@ from cylkit.affine import (
     rotation_key,
     shape_of,
     times_runs,
+    turned_window,
+    window_descents,
 )
 from cylkit.cylindric import (
     DEFAULT_TABLEAU_CAP,
@@ -323,97 +321,91 @@ class AffineSchurExpansion:
         return rows
 
 
-def dual_pieri_branches(w: AffinePermutation, part_size: int, part_index: int
-                        ) -> tuple[list[AffinePermutation],
-                                   list[tuple[list[tuple[int, int]], AffinePermutation]]]:
+def dual_pieri_branches(n: int, win: tuple[int, ...], length: int, part_size: int,
+                        part_index: int) -> tuple[list, list]:
     """The two branch families for peeling a tail block of ``part_size`` at
-    1-based ``part_index``:  with ``w' = w * d_J0``,
+    1-based ``part_index`` off the ``w`` of window ``win`` and length
+    ``length``: with ``w' = w * d_J0``, the windows of ``B_plus = { u_J w'
+    }`` and the pairs (runs of ``J``, window of ``w' u_J``) of ``B_minus =
+    { w' u_J : J != J0 }``, over ``|J| = part_size`` with lengths dropping
+    by ``part_size`` (so every branch has the length ``length``).
 
-    ``B_plus  = { u_J w' }``  and  ``B_minus = { w' u_J : J != J0 }``
-
-    over ``|J| = part_size`` with lengths dropping by ``part_size``.  Each
-    minus branch comes as the pair ``(runs, w' u_J)``, with the runs ``(p,
-    q)`` of ``J`` as :func:`cylkit.affine.cyclic_factors` gives them.
-
-    Every product is a run of swaps on a window
-    (:func:`cylkit.affine.times_runs`).  ``w'`` is ``d_J0``'s swaps on
-    ``w``'s window, and ``J0`` is admissible iff each of them was an ascent.
-    The admissible ``J`` come from :func:`cylkit.affine.cyclic_factors`
-    with their runs: a minus branch is ``u_J``'s swaps on the window of
-    ``w'``, and a plus branch, a left product, is ``d_J``'s swaps on the
-    inverse window (``(u_J w')^-1 = w'^-1 d_J``), inverted back.  Every
-    branch is born with its length, ``len(w)``.
+    ``w'`` is ``d_J0``'s swaps on ``win`` (:func:`cylkit.affine.times_runs`),
+    and ``J0`` is admissible iff each was an ascent.  The admissible ``J``
+    and their runs come from :func:`cylkit.affine.cyclic_factors`: a minus
+    branch is ``u_J``'s swaps on the window of ``w'``, and a plus branch,
+    a left product, is ``d_J``'s swaps on the inverse window (``(u_J w')^-1
+    = w'^-1 d_J``), inverted back.
     """
-    n, length = w.n, w.length
     if not 1 <= part_size <= n - 1 or part_index < 1:
         raise InvalidInputError(f"bad block ({part_size}, {part_index})")
     start = (1 - part_index) % n
     block = [(start, start + part_size - 1)]  # J0 = [-l+1, b-l]
-    top, falls = times_runs(w.window, n, block, True)
+    top, falls = times_runs(win, n, block, True)
     if falls:
         raise InvalidInputError("tail block is not length-additive")
     inv = inverse_window(n, top)
-    left = cyclic_factors(AffinePermutation._trusted(n, inv, length + part_size),
-                          part_size, False)
-    right = cyclic_factors(AffinePermutation._trusted(n, top, length + part_size),
-                           part_size)
-    b_plus = [AffinePermutation._trusted(
-                  n, inverse_window(n, times_runs(inv, n, runs, True)[0]), length)
-              for _, runs in left]
-    b_minus = [(runs, AffinePermutation._trusted(
-                   n, times_runs(top, n, runs, False)[0], length))
+    length += part_size
+    left = cyclic_factors(AffinePermutation._trusted(n, inv, length), part_size, False)
+    right = cyclic_factors(AffinePermutation._trusted(n, top, length), part_size)
+    b_plus = [inverse_window(n, times_runs(inv, n, runs, True)[0]) for _, runs in left]
+    b_minus = [(runs, times_runs(top, n, runs, False)[0])
                for _, runs in right if runs != block]
     return b_plus, b_minus
 
 
-def _expand_state(u: AffinePermutation, tail: Partition) -> dict:
-    """Expansion table of ``F_u`` given that ``u * (canonical tail)`` is
-    0-Grassmannian, memoized on the rotation class of ``u`` alone
-    (:func:`cylkit.affine.rotation_key`): a ``u`` met again with another
-    tail, in another rotation or at the top of an expansion reads one table.
-    That is sound: the affine Schur functions are unitriangular against
-    ``m_lam``, so the coefficients of ``F_u`` are unique whatever the tail;
-    and ``f^t`` sends ``d_J`` to ``d_{J+t}`` keeping lengths, so it maps the
-    cyclically decreasing factorizations of ``u`` onto those of ``f^t(u)``
-    and ``F_{f^t(u)} = F_u`` (Lam 2006).
+def _head_inverse(n: int, head: Partition) -> tuple[int, ...]:
+    """The window of ``g(head)^-1 = u_{J_1} ... u_{J_p}``, ``J_j = [1-j,
+    head_j - j]``: one run of swaps per part on the identity window, each
+    of them an ascent, as ``g(head)`` has length ``|head|``."""
+    win, falls = times_runs(range(1, n + 1), n,
+                            [(1 - j, part - j) for j, part in enumerate(head, 1)], False)
+    if falls:
+        raise AssertionError(f"head {head} is not length-additive")
+    return win
 
-    A state with at most one right descent ``p`` is a leaf, whatever its
-    tail: ``rotate(u, -p)`` is 0-Grassmannian, and ``F`` of a
-    0-Grassmannian ``g`` is the affine Schur function of ``g`` (Lam 2006),
-    so the table is ``{rotate(u, -p): 1}``.  Other states branch by
-    :func:`dual_pieri_branches`; a minus branch's new tail ``d_J g(head)``
-    is ``u_J``'s swaps on the inverse window of ``g(head)``, inverted back,
-    asserted 0-Grassmannian, and its code gives both its shape and its size,
-    the length that additivity asks for.  Every table expands some
-    ``F_u``, so it is affine Schur positive (Lam 2008): a negative
-    coefficient raises :class:`PositivityError` naming ``u`` as the table
-    is stored (an internal bug, never a property of the input).
+
+def _expand_state(n: int, win: tuple[int, ...], length: int, tail: Partition) -> dict:
+    """Expansion table of ``F_u`` for the ``u`` of window ``win``, given
+    that ``u * (canonical tail)`` is 0-Grassmannian, memoized on the
+    rotation class of ``u`` alone (:func:`cylkit.affine.rotation_key`): the
+    affine Schur functions are unitriangular against ``m_lam``, so the
+    table does not depend on the tail, and ``F_{f^t(u)} = F_u`` (Lam 2006).
+
+    Every branch keeps its state's length, so every state has ``length``,
+    the top's.  A state with at most one right descent ``p`` is a leaf:
+    ``F`` of the 0-Grassmannian ``rotate(u, -p)`` is its affine Schur
+    function (Lam 2006), and that key is built there, with ``length``.
+    Other states branch by :func:`dual_pieri_branches`; a minus branch's
+    new tail ``d_J g(head)`` is ``u_J``'s swaps on :func:`_head_inverse`,
+    inverted back, asserted 0-Grassmannian, and its code gives its shape
+    and its size, which additivity asks to be ``|tail|``.  Every table is
+    affine Schur positive (Lam 2008): a negative coefficient raises
+    :class:`PositivityError` naming ``u`` as the table is stored.
     """
-    n = u.n
-    key = (n, rotation_key(u))
+    key = (n, rotation_key(n, win))
     hit = _EXPAND_MEMO.get(key)
     if hit is not None:
         return hit
-    if not tail and not u.is_grassmannian(0):
-        raise AssertionError(f"base case is not Grassmannian: {u}")
-    descents = u.right_descents()
+    descents = list(window_descents(n, win))
+    if not tail and any(descents):  # a right descent other than 0
+        raise AssertionError(f"base case is not Grassmannian: {win}")
     if len(descents) <= 1:
-        return _EXPAND_MEMO.setdefault(key, {rotate(u, -min(descents, default=0)): 1})
+        leaf = AffinePermutation._trusted(
+            n, turned_window(n, win, -min(descents, default=0) % n), length)
+        return _EXPAND_MEMO.setdefault(key, {leaf: 1})
 
-    b_plus, b_minus = dual_pieri_branches(u, tail[-1], len(tail))
+    b_plus, b_minus = dual_pieri_branches(n, win, length, tail[-1], len(tail))
     head = tail[:-1]
     branches = [(x, +1, head) for x in b_plus]
-    if b_minus:  # only the minus branches read the head's element
-        g_inv = inverse_window(n, grassmannian_from_kbounded(n, head).window)
-        size = sum(tail)
+    if b_minus:  # only the minus branches read the head
+        g_inv = _head_inverse(n, head)
         for runs, y in b_minus:
-            z = times_runs(g_inv, n, runs, False)[0]
-            new_tail_elem = AffinePermutation._trusted(n, inverse_window(n, z))
-            if not new_tail_elem.is_grassmannian(0):
+            z = inverse_window(n, times_runs(g_inv, n, runs, False)[0])
+            if any(a > b for a, b in zip(z, z[1:])):
                 raise AssertionError("negative-branch tail not Grassmannian")
-            code = grassmannian_code(new_tail_elem)
-            # sum(code) is the length: the sizes read additivity
-            if sum(code) != size:
+            code = grassmannian_code(n, z)
+            if sum(code) != sum(tail):  # sum(code) is the length
                 raise AssertionError("negative-branch tail not additive")
             branches.append((y, -1, code_shape(code)))
 
@@ -421,11 +413,12 @@ def _expand_state(u: AffinePermutation, tail: Partition) -> dict:
     for x, sign, sub_tail in branches:
         if not schedule_less(sub_tail, tail):
             raise AssertionError("termination metric did not decrease")
-        for key2, c in _expand_state(x, sub_tail).items():
+        for key2, c in _expand_state(n, x, length, sub_tail).items():
             out[key2] += sign * c
     result = {k: c for k, c in out.items() if c}
     if any(c < 0 for c in result.values()):
-        raise PositivityError(f"negative coefficient for {u}: {result}")
+        raise PositivityError(
+            f"negative coefficient for {AffinePermutation._trusted(n, win)}: {result}")
     return _EXPAND_MEMO.setdefault(key, result)
 
 
@@ -452,11 +445,11 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
     in_basis = ctype is not None and in_A(w, ctype)
-    table = _EXPAND_MEMO.get((w.n, rotation_key(w)))
+    table = _EXPAND_MEMO.get((w.n, rotation_key(w.n, w.window)))
     if table is None:
         tight = in_basis and all(c > 0 for c in letter_multiplicities(w).values())
         v, p = grassmannianize_321(w, ctype) if tight else grassmannianize(w)
-        table = _expand_state(rotate(w, -p), shape_of(rotate(v, -p)))
+        table = _expand_state(w.n, rotate(w, -p).window, w.length, shape_of(rotate(v, -p)))
     shapes = None
     if in_basis:
         try:

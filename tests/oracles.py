@@ -407,11 +407,11 @@ def expand_state_by_tail(u: AffinePermutation, tail: Partition) -> dict:
                 raise AssertionError(f"base case is not Grassmannian: {u}")
             memo[key] = {u: 1}
             return memo[key]
-        b_plus, b_minus = dual_pieri_branches(u, tail[-1], len(tail))
+        b_plus, b_minus = dual_pieri_branches(n, u.window, u.length, tail[-1], len(tail))
         head = tail[:-1]
         vprime = grassmannian_from_kbounded(n, head)
-        branches = [(x, 1, head) for x in b_plus] + [
-            (y, -1, shape_of(cyclic_element(
+        branches = [(AffinePermutation(n, x), 1, head) for x in b_plus] + [
+            (AffinePermutation(n, y), -1, shape_of(cyclic_element(
                 n, frozenset().union(*(interval_set(n, p, q) for p, q in runs)),
                 True) * vprime))
             for runs, y in b_minus]

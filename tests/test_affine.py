@@ -691,7 +691,7 @@ class TestShapeOf:
                 assert len(level) == len(list(partitions_of(ell, max_part=n - 1)))
                 for x in level:
                     assert sum(shape_of(x)) == ell == x.length, x
-                    assert grassmannian_code(x) == x.code(), x
+                    assert grassmannian_code(n, x.window) == x.code(), x
                     cases += 1
                 level = list({y.window: y for x in level for y in self._grow(x)}.values())
         assert cases == 578
@@ -706,7 +706,7 @@ class TestShapeOf:
             ups = list(self._grow(x))
             x = ups[i % len(ups)]
         assert sum(shape_of(x)) == len(draws) == AffinePermutation(n, x.window).length
-        assert grassmannian_code(x) == x.code()
+        assert grassmannian_code(n, x.window) == x.code()
 
     def test_rejects_non_grassmannian(self):
         for w in (W(4, 0, 1), W(16, 0, 8, 1, 9)):
@@ -778,10 +778,10 @@ class TestRotation:
         orbit_of_key = {}
         for level in elements_by_length(n, maxlen):
             for w in level:
-                key = rotation_key(w)
+                key = rotation_key(n, w.window)
                 turned = [rotate_by_values(w, t) for t in range(n)]
                 assert key == min(u.window for u in turned)
-                assert {rotation_key(u) for u in turned} == {key}
+                assert {rotation_key(n, u.window) for u in turned} == {key}
                 orbit = frozenset(u.window for u in turned)
                 assert orbit_of_key.setdefault(key, orbit) == orbit
         assert len(set(orbit_of_key.values())) == len(orbit_of_key) > 1
@@ -881,6 +881,27 @@ class TestWindowReaders:
         assert w.length == exact_length(w)
         assert_window_readers_match(w)
         assert_window_readers_match(AffinePermutation(n, w.window))
+
+    def test_resumed_word_scan_on_every_small_element(self):
+        # the scan that resumes next to each swap against the one that
+        # restarts at position 0: every element with n = 2..6 up to length 8
+        count = 0
+        for n in range(2, 7):
+            for level in elements_by_length(n, 8):
+                for w in level:
+                    assert w.reduced_word() == reduced_word_by_steps(w), w
+                    count += 1
+        assert count == 4757
+
+    @settings(max_examples=150)
+    @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=40))))
+    def test_resumed_word_scan_on_random_elements(self, case):
+        n, letters = case
+        w = AffinePermutation.from_word(n, letters)
+        word = w.reduced_word()
+        assert word == reduced_word_by_steps(w)
+        assert len(word) == w.length and AffinePermutation.from_word(n, word) == w
 
     @settings(max_examples=150)
     @given(st.integers(2, 24).flatmap(lambda n: st.tuples(

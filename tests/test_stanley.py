@@ -16,6 +16,7 @@ from cylkit.affine import (
     elements_by_length,
     grassmannian_from_kbounded,
     interval_set,
+    inverse_window,
     letter_multiplicities,
     proper_subsets,
     rotate,
@@ -284,29 +285,30 @@ class TestPartitionLess:
 class TestDualPieriBranches:
     def test_example2_first_step(self):
         w = W(6, 5, 3, 1, 4, 2, 0)
-        b_plus, b_minus = dual_pieri_branches(w, 1, 2)
-        assert {x.window for x in b_plus} == {
+        b_plus, b_minus = dual_pieri_branches(6, w.window, w.length, 1, 2)
+        assert set(b_plus) == {
             W(6, 5, 4, 1, 0, 5, 2).window,
             W(6, 3, 4, 1, 0, 5, 2).window,
             W(6, 3, 5, 4, 0, 5, 2).window}
-        assert {y.window for _, y in b_minus} == {W(6, 3, 5, 4, 1, 0, 5).window}
+        assert {y for _, y in b_minus} == {W(6, 3, 5, 4, 1, 0, 5).window}
 
     def test_example2_second_step(self):
-        b_plus, b_minus = dual_pieri_branches(W(6, 3, 4, 1, 0, 5, 2), 2, 1)
-        assert {x.window for x in b_plus} == {
+        w = W(6, 3, 4, 1, 0, 5, 2)
+        b_plus, b_minus = dual_pieri_branches(6, w.window, w.length, 2, 1)
+        assert set(b_plus) == {
             W(6, 3, 4, 5, 2, 1, 0).window, W(6, 4, 0, 5, 2, 1, 0).window}
         assert b_minus == []
 
     def test_branch_identity_on_monomials(self):
         # F_w = sum B+ F_u - sum B- F_u as polynomials
         w = W(6, 5, 3, 1, 4, 2, 0)
-        b_plus, b_minus = dual_pieri_branches(w, 1, 2)
+        b_plus, b_minus = dual_pieri_branches(6, w.window, w.length, 1, 2)
         nvars = w.length
         total = SymmetricPolynomial.zero(nvars, nvars)
-        for u in b_plus:
-            total = total + stanley_monomials(u, nvars)
-        for _, u in b_minus:
-            total = total - stanley_monomials(u, nvars)
+        for x in b_plus:
+            total = total + stanley_monomials(AffinePermutation(6, x), nvars)
+        for _, y in b_minus:
+            total = total - stanley_monomials(AffinePermutation(6, y), nvars)
         assert total == stanley_monomials(w, nvars)
 
     def test_head_elements_match_canonical_product(self):
@@ -325,10 +327,24 @@ class TestDualPieriBranches:
                     cases += 1
         assert cases == 578
 
+    def test_head_inverse_by_swap_runs(self):
+        # the head's inverse window, one run of swaps per part on the
+        # identity, against the inverse of the memoized canonical product:
+        # every lam with parts <= n - 1 and |lam| <= 10, n = 2..8
+        cases = 0
+        for n in range(2, 9):
+            for size in range(11):
+                for lam in partitions_of(size, max_part=n - 1):
+                    assert (stanley._head_inverse(n, lam) == inverse_window(
+                        n, grassmannian_from_kbounded(n, lam).window)), (n, lam)
+                    cases += 1
+        assert cases == 578
+
     def test_non_additive_tail_rejected(self):
         # peeling block {0} from s_0 * ... where s_0 is a right descent
         with pytest.raises(InvalidInputError):
-            dual_pieri_branches(W(4, 1, 0), 1, 1)
+            w = W(4, 1, 0)
+            dual_pieri_branches(4, w.window, w.length, 1, 1)
 
     def test_matches_exhaustive_scan(self):
         # every element with n <= 6 and every block (size, index mod n)
@@ -339,19 +355,20 @@ class TestDualPieriBranches:
                     for size in range(1, n):
                         for index in range(1, n + 1):
                             expected = dual_pieri_branches_exhaustive(w, size, index)
+                            args = (n, w.window, w.length, size, index)
                             if expected is None:
                                 with pytest.raises(InvalidInputError):
-                                    dual_pieri_branches(w, size, index)
+                                    dual_pieri_branches(*args)
                                 continue
-                            b_plus, b_minus = dual_pieri_branches(w, size, index)
+                            b_plus, b_minus = dual_pieri_branches(*args)
                             e_plus, e_minus = expected
                             assert len(b_plus) == len(e_plus) and len(b_minus) == len(e_minus)
-                            # every branch is born with its length, which
-                            # must equal the length the oracle computes
-                            # from its window
-                            assert ({(x.window, x._length) for x in b_plus}
+                            # every branch has the length of w, which must
+                            # equal the length the oracle computes from
+                            # its window
+                            assert ({(x, w.length) for x in b_plus}
                                     == {(x.window, x.length) for x in e_plus})
-                            assert ({(tuple(sorted(runs)), y.window, y._length)
+                            assert ({(tuple(sorted(runs)), y, w.length)
                                      for runs, y in b_minus}
                                     == {(tuple(cyclic_runs(n, J)), y.window, y.length)
                                         for J, y in e_minus})
@@ -481,6 +498,20 @@ class TestRotationMemo:
     answers every tail and every rotation of an expanded state from it."""
 
     @staticmethod
+    def _state(x, tail):
+        return stanley._expand_state(x.n, x.window, x.length, tail)
+
+    @staticmethod
+    def _control_reaches_the_branch_step():
+        # Example 2 branches at its top state (two right descents), and no
+        # state of period 6 is warm, so a patch of the branch step that the
+        # recursion reaches raises here
+        w = W(6, 5, 3, 1, 4, 2, 0)
+        assert len(w.right_descents()) > 1
+        with pytest.raises(AssertionError, match="branched"):
+            expand_affine_schur(w)
+
+    @staticmethod
     def _refuse_expansion(mp):
         def refuse(*args):
             raise AssertionError("a rotation was expanded again")
@@ -524,7 +555,7 @@ class TestRotationMemo:
         # every key is the least window of its own element's class, and
         # every state has the length of its top, so each class of the level
         # is stored exactly once and nothing else is
-        assert all(key == (n, rotation_key(AffinePermutation(n, key[1])))
+        assert all(key == (n, rotation_key(n, key[1]))
                    for key in keys)
         assert all(sum(key[1] in c for key in keys) == 1 for c in classes)
         assert len(keys) == len(classes) < len(level)
@@ -545,14 +576,15 @@ class TestRotationMemo:
             assert xg.is_grassmannian(0) and xg.length == x.length + g.length
             assert expand_state_by_tail(x, tail) == expected
         clear_caches()
-        assert stanley._expand_state(u, (1,)) == expected
+        assert self._state(u, (1,)) == expected
 
         def refuse(*args):
             raise AssertionError("a warm state was branched again")
 
         monkeypatch.setattr(stanley, "dual_pieri_branches", refuse)
+        self._control_reaches_the_branch_step()
         for x, tail in states[1:]:
-            assert stanley._expand_state(x, tail) == expected, (x, tail)
+            assert self._state(x, tail) == expected, (x, tail)
 
     def test_one_descent_states_are_leaves(self, monkeypatch):
         # every state (u, tail) with u p-Grassmannian and a non-empty tail,
@@ -579,11 +611,15 @@ class TestRotationMemo:
             raise AssertionError("a one-descent state was branched")
 
         monkeypatch.setattr(stanley, "dual_pieri_branches", refuse)
+        clear_caches()
+        self._control_reaches_the_branch_step()
         for u, tail, p, expected in states:
             clear_caches()
             leaf = {rotate(u, -p): 1}
-            assert stanley._expand_state(u, tail) == leaf == expected, (u, tail)
-            assert stanley._EXPAND_MEMO == {(u.n, rotation_key(u)): leaf}
+            assert self._state(u, tail) == leaf == expected, (u, tail)
+            # each key is built once, at its leaf, with the state's length
+            assert next(iter(self._state(u, tail)))._length == u.length
+            assert stanley._EXPAND_MEMO == {(u.n, rotation_key(u.n, u.window)): leaf}
         assert len(states) == 188
         assert sum(p != 0 for _, _, p, _ in states) == 161
 
@@ -595,26 +631,30 @@ class TestRotationMemo:
         # warm, so that tail is never read), which leaves the state a
         # negative table
         w, state = W(5, 0, 1, 0), W(5, 2, 3, 1)
-        assert rotation_key(state) != rotation_key(w)
+        assert rotation_key(5, state.window) != rotation_key(5, w.window)
         real = stanley.dual_pieri_branches
-        flipped = []
+        flipped, seen = [], []
 
-        def flip_one(u, size, index):
-            b_plus, b_minus = real(u, size, index)
-            if u != state:
+        def flip_one(n, win, length, size, index):
+            seen.append(win)
+            b_plus, b_minus = real(n, win, length, size, index)
+            if win != state.window:
                 return b_plus, b_minus
             flipped.append(b_plus[0])
             return b_plus[1:], b_minus + [(b_minus[0][0], b_plus[0])]
 
         clear_caches()
-        x = real(state, 1, 2)[0][0]
+        x = AffinePermutation(5, real(5, state.window, state.length, 1, 2)[0][0])
         expand_affine_schur(x)
         monkeypatch.setattr(stanley, "dual_pieri_branches", flip_one)
+        # control: Example 2, of period 6, branches through the patch
+        expand_affine_schur(W(6, 5, 3, 1, 4, 2, 0))
+        assert seen and not flipped
         with pytest.raises(PositivityError, match=re.escape(repr(state))):
             expand_affine_schur(w)
-        assert flipped == [x]
-        assert (5, rotation_key(state)) not in stanley._EXPAND_MEMO
-        assert (5, rotation_key(w)) not in stanley._EXPAND_MEMO
+        assert flipped == [x.window]
+        assert (5, rotation_key(5, state.window)) not in stanley._EXPAND_MEMO
+        assert (5, rotation_key(5, w.window)) not in stanley._EXPAND_MEMO
 
     @pytest.mark.parametrize("planted", [
         cyclic_element(6, frozenset({0, 1, 2, 3}), True),  # maxr 4 > n - m
@@ -624,7 +664,7 @@ class TestRotationMemo:
         # a key outside A0(3, 6) stored under Example 2's rotation class is
         # caught by the support check, phi on each key
         w = W(6, 5, 3, 1, 4, 2, 0)
-        monkeypatch.setitem(stanley._EXPAND_MEMO, (6, rotation_key(w)),
+        monkeypatch.setitem(stanley._EXPAND_MEMO, (6, rotation_key(6, w.window)),
                             {planted: 1})
         assert expand_affine_schur(w).coeffs == {planted: 1}
         with pytest.raises(PositivityError, match=re.escape(repr(planted))):
