@@ -28,6 +28,8 @@ Layout:
                     algebraic identities used by the expansion.
 - ``verify``     -- property suites at configurable scale, shared by the
                     CLI and the acceptance tests.
+- ``frozen``     -- ``Frozen``, the base of the slotted immutable value
+                    classes: read-only fields, ``repr``, pickle and copy.
 - ``memo``       -- the registry of memo tables and ``clear_caches``.
 - ``cli``        -- command-line front end.
 """

@@ -37,10 +37,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from cylkit import memo
 from cylkit.errors import CapExceededError, InvalidInputError
+from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, partitions_of
 
 Word = tuple[int, ...]
@@ -99,9 +99,10 @@ def window_descents(n: int, win) -> Iterator[int]:
             yield i
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePermutation:
-    """An affine permutation of period ``n`` in window notation.
+class AffinePermutation(Frozen):
+    """An affine permutation of period ``n`` in window notation: an
+    immutable value with the slots ``n``, ``window`` and ``_length`` and no
+    instance dict, equal to and hashed as ``(n, window)``.
 
     The length is a slot outside eq, hash and repr: an operation that knows
     it (a word, a generator step, an inverse, a rotation) sets it when it
@@ -114,9 +115,14 @@ class AffinePermutation:
     2
     """
 
-    n: int
-    window: tuple[int, ...]
-    _length: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n", "window", "_length")
+    _repr_fields = ("n", "window")
+
+    def __init__(self, n: int, window: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "_length", None)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.n
@@ -129,6 +135,14 @@ class AffinePermutation:
         if sum(self.window) != n * (n + 1) // 2:
             raise InvalidInputError(
                 f"window must sum to {n * (n + 1) // 2}: {self.window}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.window == other.window
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.window))
 
     # -- construction ------------------------------------------------------
 

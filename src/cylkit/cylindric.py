@@ -28,31 +28,43 @@ folded over the row bounds by :func:`cylkit.symfunc.chain_table`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from cylkit.affine import AffinePermutation, Word, inversion_ends, letter_multiplicities
 from cylkit.errors import CapExceededError, InvalidInputError, ShapeError
+from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, fits_box, part
 from cylkit.symfunc import SymmetricPolynomial, WeightTable, chain_table
 
 DEFAULT_TABLEAU_CAP = 16
 
 
-@dataclass(frozen=True)
-class CylType:
-    """The fixed pair ``0 < m < n``."""
+class CylType(Frozen):
+    """The fixed pair ``0 < m < n``: an immutable value, equal to and hashed
+    as ``(m, n)``."""
 
-    m: int
-    n: int
+    __slots__ = _repr_fields = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 < self.m < self.n:
             raise InvalidInputError(f"need 0 < m < n, got ({self.m}, {self.n})")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n
 
-@dataclass(frozen=True)
-class PeriodicSequence:
-    """A boundary on the cylinder: its row bounds ``(R_1, ..., R_m)``.
+    def __hash__(self) -> int:
+        return hash((self.m, self.n))
+
+
+class PeriodicSequence(Frozen):
+    """A boundary on the cylinder: its row bounds ``(R_1, ..., R_m)``.  An
+    immutable value, equal to and hashed as ``(ctype, rows)``.
 
     >>> b = PeriodicSequence(CylType(3, 6), (2, 1, 0))
     >>> b.to_shape()
@@ -61,8 +73,12 @@ class PeriodicSequence:
     (2, 1, 1)
     """
 
-    ctype: CylType
-    rows: tuple[int, ...]
+    __slots__ = _repr_fields = ("ctype", "rows")
+
+    def __init__(self, ctype: CylType, rows: tuple[int, ...]):
+        object.__setattr__(self, "ctype", ctype)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         m, n = self.ctype.m, self.ctype.n
@@ -72,6 +88,14 @@ class PeriodicSequence:
         if any(ext[i] < ext[i + 1] for i in range(m)):
             raise InvalidInputError(
                 f"rows must satisfy R1 >= ... >= Rm >= R1 - (n-m): {self.rows}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctype, self.rows) == (other.ctype, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ctype, self.rows))
 
     @classmethod
     def _trusted(cls, ctype: CylType, rows: tuple[int, ...]) -> "PeriodicSequence":
@@ -178,19 +202,33 @@ def empty_boundary(ctype: CylType) -> PeriodicSequence:
 # -- shapes -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylindricShape:
-    """``lam/d/mu``: the region between ``mu[0]`` and ``lam[d]``.  Both
+class CylindricShape(Frozen):
+    """``lam/d/mu``: the region between ``mu[0]`` and ``lam[d]``, an
+    immutable value equal to and hashed as ``(ctype, lam, d, mu)``.  Both
     boundaries are fields that the builder passes in (:func:`shape_new`,
     :func:`phi`); they are derived from ``lam``, ``d`` and ``mu``, so they
     stay out of eq, hash and repr."""
 
-    ctype: CylType
-    lam: Partition
-    d: int
-    mu: Partition
-    outer: PeriodicSequence = field(compare=False, repr=False)
-    inner: PeriodicSequence = field(compare=False, repr=False)
+    __slots__ = ("ctype", "lam", "d", "mu", "outer", "inner")
+    _repr_fields = ("ctype", "lam", "d", "mu")
+
+    def __init__(self, ctype: CylType, lam: Partition, d: int, mu: Partition,
+                 outer: PeriodicSequence, inner: PeriodicSequence):
+        object.__setattr__(self, "ctype", ctype)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ctype, self.lam, self.d, self.mu)
+                == (other.ctype, other.lam, other.d, other.mu))
+
+    def __hash__(self) -> int:
+        return hash((self.ctype, self.lam, self.d, self.mu))
 
 
 def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:

@@ -17,8 +17,6 @@ that checks this algebra lives in :mod:`cylkit.verify` (suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from cylkit.affine import (
     AffinePermutation,
     cyclic_element,
@@ -27,17 +25,23 @@ from cylkit.affine import (
 )
 from cylkit.cylindric import CylType, in_A
 from cylkit.errors import CapExceededError, GradingError, InvalidInputError
+from cylkit.frozen import Frozen
 from cylkit.stanley import expand_affine_schur
 
 DEFAULT_KSCHUR_CAP = 8
 
 
-@dataclass(frozen=True)
-class NilCoxeterElement:
-    """Finite integer combination of ``A_w`` symbols, homogeneous in length."""
+class NilCoxeterElement(Frozen):
+    """Finite integer combination of ``A_w`` symbols (``AffinePermutation ->
+    int``, zero coefficients dropped), homogeneous in length.  Equal as
+    ``(n, terms)``; it holds a dict, so it is unhashable."""
 
-    n: int
-    terms: dict = field(default_factory=dict)  # AffinePermutation -> int
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict = {}):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         clean = {}
@@ -51,6 +55,11 @@ class NilCoxeterElement:
         if len(grades) > 1:
             raise GradingError(f"mixed grades {sorted(grades)} in one element")
         object.__setattr__(self, "terms", clean)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.terms) == (other.n, other.terms)
 
     @property
     def grade(self) -> int | None:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 
 from cylkit import memo
 from cylkit.affine import (
@@ -78,6 +77,7 @@ from cylkit.cylindric import (
     skew_word,
 )
 from cylkit.errors import CapExceededError, InvalidInputError, PositivityError
+from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, fits_box, schedule_less
 from cylkit.symfunc import (
     SymmetricPolynomial,
@@ -291,15 +291,24 @@ def grassmannianize_321(w: AffinePermutation,
 # -- the expansion -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineSchurExpansion:
-    """Integer coefficients on 0-Grassmannian keys (made by :func:`_expand_state`
-    or the oracle's ``grassmannian_from_kbounded``), and each key's shape
-    ``phi(u)`` when the element is in the basis of a given type."""
+class AffineSchurExpansion(Frozen):
+    """Integer coefficients on 0-Grassmannian keys (``AffinePermutation ->
+    int``, made by :func:`_expand_state` or the oracle's
+    ``grassmannian_from_kbounded``), and each key's shape ``phi(u)``
+    (``u -> CylindricShape``) when the element is in the basis of a given
+    type.  Equal as ``(n, coeffs)``, the shapes left out; unhashable."""
 
-    n: int
-    coeffs: dict  # AffinePermutation -> int
-    shapes: dict | None = field(default=None, compare=False)  # u -> CylindricShape
+    __slots__ = _repr_fields = ("n", "coeffs", "shapes")
+
+    def __init__(self, n: int, coeffs: dict, shapes: dict | None = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "shapes", shapes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
 
     def items_sorted(self) -> list[tuple[AffinePermutation, int]]:
         return sorted(self.coeffs.items(),
@@ -500,11 +509,19 @@ def oracle_expand(w: AffinePermutation,
 # -- cylindric wrapper -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
-    """Coefficients on shapes ``nu/e/()``, keys ``(nu, e)``."""
+class SchurExpansion(Frozen):
+    """Coefficients on shapes ``nu/e/()``, keys ``(nu, e)`` (``(Partition,
+    int) -> int``).  Equal as its coefficients; unhashable."""
 
-    coeffs: dict  # (Partition, int) -> int
+    __slots__ = _repr_fields = ("coeffs",)
+
+    def __init__(self, coeffs: dict):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def items_sorted(self) -> list[tuple[tuple[Partition, int], int]]:
         return sorted(self.coeffs.items(),

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 
 from cylkit import memo
 from cylkit.errors import GradingError, InvalidInputError, SolveError
+from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, contains, part
 
 WeightTable = dict[tuple[int, ...], int]
@@ -41,13 +41,18 @@ WeightTable = dict[tuple[int, ...], int]
 _CHAIN_MEMO: dict = memo.table()
 
 
-@dataclass(frozen=True)
-class SymmetricPolynomial:
-    """Homogeneous symmetric polynomial, monomial-basis coefficient table."""
+class SymmetricPolynomial(Frozen):
+    """Homogeneous symmetric polynomial, monomial-basis coefficient table
+    (``Partition -> int``, zero coefficients dropped).  Equal as ``(nvars,
+    degree, coeffs)``; it holds a dict, so it is unhashable."""
 
-    nvars: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)  # Partition -> int
+    __slots__ = ("nvars", "degree", "coeffs")
+
+    def __init__(self, nvars: int, degree: int, coeffs: dict = {}):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.nvars < 0 or self.degree < 0:
@@ -64,6 +69,12 @@ class SymmetricPolynomial:
                     f"key {lam} has more than {self.nvars} parts")
             clean[lam] = c
         object.__setattr__(self, "coeffs", clean)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nvars, self.degree, self.coeffs)
+                == (other.nvars, other.degree, other.coeffs))
 
     # -- constructors --------------------------------------------------------
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from cylkit.affine import (
     AffinePermutation,
@@ -81,13 +80,32 @@ DEFAULT_SEED = 20240811
 SHAPE_TYPES = ((2, 4), (2, 5), (3, 6))
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    checks: int
-    seconds: float
-    failures: list = field(default_factory=list)
+    """One suite's outcome: a mutable record, equal when every field is, and
+    unhashable.  ``failures`` defaults to a new empty list."""
+
+    __slots__ = ("name", "passed", "checks", "seconds", "failures")
+
+    def __init__(self, name: str, passed: bool, checks: int, seconds: float,
+                 failures: list | None = None):
+        self.name, self.passed, self.checks, self.seconds = name, passed, checks, seconds
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.passed, self.checks, self.seconds, self.failures)
+                == (other.name, other.passed, other.checks, other.seconds,
+                    other.failures))
+
+    def __repr__(self) -> str:
+        return (f"SuiteResult(name={self.name!r}, passed={self.passed!r}, "
+                f"checks={self.checks!r}, seconds={self.seconds!r}, "
+                f"failures={self.failures!r})")
+
+    def __reduce__(self):
+        return SuiteResult, (self.name, self.passed, self.checks, self.seconds,
+                             self.failures)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -12,7 +12,7 @@ import functools
 import itertools
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -28,7 +28,7 @@ from cylkit.affine import (
 )
 from cylkit.cli import _parse_csv_ints
 from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence
-from cylkit.errors import InvalidInputError, SolveError
+from cylkit.errors import GradingError, InvalidInputError, SolveError
 from cylkit.partitions import Partition, check_partition, part
 from cylkit.stanley import (
     DEFAULT_EXPAND_CAP,
@@ -896,3 +896,120 @@ def argparse_parse(argv: list[str]) -> argparse.Namespace:
            for name in ("cap", "maxlen")):
         raise InvalidInputError("caps must be positive")
     return args
+
+
+# -- the value classes as dataclasses ----------------------------------------
+
+
+@functools.cache
+def dataclass_twins() -> dict[str, type]:
+    """The package's value classes as ``dataclasses`` built them, by name:
+    the same fields, defaults and field options, the same ``__post_init__``
+    checks and the two ``repr`` methods written by hand, each class under
+    its own name (so that ``repr`` reads the same).  The hand-written
+    slotted classes of the package are certified against these."""
+
+    def affine_check(self):
+        n = self.n
+        if n < 2:
+            raise InvalidInputError(f"period must be at least 2, got {n}")
+        if len(self.window) != n:
+            raise InvalidInputError(f"window must have {n} entries: {self.window}")
+        if sorted(v % n for v in self.window) != list(range(n)):
+            raise InvalidInputError(f"window residues must be distinct mod {n}: {self.window}")
+        if sum(self.window) != n * (n + 1) // 2:
+            raise InvalidInputError(
+                f"window must sum to {n * (n + 1) // 2}: {self.window}")
+
+    def type_check(self):
+        if not 0 < self.m < self.n:
+            raise InvalidInputError(f"need 0 < m < n, got ({self.m}, {self.n})")
+
+    def boundary_check(self):
+        m, n = self.ctype.m, self.ctype.n
+        if len(self.rows) != m:
+            raise InvalidInputError(f"rows must have {m} entries: {self.rows}")
+        ext = self.rows + (self.rows[0] - (n - m),)
+        if any(ext[i] < ext[i + 1] for i in range(m)):
+            raise InvalidInputError(
+                f"rows must satisfy R1 >= ... >= Rm >= R1 - (n-m): {self.rows}")
+
+    def polynomial_check(self):
+        if self.nvars < 0 or self.degree < 0:
+            raise InvalidInputError("nvars and degree must be non-negative")
+        clean = {}
+        for lam, c in self.coeffs.items():
+            if c == 0:
+                continue
+            lam = check_partition(tuple(lam))
+            if sum(lam) != self.degree:
+                raise GradingError(f"key {lam} does not have degree {self.degree}")
+            if len(lam) > self.nvars:
+                raise InvalidInputError(
+                    f"key {lam} has more than {self.nvars} parts")
+            clean[lam] = c
+        object.__setattr__(self, "coeffs", clean)
+
+    def polynomial_repr(self) -> str:
+        terms = " + ".join(f"{c}*m{list(lam)}" for lam, c in
+                           sorted(self.coeffs.items())) or "0"
+        return f"SymmetricPolynomial(N={self.nvars}, deg={self.degree}: {terms})"
+
+    def nilcoxeter_check(self):
+        clean = {}
+        for w, c in self.terms.items():
+            if c == 0:
+                continue
+            if w.n != self.n:
+                raise InvalidInputError(f"key period {w.n} != {self.n}")
+            clean[w] = c
+        grades = {w.length for w in clean}
+        if len(grades) > 1:
+            raise GradingError(f"mixed grades {sorted(grades)} in one element")
+        object.__setattr__(self, "terms", clean)
+
+    def nilcoxeter_repr(self) -> str:
+        if not self.terms:
+            return f"NilCoxeterElement(n={self.n}, 0)"
+        body = " + ".join(
+            f"{c}*A{list(w.window)}"
+            for w, c in sorted(self.terms.items(),
+                               key=lambda t: (t[0].length, t[0].window)))
+        return f"NilCoxeterElement(n={self.n}: {body})"
+
+    specs = [
+        ("AffinePermutation",
+         [("n", int), ("window", tuple),
+          ("_length", int, field(default=None, init=False, repr=False,
+                                 compare=False))],
+         {"__post_init__": affine_check}, {"frozen": True, "slots": True}),
+        ("CylType", [("m", int), ("n", int)],
+         {"__post_init__": type_check}, {"frozen": True}),
+        ("PeriodicSequence", [("ctype", object), ("rows", tuple)],
+         {"__post_init__": boundary_check}, {"frozen": True}),
+        ("CylindricShape",
+         [("ctype", object), ("lam", tuple), ("d", int), ("mu", tuple),
+          ("outer", object, field(compare=False, repr=False)),
+          ("inner", object, field(compare=False, repr=False))],
+         {}, {"frozen": True}),
+        ("SymmetricPolynomial",
+         [("nvars", int), ("degree", int),
+          ("coeffs", dict, field(default_factory=dict))],
+         {"__post_init__": polynomial_check, "__repr__": polynomial_repr},
+         {"frozen": True}),
+        ("AffineSchurExpansion",
+         [("n", int), ("coeffs", dict),
+          ("shapes", dict, field(default=None, compare=False))],
+         {}, {"frozen": True}),
+        ("SchurExpansion", [("coeffs", dict)], {}, {"frozen": True}),
+        ("NilCoxeterElement",
+         [("n", int), ("terms", dict, field(default_factory=dict))],
+         {"__post_init__": nilcoxeter_check, "__repr__": nilcoxeter_repr},
+         {"frozen": True}),
+        ("SuiteResult",
+         [("name", str), ("passed", bool), ("checks", int), ("seconds", float),
+          ("failures", list, field(default_factory=list))],
+         {}, {}),
+    ]
+    return {name: make_dataclass(name, fields, namespace=namespace, **options)
+            for name, fields, namespace, options in specs}

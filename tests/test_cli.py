@@ -657,11 +657,12 @@ class TestHelp:
 
 
 def test_cold_expand_imports_no_argparse():
+    # nor dataclasses, which brings in inspect, dis, ast and copy
     code = ("import sys\n"
             "from cylkit.cli import main\n"
             "main(['expand', '--n', '4', '--word', '0,1', '--output', 'json'])\n"
-            "print(sorted(m for m in ('argparse', 'gettext', 'locale')"
-            " if m in sys.modules))\n")
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale',"
+            " 'dataclasses', 'inspect') if m in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)

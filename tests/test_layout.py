@@ -2,8 +2,8 @@
 no module of the package or the tests imports a name it does not use, no
 function of the package re-imports from a module its file imports at top
 level, the package calls no ``.value(...)`` reader, keeps derived values
-in fields (no ``cached_property``, no instance ``__dict__``), and it
-computes with integers only.
+in fields (no ``cached_property``, no instance ``__dict__``), imports no
+``dataclasses``, and it computes with integers only.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -243,6 +243,30 @@ def test_package_keeps_derived_values_in_fields():
              for path in sorted(PACKAGE.glob("*.py"))
              if (stores := derived_value_stores(
                  ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
+def dataclass_imports(tree: ast.Module) -> list[str]:
+    """Lines that import ``dataclasses`` or a name from it, at any depth:
+    the value classes are written out, and the module costs a fresh
+    process ``inspect``, ``dis``, ``ast`` and ``copy`` on import."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+            or (isinstance(node, ast.Import)
+                and any(alias.name == "dataclasses" for alias in node.names))]
+
+
+def test_dataclass_import_check_flags_planted_imports():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import field\n\n"
+                     "def f():\n    import dataclasses as dc\n    return dc\n"
+                     "import dataclasses_json\n")
+    assert dataclass_imports(tree) == ["line 1", "line 2", "line 5"]
+
+
+def test_package_imports_no_dataclasses():
+    found = {path.name: lines
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := dataclass_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert found == {}
 
 
