@@ -19,11 +19,16 @@ Layout:
                     Schur polynomial, the bijection between Grassmannian
                     elements and shapes.
 - ``symfunc``    -- exact symmetric-polynomial arithmetic in the monomial
-                    basis; classical (skew) Schur polynomials and the
-                    Littlewood-Richardson oracle.
+                    basis; the chain fold behind the three weight tables
+                    and the affine Stanley factorization table; classical
+                    (skew) Schur polynomials and the Littlewood-Richardson
+                    oracle.
 - ``stanley``    -- affine Stanley symmetric functions, the dual-Pieri
                     expansion algorithm and its brute-force oracle, the
-                    cylindric wrapper and Gromov-Witten lookup.
+                    cylindric wrapper and Gromov-Witten lookup.  It loads
+                    ``cylindric`` and ``symfunc`` on the first typed or
+                    oracle call, so a type-free expansion, and a type-free
+                    ``cylkit expand``, loads neither.
 - ``nilcoxeter`` -- the affine nilCoxeter algebra and machine checks of the
                     algebraic identities used by the expansion.
 - ``verify``     -- property suites at configurable scale, shared by the
@@ -31,7 +36,9 @@ Layout:
 - ``frozen``     -- ``Frozen``, the base of the slotted immutable value
                     classes: read-only fields, ``repr``, pickle and copy.
 - ``memo``       -- the registry of memo tables and ``clear_caches``.
-- ``cli``        -- command-line front end.
+- ``cli``        -- command-line front end; it imports ``cylindric`` only
+                    inside ``cylindric``, ``gw`` and ``expand --m``, and
+                    ``verify`` only inside its command.
 """
 
 from cylkit.errors import (

@@ -45,14 +45,6 @@ from cylkit.affine import (
     is_321_avoiding,
     shape_of,
 )
-from cylkit.cylindric import (
-    CylType,
-    cell_count,
-    is_toric,
-    render_shape,
-    shape_new,
-    skew_word,
-)
 from cylkit.errors import (
     CapExceededError,
     InvalidInputError,
@@ -119,7 +111,11 @@ def cmd_expand(args: SimpleNamespace) -> int:
         raise InvalidInputError(
             f"word letters must lie in 0..{args.n - 1}: {list(args.word)}")
     w = AffinePermutation.from_word(args.n, args.word)
-    ctype = CylType(args.m, args.n) if args.m is not None else None
+    ctype = None
+    if args.m is not None:
+        from cylkit.cylindric import CylType
+
+        ctype = CylType(args.m, args.n)
     expansion = expand_affine_schur(w, ctype=ctype, cap=args.cap)
     rows = expansion.to_rows()
     payload = {"command": "expand", "n": args.n,
@@ -145,6 +141,8 @@ def cmd_cylindric(args: SimpleNamespace) -> int:
     --diagram prints the staircase diagram with diagonal labels; --cap
     bounds the cell count (exit 3 above it); --output is text or json.
     """
+    from cylkit.cylindric import CylType, cell_count, render_shape, shape_new, skew_word
+
     ctype = CylType(args.m, args.n)
     shape = shape_new(ctype, args.lam, args.d, args.mu)
     w = skew_word(shape)
@@ -172,6 +170,8 @@ def cmd_gw(args: SimpleNamespace) -> int:
     bounds the cell count of lambda/d/mu (exit 3 above it); --output is
     text or json.
     """
+    from cylkit.cylindric import CylType, is_toric, shape_new
+
     ctype = CylType(args.m, args.n)
     value = gromov_witten(ctype, args.lam, args.d, args.mu, args.nu,
                           cap=args.cap)

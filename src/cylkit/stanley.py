@@ -29,7 +29,8 @@ table of ``w`` against the affine Schur basis by unitriangular elimination
 (:func:`cylkit.symfunc.resolve`, the solver of the Schur change of basis),
 since the affine Schur function of a bounded partition ``lam`` is ``m_lam``
 plus monomials dominance-below ``lam``.  Its monomial tables are chains of
-left-factor peels, folded by :func:`cylkit.symfunc.chain_table`.
+left-factor peels, :func:`cylkit.symfunc._stanley_table`, which lives next
+to the fold :func:`cylkit.symfunc.chain_table`.
 
 Grassmannianization.  The generic construction sweeps the code ``c_i`` into
 a decreasing run by sliding maxima rightward (each slide is an ascent, so
@@ -38,6 +39,19 @@ elements of a cylindric type the constructed ``v`` is instead a skew
 boundary word from a flat boundary, with the much smaller bound
 ``(n-m)(m-1)/2``; the expansion takes it whenever every letter occurs, as
 the sweep grew the recursion's states up to 200-fold on such elements.
+
+Imports.  The type-free expansion needs neither :mod:`cylkit.cylindric`
+nor :mod:`cylkit.symfunc`, so this module does not import them at load
+time, and a type-free ``cylkit expand`` loads neither.  The typed entry
+points (:func:`expand_affine_schur` given a type, :func:`grassmannianize_321`,
+:func:`expand_cylindric`, :func:`gromov_witten`) and the oracles
+(:func:`stanley_monomials`, :func:`oracle_expand`, :func:`toric_gw_oracle`)
+import the module they use once per call, never inside the recursion or
+per oracle column.  They import it whole (``import cylkit.cylindric as
+cylindric``): taking names from a plain module with ``from`` costs about
+three times as much per call, as CPython looks for the module's missing
+``__path__``.  The types ``CylType``, ``CylindricShape`` and
+``SymmetricPolynomial`` in their signatures are those of the two modules.
 """
 
 from __future__ import annotations
@@ -50,12 +64,10 @@ from cylkit.affine import (
     AffinePermutation,
     code_shape,
     cyclic_factors,
-    cyclic_word,
     grassmannian_code,
     grassmannian_from_kbounded,
     inverse_window,
     letter_multiplicities,
-    proper_subsets,
     rotate,
     rotation_key,
     shape_of,
@@ -63,103 +75,29 @@ from cylkit.affine import (
     turned_window,
     window_descents,
 )
-from cylkit.cylindric import (
-    DEFAULT_TABLEAU_CAP,
-    CylType,
-    CylindricShape,
-    PeriodicSequence,
-    boundary_word,
-    cylindric_schur_poly,
-    in_A,
-    is_toric,
-    phi,
-    shape_new,
-    skew_word,
-)
 from cylkit.errors import CapExceededError, InvalidInputError, PositivityError
 from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, fits_box, schedule_less
-from cylkit.symfunc import (
-    SymmetricPolynomial,
-    WeightTable,
-    chain_table,
-    expand_in_schur,
-    resolve,
-)
 
 DEFAULT_EXPAND_CAP = 40
 DEFAULT_STANLEY_CAP = 14
 DEFAULT_ORACLE_CAP = 9
 
 _EXPAND_MEMO: dict = memo.table()
-_PEEL_WORDS_CACHE: dict = memo.table()
-
-
-def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical words of ``d_J`` over every ``J`` of ``size`` elements, in
-    the order of ``proper_subsets``; built once per ``(n, size)``."""
-    hit = _PEEL_WORDS_CACHE.get((n, size))
-    if hit is None:
-        hit = _PEEL_WORDS_CACHE.setdefault((n, size), tuple(
-            cyclic_word(n, members, True)
-            for members in proper_subsets(n, size)))
-    return hit
 
 
 # -- monomial expansion --------------------------------------------------------
 
 
 def stanley_monomials(w: AffinePermutation, nvars: int) -> SymmetricPolynomial:
-    """The monomial expansion of ``F_w`` in ``nvars`` variables: the table
-    of :func:`_stanley_table`, validated as a symmetric polynomial."""
-    return SymmetricPolynomial.from_weight_table(
-        nvars, w.length, _stanley_table(w, nvars))
+    """The monomial expansion of ``F_w`` in ``nvars`` variables: the
+    factorization table of :func:`cylkit.symfunc._stanley_table`, validated
+    as a symmetric polynomial.  A ``w`` longer than
+    :data:`DEFAULT_STANLEY_CAP` raises :class:`CapExceededError`."""
+    import cylkit.symfunc as symfunc
 
-
-def _stanley_table(w: AffinePermutation, nvars: int) -> WeightTable:
-    """Coefficient of ``x^alpha``: factorizations of ``w`` into ``nvars``
-    cyclically decreasing factors with lengths ``alpha`` (identity factors
-    allowed).  ``F_w`` is symmetric (Lam 2006), so only the factorizations
-    whose lengths never increase are counted, one per partition ``alpha``
-    padded with zeros to ``nvars`` entries (the raw chain table).
-
-    Computed by peeling left factors ``u = d_J * rest`` length-additively,
-    on the inverse window ``y = u^-1`` alone: ``s_i`` is a left descent of
-    ``u`` iff ``y(i) > y(i+1)`` (``y(0) = y(n) - n``), and ``s_i * u`` has
-    the inverse window ``y`` with positions ``i, i+1`` swapped.  Each ``J``
-    is tested one letter of the canonical word of ``d_J`` at a time and
-    dropped at the first letter that is not a descent, so no product and no
-    length is computed; :func:`cylkit.symfunc.chain_table` folds the chains
-    of states ``(y, len(u))`` down to ``(identity, 0)``.  The route is
-    independent of :func:`cylkit.affine.cyclic_factors`, which the oracle
-    certifies.
-    """
-    if w.length > DEFAULT_STANLEY_CAP:
-        raise CapExceededError(
-            f"length {w.length} exceeds cap {DEFAULT_STANLEY_CAP}")
-    n = w.n
-
-    def step(state: tuple[tuple[int, ...], int]):
-        y, ell = state
-        for size in range(min(n - 1, ell) + 1):
-            for word in _peel_words(n, size):
-                z = list(y)
-                for i in word:
-                    if i:
-                        a, b = z[i - 1], z[i]
-                        if a < b:
-                            break
-                        z[i - 1], z[i] = b, a
-                    else:
-                        a, b = z[-1] - n, z[0]
-                        if a < b:
-                            break
-                        z[0], z[-1] = a, b + n
-                else:
-                    yield (tuple(z), ell - size), size
-
-    return chain_table(("stanley", n), (w.inverse().window, w.length), nvars,
-                       step, (tuple(range(1, n + 1)), 0), w.length)
+    return symfunc.SymmetricPolynomial.from_weight_table(
+        nvars, w.length, symfunc._stanley_table(w, nvars, DEFAULT_STANLEY_CAP))
 
 
 # -- Grassmannianization -------------------------------------------------------
@@ -230,6 +168,8 @@ def grassmannianize(w: AffinePermutation) -> tuple[AffinePermutation, int]:
 def _candidate_boundaries(ctype: CylType):
     """All boundaries up to value translation by n: ``R_m = offset`` and the
     gaps ``R_{p-1} - R_p`` read from the bottom row up."""
+    import cylkit.cylindric as cylindric
+
     m, n = ctype.m, ctype.n
     for offset in range(n):
         for gaps in itertools.product(range(n - m + 1), repeat=m - 1):
@@ -237,7 +177,7 @@ def _candidate_boundaries(ctype: CylType):
                 continue
             rows = tuple(itertools.accumulate(gaps, initial=offset))[::-1]
             # up from R_m the rows rise by gaps >= 0 that sum to <= n - m
-            yield PeriodicSequence._trusted(ctype, rows)
+            yield cylindric.PeriodicSequence._trusted(ctype, rows)
 
 
 def grassmannianize_321(w: AffinePermutation,
@@ -249,10 +189,12 @@ def grassmannianize_321(w: AffinePermutation,
     best flat boundary ``alpha(a)`` below ``beta``; averaging the cell counts
     over the ``m`` anchors gives ``len(v) <= (n-m)(m-1)/2``.
     """
+    import cylkit.cylindric as cylindric
+
     m, n = ctype.m, ctype.n
     if w.n != n:
         raise InvalidInputError(f"period mismatch: {w.n} vs {n}")
-    if not in_A(w, ctype):
+    if not cylindric.in_A(w, ctype):
         raise InvalidInputError(f"{w} is not in the ({n - m},{m}) basis")
     ready = _already_grassmannian(w)
     if ready is not None:
@@ -274,9 +216,9 @@ def grassmannianize_321(w: AffinePermutation,
     floor = beta.row_bound(a + m - 1)
     rows = tuple(floor + (n - m) if p < a else floor for p in range(1, m + 1))
     # weakly decreasing, and R_1 - R_m is 0 or n - m
-    alpha = PeriodicSequence._trusted(ctype, rows)
+    alpha = cylindric.PeriodicSequence._trusted(ctype, rows)
 
-    v = boundary_word(alpha, beta)
+    v = cylindric.boundary_word(alpha, beta)
     p = (floor + 1 - a) % n
     bound = (n - m) * (m - 1) // 2
     if v.length > bound:
@@ -453,7 +395,11 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds cap {cap}")
-    in_basis = ctype is not None and in_A(w, ctype)
+    in_basis = False
+    if ctype is not None:
+        import cylkit.cylindric as cylindric
+
+        in_basis = cylindric.in_A(w, ctype)
     table = _EXPAND_MEMO.get((w.n, rotation_key(w.n, w.window)))
     if table is None:
         tight = in_basis and all(c > 0 for c in letter_multiplicities(w).values())
@@ -462,7 +408,7 @@ def expand_affine_schur(w: AffinePermutation, ctype: CylType | None = None,
     shapes = None
     if in_basis:
         try:
-            shapes = {u: phi(u, ctype) for u in table}
+            shapes = {u: cylindric.phi(u, ctype) for u in table}
         except InvalidInputError as exc:
             raise PositivityError(f"support of {w} left the basis: {exc}") from None
     return AffineSchurExpansion(w.n, table, shapes)
@@ -491,6 +437,8 @@ def oracle_expand(w: AffinePermutation,
     """
     if w.length > cap:
         raise CapExceededError(f"length {w.length} exceeds oracle cap {cap}")
+    import cylkit.symfunc as symfunc
+
     n = w.n
 
     def element(lead: tuple[int, ...]) -> AffinePermutation:
@@ -500,9 +448,10 @@ def oracle_expand(w: AffinePermutation,
         if lead[:1] >= (n,):
             return None
         g = element(lead)
-        return _stanley_table(g, g.length)
+        return symfunc._stanley_table(g, g.length, DEFAULT_STANLEY_CAP)
 
-    coeffs = resolve(_stanley_table(w, w.length), column)
+    coeffs = symfunc.resolve(symfunc._stanley_table(w, w.length, DEFAULT_STANLEY_CAP),
+                             column)
     return AffineSchurExpansion(n, {element(lead): c for lead, c in coeffs.items()})
 
 
@@ -536,7 +485,9 @@ def expand_cylindric(shape: CylindricShape,
                      cap: int = DEFAULT_EXPAND_CAP) -> SchurExpansion:
     """Expansion of the cylindric skew Schur function of ``shape`` into
     cylindric Schur functions ``nu/e/()``; coefficients are non-negative."""
-    expansion = expand_affine_schur(skew_word(shape), ctype=shape.ctype, cap=cap)
+    import cylkit.cylindric as cylindric
+
+    expansion = expand_affine_schur(cylindric.skew_word(shape), ctype=shape.ctype, cap=cap)
     # a skew word is in the basis of its type, so every key has its shape
     return SchurExpansion({(s.lam, s.d): expansion.coeffs[u]
                            for u, s in expansion.shapes.items()})
@@ -551,29 +502,37 @@ def gromov_witten(ctype: CylType, lam, d: int, mu, nu,
     Littlewood-Richardson coefficient.  ``cap`` bounds the cell count of
     ``lam/d/mu`` as in :func:`expand_cylindric`.
     """
+    import cylkit.cylindric as cylindric
+
     m, n = ctype.m, ctype.n
     nu = check_partition(tuple(nu))
     if not fits_box(nu, m, n - m):
         raise InvalidInputError(f"nu={nu} does not fit the ({m},{n}) box")
-    shape = shape_new(ctype, lam, d, mu)
+    shape = cylindric.shape_new(ctype, lam, d, mu)
     if sum(shape.lam) + n * d != sum(shape.mu) + sum(nu):
         return 0
     return expand_cylindric(shape, cap=cap).coeffs.get((nu, 0), 0)
 
 
 def toric_gw_oracle(ctype: CylType, lam, d: int, mu,
-                    cap: int = DEFAULT_TABLEAU_CAP) -> dict[Partition, int]:
+                    cap: int | None = None) -> dict[Partition, int]:
     """Independent route: Schur-resolve the toric polynomial in m variables.
 
     Equals the degree-0 slice of :func:`expand_cylindric` on toric shapes.
     ``cap`` bounds the cell count as in
-    :func:`cylkit.cylindric.cylindric_schur_poly`.
+    :func:`cylkit.cylindric.cylindric_schur_poly`, whose default
+    :data:`cylkit.cylindric.DEFAULT_TABLEAU_CAP` it takes when omitted.
     """
-    shape = shape_new(ctype, lam, d, mu)
-    if not is_toric(shape):
+    import cylkit.cylindric as cylindric
+    import cylkit.symfunc as symfunc
+
+    shape = cylindric.shape_new(ctype, lam, d, mu)
+    if not cylindric.is_toric(shape):
         raise InvalidInputError(f"{shape} is not toric")
-    poly = cylindric_schur_poly(shape, ctype.m, cap=cap)
-    table = expand_in_schur(poly)
+    if cap is None:
+        cap = cylindric.DEFAULT_TABLEAU_CAP
+    poly = cylindric.cylindric_schur_poly(shape, ctype.m, cap=cap)
+    table = symfunc.expand_in_schur(poly)
     m, n = ctype.m, ctype.n
     for nu in table:
         if nu and (len(nu) > m or nu[0] > n - m):

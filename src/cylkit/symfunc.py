@@ -5,8 +5,10 @@ A :class:`SymmetricPolynomial` is a homogeneous symmetric polynomial in
 polynomials ``m_lambda`` (keys are partitions with at most ``nvars`` parts).
 :func:`chain_table` is the one memoized fold over chains of steps whose
 weights never increase: classical (skew) tableaux are chains of partitions
-with horizontal-strip steps, and cylindric tableaux and Stanley
-factorizations bring their own step rules.  All three weight tables are
+with horizontal-strip steps, cylindric tableaux bring their own step rule
+from :mod:`cylkit.cylindric`, and the affine Stanley factorization table
+(:func:`_stanley_table`, left-factor peels on inverse windows) sits here,
+next to the fold, with its own.  All three weight tables are
 symmetric (skew Schur functions by the Bender-Knuth involution, cylindric
 ones by Gessel-Krattenthaler and Postnikov, affine Stanley functions by Lam),
 so the coefficient of ``m_lambda`` is the number of chains whose weights
@@ -23,7 +25,10 @@ The change of basis into Schur polynomials is done by unitriangular
 elimination (:func:`resolve`, which the affine Schur oracle shares) on raw
 chain tables, so no column is rebuilt or re-validated as a polynomial.
 Everything is integer-exact; this module is the oracle side of the package
-and is deliberately independent of the cylindric machinery.
+and is deliberately independent of the cylindric machinery (it reads
+:mod:`cylkit.affine` only for the Stanley table's words).  A type-free
+expansion does not load it: :mod:`cylkit.stanley` imports it inside its
+oracles.
 """
 
 from __future__ import annotations
@@ -32,13 +37,15 @@ import itertools
 from collections.abc import Callable, Iterable
 
 from cylkit import memo
-from cylkit.errors import GradingError, InvalidInputError, SolveError
+from cylkit.affine import AffinePermutation, cyclic_word, proper_subsets
+from cylkit.errors import CapExceededError, GradingError, InvalidInputError, SolveError
 from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, contains, part
 
 WeightTable = dict[tuple[int, ...], int]
 
 _CHAIN_MEMO: dict = memo.table()
+_PEEL_WORDS_CACHE: dict = memo.table()
 
 
 class SymmetricPolynomial(Frozen):
@@ -223,6 +230,67 @@ def skew_schur_poly(lam: Partition, mu: Partition, nvars: int) -> SymmetricPolyn
     degree = sum(lam) - sum(mu)
     table = _skew_weight_table(lam, mu, nvars)
     return SymmetricPolynomial.from_weight_table(nvars, degree, table)
+
+
+# -- affine Stanley factorizations ------------------------------------------
+
+
+def _peel_words(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical words of ``d_J`` over every ``J`` of ``size`` elements, in
+    the order of ``proper_subsets``; built once per ``(n, size)``."""
+    hit = _PEEL_WORDS_CACHE.get((n, size))
+    if hit is None:
+        hit = _PEEL_WORDS_CACHE.setdefault((n, size), tuple(
+            cyclic_word(n, members, True)
+            for members in proper_subsets(n, size)))
+    return hit
+
+
+def _stanley_table(w: AffinePermutation, nvars: int, cap: int) -> WeightTable:
+    """Coefficient of ``x^alpha`` in the affine Stanley function ``F_w``:
+    factorizations of ``w`` into ``nvars`` cyclically decreasing factors
+    with lengths ``alpha`` (identity factors allowed).  ``F_w`` is symmetric
+    (Lam 2006), so only the factorizations whose lengths never increase are
+    counted, one per partition ``alpha`` padded with zeros to ``nvars``
+    entries (the raw chain table).  A ``w`` longer than ``cap`` raises
+    :class:`CapExceededError`.
+
+    Computed by peeling left factors ``u = d_J * rest`` length-additively,
+    on the inverse window ``y = u^-1`` alone: ``s_i`` is a left descent of
+    ``u`` iff ``y(i) > y(i+1)`` (``y(0) = y(n) - n``), and ``s_i * u`` has
+    the inverse window ``y`` with positions ``i, i+1`` swapped.  Each ``J``
+    is tested one letter of the canonical word of ``d_J`` at a time and
+    dropped at the first letter that is not a descent, so no product and no
+    length is computed; :func:`chain_table` folds the chains of states
+    ``(y, len(u))`` down to ``(identity, 0)``.  The route is independent of
+    :func:`cylkit.affine.cyclic_factors`, which the affine Schur oracle
+    certifies.
+    """
+    if w.length > cap:
+        raise CapExceededError(f"length {w.length} exceeds cap {cap}")
+    n = w.n
+
+    def step(state: tuple[tuple[int, ...], int]):
+        y, ell = state
+        for size in range(min(n - 1, ell) + 1):
+            for word in _peel_words(n, size):
+                z = list(y)
+                for i in word:
+                    if i:
+                        a, b = z[i - 1], z[i]
+                        if a < b:
+                            break
+                        z[i - 1], z[i] = b, a
+                    else:
+                        a, b = z[-1] - n, z[0]
+                        if a < b:
+                            break
+                        z[0], z[-1] = a, b + n
+                else:
+                    yield (tuple(z), ell - size), size
+
+    return chain_table(("stanley", n), (w.inverse().window, w.length), nvars,
+                       step, (tuple(range(1, n + 1)), 0), w.length)
 
 
 # -- change of basis ----------------------------------------------------------

@@ -469,7 +469,7 @@ class TestMaxCyclicFactor:
             raise AssertionError("subset scan reached")
 
         monkeypatch.setattr("cylkit.affine.proper_subsets", no_scan)
-        monkeypatch.setattr("cylkit.stanley.proper_subsets", no_scan)
+        monkeypatch.setattr("cylkit.symfunc.proper_subsets", no_scan)
         clear_caches()
         w = W(16, 0, 8, 1, 9)  # u_{0,1} u_{8,9}, values from the scan
         assert max_cyclic_factor(w)[0] == frozenset({1, 9})
@@ -487,12 +487,15 @@ class TestMaxCyclicFactor:
 
     def test_monomial_tables_independent_of_cyclic_factors(self, monkeypatch):
         # the oracle certifies cyclic_factors, so its monomial tables must
-        # not reach it, its window walk or the swap runs of its branches
+        # not reach it, its window walk or the swap runs of its branches,
+        # from stanley or from symfunc, which holds the tables
         def refuse(*args):
             raise AssertionError("cyclic-factor route reached")
 
-        monkeypatch.setattr("cylkit.stanley.times_runs", refuse)
-        monkeypatch.setattr("cylkit.stanley.cyclic_factors", refuse)
+        for name in ("times_runs", "cyclic_factors"):
+            monkeypatch.setattr(f"cylkit.stanley.{name}", refuse)
+            # symfunc imports neither today; the patch catches one added later
+            monkeypatch.setattr(f"cylkit.symfunc.{name}", refuse, raising=False)
         monkeypatch.setattr("cylkit.affine.max_cyclic_factor", refuse)
         clear_caches()
         assert pinned_tables_hold()

@@ -656,17 +656,72 @@ class TestHelp:
         assert err.startswith("usage: cylkit expand") and "error:" in err
 
 
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return proc.stdout
+
+
 def test_cold_expand_imports_no_argparse():
-    # nor dataclasses, which brings in inspect, dis, ast and copy
+    # nor dataclasses, which brings in inspect, dis, ast and copy; nor the
+    # cylindric layer and the symmetric-function oracles, which a type-free
+    # expansion never calls
     code = ("import sys\n"
             "from cylkit.cli import main\n"
             "main(['expand', '--n', '4', '--word', '0,1', '--output', 'json'])\n"
             "print(sorted(m for m in ('argparse', 'gettext', 'locale',"
-            " 'dataclasses', 'inspect') if m in sys.modules))\n")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+            " 'dataclasses', 'inspect', 'cylkit.cylindric', 'cylkit.symfunc')"
+            " if m in sys.modules))\n")
+    assert _fresh(code).splitlines()[-1] == "[]"
+
+
+# The paths that import cylindric or symfunc on demand, each as code run
+# after ``import cylkit.cli`` alone.  ``expand --m`` on this full-support
+# word reaches grassmannianize_321, and gw on this toric shape reaches
+# toric_gw_oracle.
+ON_DEMAND = {
+    "expand --m": "cli.main(['expand', '--n', '6', '--word', '5,3,1,4,2,0',"
+                  " '--m', '3', '--output', 'json'])",
+    "cylindric": "cli.main(['cylindric', '--m', '3', '--n', '6', '--lambda', '2,1',"
+                 " '--d', '1', '--mu', '2,1', '--diagram', '--output', 'json'])",
+    "gw": "cli.main(['gw', '--m', '3', '--n', '6', '--lambda', '2,1', '--d', '1',"
+          " '--mu', '2,1', '--nu', '3,2,1', '--output', 'json'])",
+    "oracle_expand": "print(sorted((u.window, c) for u, c in stanley.oracle_expand("
+                     "AffinePermutation.from_word(4, [0, 1, 2, 0, 3])).coeffs.items()))",
+    "stanley_monomials": "print(sorted(stanley.stanley_monomials("
+                         "AffinePermutation.from_word(4, [1, 0, 2, 3]), 3).coeffs.items()))",
+}
+
+
+@pytest.mark.parametrize("name", ON_DEMAND)
+def test_on_demand_imports_in_a_fresh_interpreter(name, capsys, monkeypatch):
+    # in process the modules are loaded already, which hides a missing or
+    # misspelled local import; the fresh interpreter starts from the CLI
+    from cylkit import cli, stanley
+    from cylkit.affine import AffinePermutation
+    from cylkit.memo import clear_caches
+
+    clear_caches()  # a warm expansion memo would skip the Grassmannianization
+    reached = []
+    spied = {"expand --m": (stanley, "grassmannianize_321"),
+             "gw": (cli, "toric_gw_oracle")}.get(name)
+    if spied is not None:
+        original = getattr(*spied)
+        monkeypatch.setattr(*spied, lambda *a, **k: reached.append(1) or original(*a, **k))
+    exec(ON_DEMAND[name], {"cli": cli, "stanley": stanley,
+                           "AffinePermutation": AffinePermutation})
+    expected = capsys.readouterr().out
+    assert expected.strip()
+    assert bool(reached) == (spied is not None)
+    code = ("import sys\n"
+            "import cylkit.cli as cli\n"
+            "from cylkit import stanley\n"
+            "from cylkit.affine import AffinePermutation\n"
+            "assert not {'cylkit.cylindric', 'cylkit.symfunc'} & set(sys.modules)\n"
+            f"{ON_DEMAND[name]}\n")
+    assert _fresh(code) == expected
 
 
 @st.composite

@@ -24,6 +24,7 @@ from cylkit.affine import (
     shape_of,
 )
 from cylkit.cylindric import (
+    DEFAULT_TABLEAU_CAP,
     CylType,
     cell_count,
     cylindric_schur_poly,
@@ -891,6 +892,15 @@ class TestGromovWitten:
 
     def test_toric_oracle_empty_shape(self):
         assert toric_gw_oracle(T36, (), 0, ()) == {(): 1}
+
+    def test_toric_oracle_default_cap_is_the_tableau_cap(self):
+        # 17 cells, each row of (6, 6, 5) within n - m = 6, so toric; the
+        # omitted cap is cylindric's tableau cap, 16, as the bench calls it
+        ctype = CylType(3, 9)
+        assert cell_count(shape_new(ctype, (6, 6, 5), 0, ())) == 17 > DEFAULT_TABLEAU_CAP
+        with pytest.raises(CapExceededError):
+            toric_gw_oracle(ctype, (6, 6, 5), 0, ())
+        assert toric_gw_oracle(ctype, (6, 6, 5), 0, (), cap=17) == {(6, 6, 5): 1}
 
 
 class TestQuantumPieri:

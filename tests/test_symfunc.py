@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from cylkit import cylindric, stanley, symfunc
+from cylkit import cylindric, symfunc
 from cylkit.affine import elements_by_length
 from cylkit.cylindric import CylType, cell_count, cylindric_schur_poly, is_toric
 from cylkit.errors import GradingError, InvalidInputError
@@ -364,10 +364,14 @@ class TestChainTable:
     @pytest.fixture
     def spy(self, monkeypatch):
         """Route every caller's ``chain_table`` through ``wrap(call)``, from
-        and back to cleared caches."""
+        and back to cleared caches: the classical and Stanley rules call it
+        from ``symfunc`` and the cylindric rule from ``cylindric``, which
+        imports it by name."""
 
         def install(wrap):
-            for module in (symfunc, stanley, cylindric):
+            fold = symfunc.chain_table
+            for module in (symfunc, cylindric):
+                assert module.chain_table is fold
                 monkeypatch.setattr(module, "chain_table", wrap)
 
         clear_caches()
