@@ -295,9 +295,14 @@ class AffinePermutation(Frozen):
         (1, 0, 0)
         """
         n, win = self.n, self.window
-        return tuple(sum((wb - wi + n - 1) // n for wb in win[:i] if wb > wi)
-                     + sum((wb - wi) // n for wb in win[i + 1:] if wb > wi)
-                     for i, wi in enumerate(win))
+        code = []
+        for i, wi in enumerate(win):
+            c = 0
+            for b, wb in enumerate(win):
+                if wb > wi:
+                    c += (wb - wi + n - 1) // n if b < i else (wb - wi) // n
+            code.append(c)
+        return tuple(code)
 
 
 def enumerate_reduced_words(w: AffinePermutation, cap: int) -> tuple[Word, ...]:
@@ -380,6 +385,27 @@ def letter_multiplicities(w: AffinePermutation) -> dict[int, int]:
     return {i: sum(max(0, (i - t) // n - (i - v) // n)
                    for t, v in enumerate(win, 1))
             for i in range(n)}
+
+
+def full_support(w: AffinePermutation) -> bool:
+    """True iff every generator occurs in a reduced word of ``w``, in O(n):
+    ``s_i`` occurs iff some ``j <= i`` has ``w(j) > i`` (see
+    :func:`letter_multiplicities`), so one pass over the window with the
+    running maximum of ``w(j)``, ``j <= i``, decides, started at ``max
+    w(1-n .. 0)``, the window's maximum less ``n``; ``i = n`` stands for
+    ``s_0``.
+
+    >>> full_support(AffinePermutation.from_word(3, [0, 1])), full_support(
+    ...     AffinePermutation.from_word(3, [0, 1, 2]))
+    (False, True)
+    """
+    high = max(w.window) - w.n
+    for i, x in enumerate(w.window, 1):
+        if x > high:
+            high = x
+        if high <= i:
+            return False
+    return True
 
 
 # -- cyclically decreasing / increasing elements -----------------------------
@@ -493,38 +519,38 @@ def max_cyclic_factor(w: AffinePermutation, decreasing: bool = True
 
 
 def cyclic_factors(w: AffinePermutation, size: int, decreasing: bool = True
-                   ) -> list[tuple[frozenset[int], list[tuple[int, int]]]]:
+                   ) -> list[list[tuple[int, int]]]:
     """Every ``J`` of ``size`` elements splitting off ``d_J`` (``decreasing``)
     or ``u_J`` on the right length-additively, in the order of
-    ``proper_subsets``, each with its runs (:func:`cyclic_runs`): the ``J``
-    with ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``), or
-    with ``len(w * d_J) == len(w) - size``.  The left decreasing factors of
-    ``w`` are the right increasing factors of ``w^-1``.
+    ``proper_subsets``, each given by its runs (:func:`cyclic_runs`): the
+    ``J`` with ``len(w * u_J) == len(w) - size`` (so ``w = (w u_J) d_J``),
+    or with ``len(w * d_J) == len(w) - size``.  The left decreasing factors
+    of ``w`` are the right increasing factors of ``w^-1``.
 
     Criterion: ``J`` is admissible iff each of its runs fits within its
     generator's reach (:func:`max_cyclic_factor`; anchored at the run's
     first generator for decreasing factors and at its last for increasing
     ones).  Every admissible ``J`` lies inside the maximal factor, so only
     its ``C(|maximal|, size)`` subsets are tried, as sorted combinations
-    with no product formed; only an admissible one is made a frozenset.
+    with no product formed and no set built for any of them.
 
     >>> w = AffinePermutation.from_word(5, [1, 0, 3])  # s_1 s_0 s_3
     >>> cyclic_factors(w, 2)
-    [(frozenset({0, 1}), [(0, 1)]), (frozenset({0, 3}), [(0, 0), (3, 3)])]
-    >>> [sorted(J) for J, _ in cyclic_factors(w.inverse(), 2, False)]  # left
-    [[0, 1], [1, 3]]
+    [[(0, 1)], [(0, 0), (3, 3)]]
+    >>> cyclic_factors(w.inverse(), 2, False)  # left: {0, 1} and {1, 3}
+    [[(0, 1)], [(1, 1), (3, 3)]]
     """
     n = w.n
     if not 0 <= size < n:
         return []
     maximal, reach = max_cyclic_factor(w, decreasing)
     if size == 1:  # {p} is one run, anchored at p
-        return [(frozenset([p]), [(p, p)]) for p, r in enumerate(reach) if r]
+        return [[(p, p)] for p, r in enumerate(reach) if r]
     found = []
     for combo in itertools.combinations(sorted(maximal), size):
         runs = cyclic_runs(n, combo)
         if all(q - p < reach[p if decreasing else q % n] for p, q in runs):
-            found.append((frozenset(combo), runs))
+            found.append(runs)
     return found
 
 

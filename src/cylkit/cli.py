@@ -55,8 +55,8 @@ from cylkit.stanley import (
     DEFAULT_EXPAND_CAP,
     expand_affine_schur,
     expand_cylindric,
-    gromov_witten,
-    toric_gw_oracle,
+    gw_of_shape,
+    toric_gw_of_shape,
 )
 
 EXIT_OK = 0
@@ -173,14 +173,13 @@ def cmd_gw(args: SimpleNamespace) -> int:
     from cylkit.cylindric import CylType, is_toric, shape_new
 
     ctype = CylType(args.m, args.n)
-    value = gromov_witten(ctype, args.lam, args.d, args.mu, args.nu,
-                          cap=args.cap)
+    shape = shape_new(ctype, args.lam, args.d, args.mu)  # built once, for both routes
+    value = gw_of_shape(shape, args.nu, cap=args.cap)
     degree_ok = (sum(args.lam) + args.n * args.d
                  == sum(args.mu) + sum(args.nu))
-    shape = shape_new(ctype, args.lam, args.d, args.mu)
     toric = None
     if is_toric(shape):
-        oracle = toric_gw_oracle(ctype, args.lam, args.d, args.mu, cap=args.cap)
+        oracle = toric_gw_of_shape(shape, cap=args.cap)
         toric = oracle.get(args.nu, 0) == value
     payload = {"command": "gw", "m": ctype.m, "n": ctype.n,
                "lambda": list(args.lam), "d": args.d,

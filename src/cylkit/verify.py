@@ -26,10 +26,10 @@ from cylkit.affine import (
     cyclic_word,
     elements_by_length,
     enumerate_reduced_words,
+    full_support,
     grassmannian_from_kbounded,
     grassmannians_of_length,
     is_321_avoiding,
-    letter_multiplicities,
     proper_subsets,
     rotate,
     shape_of,
@@ -66,7 +66,7 @@ from cylkit.stanley import (
     grassmannianize_321,
     oracle_expand,
     stanley_monomials,
-    toric_gw_oracle,
+    toric_gw_of_shape,
 )
 from cylkit.symfunc import (
     SymmetricPolynomial,
@@ -343,7 +343,7 @@ def suite_shift_property(max_n: int | None = None, max_len: int | None = None,
                 continue
             tally.checks += 1
             lam, d, mu = shape.lam, shape.d, shape.mu
-            oracle = toric_gw_oracle(ctype, lam, d, mu)
+            oracle = toric_gw_of_shape(shape)
             degree_zero = {nu: c for (nu, e), c in
                            expand_cylindric(shape).coeffs.items() if e == 0}
             if oracle != degree_zero:
@@ -564,7 +564,7 @@ def suite_grassmannianize_bounds(max_n: int | None = None,
         bound = (n - m) * (m - 1) // 2
         for shape in valid_shapes(ctype, _cap(8, max_len)):
             w = skew_word(shape)
-            if any(c == 0 for c in letter_multiplicities(w).values()):
+            if not full_support(w):
                 continue
             v, p = grassmannianize_321(w, ctype)
             wv = w * v

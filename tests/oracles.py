@@ -325,11 +325,13 @@ def maximal_cdd(w: AffinePermutation) -> tuple[list[frozenset[int]], Partition]:
     return sets, check_partition(tuple(len(J) for J in sets))
 
 
-def grassmannianize_by_elements(w: AffinePermutation
+def grassmannianize_by_elements(w: AffinePermutation, seed: int | None = None
                                 ) -> tuple[AffinePermutation, int]:
     """The generic Grassmannianization sweep on group elements: every step
     multiplies ``w*v`` and ``v`` by ``s_i``, checks that it is an ascent, and
-    reads the statistics ``c_i`` off the new element by unfolding."""
+    reads the statistics ``c_i`` off the new element by unfolding.  The run
+    starts at the code position ``seed + 1``, which must hold a maximum of
+    the code, or at the first maximum when ``seed`` is None."""
     n = w.n
     for p in range(n):
         if w.is_grassmannian(p):
@@ -340,7 +342,11 @@ def grassmannianize_by_elements(w: AffinePermutation
         return code_unfolded(u, (pos - 1) % n + 1)
 
     best = max(cval(cur, p) for p in range(1, n + 1))
-    q = min(p for p in range(1, n + 1) if cval(cur, p) == best) - 1
+    if seed is None:
+        seed = min(p for p in range(1, n + 1) if cval(cur, p) == best) - 1
+    if cval(cur, seed + 1) != best:
+        raise ValueError(f"seed {seed} is not a maximum of the code")
+    q = seed
     r = 1
     while r < n - 1:
         tail = list(range(q + r + 1, q + n + 1))

@@ -14,9 +14,11 @@ from cylkit.affine import (
     cyclic_word,
     elements_by_length,
     enumerate_reduced_words,
+    full_support,
     grassmannian_code,
     grassmannian_from_kbounded,
     grassmannians_of_length,
+    interval_set,
     inverse_window,
     is_321_avoiding,
     letter_multiplicities,
@@ -479,7 +481,7 @@ class TestMaxCyclicFactor:
         v0 = rotate(v, -p)  # the tail the expansion starts from
         assert shape_of(v0) == maximal_cdd(v0)[1] == (1,) * 7
         assert in_A(w, CylType(8, 16)) and not in_A(w, CylType(2, 16))
-        assert cyclic_factors(w, 2) == [(frozenset({1, 9}), [(1, 1), (9, 9)])]
+        assert cyclic_factors(w, 2) == [[(1, 1), (9, 9)]]
         # F_w = e_2 * e_2, as oracle_expand finds in test_stanley
         expansion = expand_affine_schur(w)
         assert {shape_of(u): c for u, c in expansion.coeffs.items()} == {
@@ -598,18 +600,21 @@ class TestCyclicFactors:
                     for size in range(n):
                         for decreasing in (True, False):
                             found = cyclic_factors(w, size, decreasing)
-                            sets = [J for J, _ in found]
+                            # each J read off its runs, which must be its own
+                            sets = [frozenset().union(*(interval_set(n, p, q)
+                                                        for p, q in runs))
+                                    for runs in found]
                             assert len(set(sets)) == len(sets), (w, size, decreasing)
                             assert sets == cyclic_factors_exhaustive(
                                 w, size, decreasing), (w, size, decreasing)
-                            for J, runs in found:
+                            for J, runs in zip(sets, found):
                                 assert runs == list(cyclic_runs(n, J)), (w, J, runs)
                             cases += 1
         assert cases == 14812
 
     def test_empty_and_out_of_range_sizes(self):
         w = W(4, 1, 0)
-        assert cyclic_factors(w, 0) == [(frozenset(), [])]
+        assert cyclic_factors(w, 0) == [[]]
         assert cyclic_factors(w, 3) == []
         assert cyclic_factors(w, 4) == []
         assert cyclic_factors(w, -1) == []
@@ -811,6 +816,29 @@ class TestLetterMultiplicities:
                         assert got == greedy, w
                         avoiding += 1
         assert (elements, avoiding) == (2274, 874)
+
+    def test_full_support_matches_greedy_word(self):
+        # every element up to the grid's length, n = 2..7: full support iff
+        # the greedy reduced word uses every letter, and iff no window count
+        # is zero
+        elements = full = 0
+        for n, maxlen in [(2, 9), (3, 9), (4, 8), (5, 7), (6, 6), (7, 5)]:
+            for level in elements_by_length(n, maxlen):
+                for w in level:
+                    got = full_support(w)
+                    assert got == all(letter_multiplicities_greedy(w).values()), w
+                    assert got == all(letter_multiplicities(w).values()), w
+                    elements += 1
+                    full += got
+        assert (elements, full) == (3066, 935)
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=3 * n))))
+    def test_full_support_on_random_words(self, case):
+        n, word = case
+        w = AffinePermutation.from_word(n, word)
+        assert full_support(w) == all(letter_multiplicities_greedy(w).values())
 
     def test_all_words_agree_for_321_avoiding(self):
         for w in elements_by_length(4, 5)[5]:

@@ -210,6 +210,21 @@ class TestGw:
         assert payload["value"] == 2
         assert payload["toric_oracle_agrees"] is True
 
+    def test_builds_the_shape_once(self, capsys, monkeypatch):
+        # the README example: the expansion and the toric oracle share the
+        # one shape the command builds and validates
+        import cylkit.cylindric as cylindric
+
+        built = []
+        original = cylindric.shape_new
+        monkeypatch.setattr(cylindric, "shape_new",
+                            lambda *args: built.append(args) or original(*args))
+        code, out, _ = run(capsys, "gw", "--m", "3", "--n", "6", "--lambda", "2,1",
+                           "--d", "1", "--mu", "2,1", "--nu", "3,2,1")
+        assert code == EXIT_OK
+        assert "= 2\n" in out and "toric oracle agreement: True" in out
+        assert len(built) == 1
+
 
 class TestVerify:
     def test_example2_suite(self, capsys):
@@ -680,7 +695,7 @@ def test_cold_expand_imports_no_argparse():
 # The paths that import cylindric or symfunc on demand, each as code run
 # after ``import cylkit.cli`` alone.  ``expand --m`` on this full-support
 # word reaches grassmannianize_321, and gw on this toric shape reaches
-# toric_gw_oracle.
+# the toric oracle.
 ON_DEMAND = {
     "expand --m": "cli.main(['expand', '--n', '6', '--word', '5,3,1,4,2,0',"
                   " '--m', '3', '--output', 'json'])",
@@ -706,7 +721,7 @@ def test_on_demand_imports_in_a_fresh_interpreter(name, capsys, monkeypatch):
     clear_caches()  # a warm expansion memo would skip the Grassmannianization
     reached = []
     spied = {"expand --m": (stanley, "grassmannianize_321"),
-             "gw": (cli, "toric_gw_oracle")}.get(name)
+             "gw": (cli, "toric_gw_of_shape")}.get(name)
     if spied is not None:
         original = getattr(*spied)
         monkeypatch.setattr(*spied, lambda *a, **k: reached.append(1) or original(*a, **k))

@@ -58,6 +58,7 @@ from cylkit.symfunc import SymmetricPolynomial, lr_coeff, resolve
 from cylkit.verify import SHAPE_TYPES, valid_shapes
 
 from oracles import (
+    code_unfolded,
     dominance_le,
     dual_pieri_branches_exhaustive,
     expand_state_by_tail,
@@ -196,15 +197,38 @@ class TestGrassmannianize:
                 assert wv.is_grassmannian(p)
                 assert v.length <= bound
 
+    @staticmethod
+    def _seed_rule(w):
+        """The oracle's sweep from every maximum of the code, each run's
+        tracked part count checked against its tail, and the run with the
+        least ``(tail parts, len(v), seed)``; and the number of seeds."""
+        n = w.n
+        if any(w.is_grassmannian(p) for p in range(n)):
+            return grassmannianize_by_elements(w), 0
+        code = [code_unfolded(w, i) for i in range(1, n + 1)]
+        seeds = [q for q in range(n) if code[q] == max(code)]
+        runs = []
+        for q in seeds:
+            v, p = grassmannianize_by_elements(w, q)
+            parts = len(shape_of(rotate(v, -p)))
+            letters, tracked, p2 = stanley._sweep(n, list(code), q)
+            assert (tracked, p2) == (parts, p), (w, q)
+            assert AffinePermutation.from_word(n, letters) == v, (w, q)
+            runs.append(((parts, v.length, q), (v, p)))
+        return min(runs)[1], len(seeds)
+
     def test_matches_sweep_on_elements(self):
-        # every element of the cyclic-factor grid, n <= 7: 1,340 elements
-        cases = 0
+        # every element of the cyclic-factor grid, n <= 7: 1,340 elements,
+        # and every maximum of each code as a seed
+        cases = seeds = 0
         for n, maxlen in [(2, 8), (3, 7), (4, 6), (5, 5), (6, 5), (7, 4)]:
             for level in elements_by_length(n, maxlen):
                 for w in level:
-                    assert grassmannianize(w) == grassmannianize_by_elements(w), w
+                    expected, tried = self._seed_rule(w)
+                    assert grassmannianize(w) == expected, w
                     cases += 1
-        assert cases == 1340
+                    seeds += tried
+        assert (cases, seeds) == (1340, 1257)
 
     @settings(max_examples=100)
     @given(st.integers(2, 32).flatmap(lambda n: st.tuples(
@@ -212,7 +236,7 @@ class TestGrassmannianize:
     def test_matches_sweep_on_random_words(self, case):
         n, word = case
         w = AffinePermutation.from_word(n, word)
-        assert grassmannianize(w) == grassmannianize_by_elements(w)
+        assert grassmannianize(w) == self._seed_rule(w)[0]
 
 
 class TestGrassmannianize321:
