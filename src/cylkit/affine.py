@@ -9,7 +9,7 @@ and ``sum(w(1..n)) = n(n+1)/2``; it is stored as the window
 
 Every reader works on the window tuple, or on one list of it: a right
 descent at ``i`` is the adjacent pair ``w(i) > w(i+1)`` (``w(0) = w(n) -
-n``), a Grassmannian test is a descent scan, reduced words and products of
+n``), a Grassmannian test reads the descents, reduced words and products of
 letters are swaps on one list, and rotation is index arithmetic (so is
 the key of a rotation orbit, its least rotated window).  None
 evaluates ``w(i)`` one index at a time or builds an element per step; that
@@ -17,11 +17,13 @@ one-index reader is the test suite's oracle (``tests/oracles.py``).
 
 Also here: the code ``(c_1, ..., c_n)``, cyclically decreasing/increasing
 elements ``d_J`` / ``u_J`` for a proper subset ``J`` of ``Z/nZ`` (a plain
-frozenset, checked once, when :func:`cyclic_element` first builds it), the
-right cyclic factors of an element (a left factor of ``w`` is a right
-factor of ``w^-1`` in the other direction), and the bijection between
-0-Grassmannian elements and partitions with parts < n, read off the code
-(for those elements in O(n log n), as their windows increase).
+frozenset, checked by :func:`cyclic_word` each time an element is built
+from it), the right cyclic factors of an element (a left factor of ``w``
+is a right factor of ``w^-1`` in the other direction), and the bijection
+between 0-Grassmannian elements and partitions with parts < n: one swap
+run per part on the identity window builds the inverse one way, the code
+reads the partition the other (for those elements in O(n log n), as their
+windows increase).
 One walk along the window gives each generator's reach in a right factor
 and so the maximal factor, the union of the fitting intervals; the factors
 of one size are the subsets of the maximal one whose runs fit, and a
@@ -47,7 +49,6 @@ Word = tuple[int, ...]
 
 _REDUCED_WORDS_MEMO: dict[tuple[int, Word], tuple[Word, ...]] = memo.table()
 _GRASSMANNIAN_MEMO: dict = memo.table()
-_CYCLIC_ELEMENT_CACHE: dict = memo.table()
 
 
 def _swap(win: list[int], n: int, i: int) -> bool:
@@ -271,19 +272,15 @@ class AffinePermutation(Frozen):
 
     def is_grassmannian(self, p: int) -> bool:
         """True iff ``w(p+1) < w(p+2) < ... < w(p+n)``, i.e. iff no adjacent
-        window pair but the one at ``p`` is a right descent.
+        window pair but the one at ``p`` is a right descent
+        (:func:`window_descents`).
 
         Equivalently every reduced word ends with ``s_p``; the identity is
         declared p-Grassmannian for every p (empty descent set).
         """
-        n, win = self.n, self.window
+        n = self.n
         k = p % n
-        if k and win[n - 1] - n > win[0]:
-            return False
-        for i in range(1, n):
-            if i != k and win[i - 1] > win[i]:
-                return False
-        return True
+        return all(i == k for i in window_descents(n, self.window))
 
     def code(self) -> tuple[int, ...]:
         """``(c_1, ..., c_n)``: ``c_i`` counts the ``j < i`` with ``w(j) >
@@ -447,20 +444,8 @@ def cyclic_word(n: int, J: frozenset[int], decreasing: bool) -> Word:
 
 
 def cyclic_element(n: int, J: frozenset[int], decreasing: bool) -> AffinePermutation:
-    """``d_J`` (``decreasing``) or ``u_J``, built from :func:`cyclic_word`
-    once per ``(n, J, decreasing)`` and memoized."""
-    key = (n, J, decreasing)
-    hit = _CYCLIC_ELEMENT_CACHE.get(key)
-    if hit is None:
-        hit = _CYCLIC_ELEMENT_CACHE.setdefault(
-            key, AffinePermutation.from_word(n, cyclic_word(n, J, decreasing)))
-    return hit
-
-
-def interval_set(n: int, lo: int, hi: int) -> frozenset[int]:
-    """The cyclic interval ``[lo, hi]`` mod n."""
-    span = (hi - lo) % n + 1
-    return frozenset((lo + t) % n for t in range(span))
+    """``d_J`` (``decreasing``) or ``u_J``, built from :func:`cyclic_word`."""
+    return AffinePermutation.from_word(n, cyclic_word(n, J, decreasing))
 
 
 def proper_subsets(n: int, size: int) -> Iterator[frozenset[int]]:
@@ -605,14 +590,25 @@ def code_shape(code: tuple[int, ...]) -> Partition:
     return tuple(shape)
 
 
+def grassmannian_inverse_window(n: int, lam: Partition) -> tuple[int, ...]:
+    """The window of ``g(lam)^-1 = u_{J_1} ... u_{J_p}``, ``J_j = [1-j,
+    lam_j - j]``, for a partition ``lam`` with parts ``<= n - 1``: one run
+    of swaps per part on the identity window (:func:`times_runs`), each
+    of them checked to be an ascent, which makes the length ``|lam|``."""
+    win, falls = times_runs(range(1, n + 1), n,
+                            [(1 - j, part - j) for j, part in enumerate(lam, 1)], False)
+    if falls:
+        raise AssertionError(f"canonical element of {lam} is not length-additive")
+    return win
+
+
 def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
     """The 0-Grassmannian element of a partition with parts ``<= n - 1``.
 
     ``g(lam) = d_{J_p} ... d_{J_1}`` with ``J_j = [-j+1, lam_j - j]`` mod n,
-    built as ``d_{J_p} * g(lam[:-1])`` with ``p = len(lam)`` and memoized on
-    ``(n, lam)``, so each new partition costs one product on the partition
-    one part shorter.  ``lam`` is validated, and the product checked to be
-    length-additive and 0-Grassmannian, once per new entry.
+    the inverse of :func:`grassmannian_inverse_window`, memoized on ``(n,
+    lam)``.  On a miss ``lam`` is validated and the window checked to
+    increase, which makes the element 0-Grassmannian.
 
     >>> grassmannian_from_kbounded(6, (2, 1)).reduced_word()
     (5, 1, 0)
@@ -622,15 +618,13 @@ def grassmannian_from_kbounded(n: int, lam: Partition) -> AffinePermutation:
         check_partition(lam)
         if lam and lam[0] > n - 1:
             raise InvalidInputError(f"parts must be at most {n - 1}: {lam}")
-        if not lam:
+        if not lam:  # identity checks the period; a part <= n - 1 makes it >= 2
             hit = AffinePermutation.identity(n)
         else:
-            p = len(lam)
-            hit = (cyclic_element(n, interval_set(n, -p + 1, lam[-1] - p), True)
-                   * grassmannian_from_kbounded(n, lam[:-1]))
-            if hit.length != sum(lam) or not hit.is_grassmannian(0):
-                raise AssertionError(
-                    f"canonical Grassmannian product failed for {lam}")
+            win = inverse_window(n, grassmannian_inverse_window(n, lam))
+            if any(a > b for a, b in zip(win, win[1:])):
+                raise AssertionError(f"canonical element of {lam} is not 0-Grassmannian")
+            hit = AffinePermutation._trusted(n, win, sum(lam))
         hit = _GRASSMANNIAN_MEMO.setdefault((n, lam), hit)
     return hit
 

@@ -13,9 +13,12 @@ The ``J`` whose lengths drop are exactly the left and right cyclically
 decreasing factors of ``w'`` of size ``b`` (a left one is a right increasing
 factor of ``w'^-1``), which :func:`cylkit.affine.cyclic_factors` gives with
 their runs.  The recursion runs on ``(window, tail)``: every product is a
-run of swaps on a window, the head's ``g(lam)^-1 = u_{J_1} ... u_{J_p}`` too,
-and it builds no element per branch: only the two that each branching
-state hands to the factor search, and its table keys, once per leaf class.
+run of swaps on a window, and a minus branch's new tail is ``u_J``'s swaps
+on the window of ``g(head)^-1 = u_{J_1} ... u_{J_p}``, one swap run per
+part on the identity window, the one builder of the canonical elements
+(:func:`cylkit.affine.grassmannian_inverse_window`).
+It builds no element per branch: only the two that each branching state
+hands to the factor search, and its table keys, once per leaf class.
 
 Every element on the right carries a strictly smaller tail shape in the
 termination order :func:`cylkit.partitions.schedule_less` (smaller size
@@ -73,6 +76,7 @@ from cylkit.affine import (
     full_support,
     grassmannian_code,
     grassmannian_from_kbounded,
+    grassmannian_inverse_window,
     inverse_window,
     rotate,
     rotation_key,
@@ -329,17 +333,6 @@ def dual_pieri_branches(n: int, win: tuple[int, ...], length: int, part_size: in
     return b_plus, b_minus
 
 
-def _head_inverse(n: int, head: Partition) -> tuple[int, ...]:
-    """The window of ``g(head)^-1 = u_{J_1} ... u_{J_p}``, ``J_j = [1-j,
-    head_j - j]``: one run of swaps per part on the identity window, each
-    of them an ascent, as ``g(head)`` has length ``|head|``."""
-    win, falls = times_runs(range(1, n + 1), n,
-                            [(1 - j, part - j) for j, part in enumerate(head, 1)], False)
-    if falls:
-        raise AssertionError(f"head {head} is not length-additive")
-    return win
-
-
 def _expand_state(n: int, win: tuple[int, ...], length: int, tail: Partition,
                   key: tuple | None = None) -> dict:
     """Expansion table of ``F_u`` for the ``u`` of window ``win``, given
@@ -353,7 +346,8 @@ def _expand_state(n: int, win: tuple[int, ...], length: int, tail: Partition,
     ``F`` of the 0-Grassmannian ``rotate(u, -p)`` is its affine Schur
     function (Lam 2006), and that key is built there, with ``length``.
     Other states branch by :func:`dual_pieri_branches`; a minus branch's
-    new tail ``d_J g(head)`` is ``u_J``'s swaps on :func:`_head_inverse`,
+    new tail ``d_J g(head)`` is ``u_J``'s swaps on the window of
+    ``g(head)^-1`` (:func:`cylkit.affine.grassmannian_inverse_window`),
     inverted back, asserted 0-Grassmannian, and its code gives its shape
     and its size, which additivity asks to be ``|tail|``.  Every table is
     affine Schur positive (Lam 2008): a negative coefficient raises
@@ -377,7 +371,7 @@ def _expand_state(n: int, win: tuple[int, ...], length: int, tail: Partition,
     head = tail[:-1]
     branches = [(x, +1, head) for x in b_plus]
     if b_minus:  # only the minus branches read the head
-        g_inv = _head_inverse(n, head)
+        g_inv = grassmannian_inverse_window(n, head)
         for runs, y in b_minus:
             z = inverse_window(n, times_runs(g_inv, n, runs, False)[0])
             if any(a > b for a, b in zip(z, z[1:])):

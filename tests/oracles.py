@@ -21,7 +21,6 @@ from cylkit.affine import (
     cyclic_element,
     grassmannian_from_kbounded,
     grassmannians_of_length,
-    interval_set,
     max_cyclic_factor,
     proper_subsets,
     shape_of,
@@ -29,13 +28,13 @@ from cylkit.affine import (
 from cylkit.cli import _parse_csv_ints
 from cylkit.cylindric import CylindricShape, CylType, PeriodicSequence
 from cylkit.errors import GradingError, InvalidInputError, SolveError
-from cylkit.partitions import Partition, check_partition, part
+from cylkit.partitions import Partition, check_partition, part, partitions_of
 from cylkit.stanley import (
     DEFAULT_EXPAND_CAP,
     dual_pieri_branches,
     stanley_monomials,
 )
-from cylkit.symfunc import SymmetricPolynomial, resolve, schur_poly
+from cylkit.symfunc import SymmetricPolynomial, lr_coeff, resolve, schur_poly
 
 
 def orbit_size(lam: Partition, nvars: int) -> int:
@@ -325,6 +324,28 @@ def maximal_cdd(w: AffinePermutation) -> tuple[list[frozenset[int]], Partition]:
     return sets, check_partition(tuple(len(J) for J in sets))
 
 
+def interval_set(n: int, lo: int, hi: int) -> frozenset[int]:
+    """The cyclic interval ``[lo, hi]`` mod n."""
+    span = (hi - lo) % n + 1
+    return frozenset((lo + t) % n for t in range(span))
+
+
+def grassmannian_by_products(n: int, lam: Partition) -> AffinePermutation:
+    """:func:`cylkit.affine.grassmannian_from_kbounded` by the route it
+    replaced: ``g(lam) = d_{J_p} * g(lam[:-1])`` with ``J_p = [-p+1,
+    lam_p - p]`` mod n, each ``d_J`` a built element and each product
+    checked by its length, counted from the window pairs, and by its
+    values to be 0-Grassmannian."""
+    if not lam:
+        return AffinePermutation.identity(n)
+    p = len(lam)
+    g = (cyclic_element(n, interval_set(n, -p + 1, lam[-1] - p), True)
+         * grassmannian_by_products(n, lam[:-1]))
+    if g.length != sum(lam) or not is_grassmannian_by_values(g, 0):
+        raise AssertionError(f"canonical Grassmannian product failed for {lam}")
+    return g
+
+
 def grassmannianize_by_elements(w: AffinePermutation, seed: int | None = None
                                 ) -> tuple[AffinePermutation, int]:
     """The generic Grassmannianization sweep on group elements: every step
@@ -580,6 +601,51 @@ def lr_coefficient_lattice(lam: Partition, mu: Partition, nu: Partition) -> int:
         return total
 
     return rec(0, Counter())
+
+
+@functools.cache
+def rim_hook_product(m: int, n: int, mu: Partition, nu: Partition
+                     ) -> dict[tuple[Partition, int], int]:
+    """``sigma_mu * sigma_nu`` in the quantum cohomology of Gr(m, n) as
+    ``{(lam, d): C^{lam,d}_{mu,nu}}``, zeros left out, by the rim-hook rule
+    of Bertram, Ciocan-Fontanine and Fulton (J. Algebra 1999), independent
+    of cylindric shapes and affine permutations.
+
+    Expand ``s_mu s_nu`` classically (:func:`cylkit.symfunc.lr_coeff`),
+    keeping the partitions with at most ``m`` rows.  Put each on the
+    ``m``-bead abacus, bead ``i`` at ``lam_i + m - i``, and move the top
+    bead down by ``n`` while it is at least ``n``: each move removes an
+    ``n``-rim hook, gives one power of ``q`` and the sign
+    ``(-1)^(m-1-leg)``, ``leg`` the number of beads it passes, and a move
+    onto another bead gives 0.  Memoized per product; callers must not
+    change the table."""
+    out: Counter = Counter()
+    for lam in partitions_of(sum(mu) + sum(nu), max_part=part(mu, 1) + part(nu, 1),
+                             max_len=m):
+        c = lr_coeff(lam, mu, nu)
+        beads = [part(lam, i) + m - i for i in range(1, m + 1)]  # decreasing
+        d = 0
+        while c and beads[0] >= n:
+            top = beads.pop(0) - n
+            if top in beads:
+                c = 0
+            else:
+                leg = sum(1 for b in beads if b > top)
+                c *= (-1) ** (m - 1 - leg)
+                beads.insert(leg, top)
+                d += 1
+        if c:
+            core = tuple(b - (m - i) for i, b in enumerate(beads, 1) if b > m - i)
+            out[core, d] += c
+    return {key: c for key, c in out.items() if c}
+
+
+def rim_hook_gw(m: int, n: int, lam: Partition, d: int, mu: Partition,
+                nu: Partition) -> int:
+    """The 3-point invariant ``C^{lam,d}_{mu,nu}`` of Gr(m, n), as
+    :func:`cylkit.stanley.gromov_witten` names it, read from
+    :func:`rim_hook_product`."""
+    return rim_hook_product(m, n, mu, nu).get((lam, d), 0)
 
 
 def poly_mul_monomial_tables(nvars: int, p: dict, q: dict) -> dict:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylkit.affine import (
-    _CYCLIC_ELEMENT_CACHE,
     AffinePermutation,
     cyclic_element,
     cyclic_factors,
@@ -18,7 +17,6 @@ from cylkit.affine import (
     grassmannian_code,
     grassmannian_from_kbounded,
     grassmannians_of_length,
-    interval_set,
     inverse_window,
     is_321_avoiding,
     letter_multiplicities,
@@ -53,6 +51,7 @@ from oracles import (
     is_grassmannian_by_values,
     letter_multiplicities_greedy,
     in_A_by_positions,
+    interval_set,
     max_cyclic_factor_by_positions,
     max_cyclic_factor_exhaustive,
     maximal_cdd,
@@ -376,6 +375,12 @@ class TestCyclicElements:
             with pytest.raises(InvalidInputError):
                 cyclic_element(4, frozenset(range(4)), decreasing)
 
+    def test_members_out_of_range_rejected(self):
+        for J in (frozenset({4}), frozenset({-1, 0})):
+            for decreasing in (True, False):
+                with pytest.raises(InvalidInputError):
+                    cyclic_element(4, J, decreasing)
+
     def test_length_is_size(self):
         for size in range(4):
             for members in proper_subsets(4, size):
@@ -405,17 +410,20 @@ class TestCyclicElements:
                             assert win == x.window, (w, members, decreasing)
                             assert w.length + size - 2 * falls == x.length
 
-    def test_element_is_memoized_until_caches_clear(self):
-        J = frozenset({1, 2, 4})
-        clear_caches()
-        first = cyclic_element(6, J, False)
-        assert first == AffinePermutation.from_word(6, cyclic_word(6, J, False))
-        assert cyclic_element(6, J, False) is first
-        assert _CYCLIC_ELEMENT_CACHE == {(6, J, False): first}
-        clear_caches()
-        assert not _CYCLIC_ELEMENT_CACHE
-        again = cyclic_element(6, J, False)
-        assert again == first and again is not first
+    def test_element_is_its_canonical_word(self):
+        # every proper J for n = 2..8, both directions: the element of the
+        # canonical word, of length |J| as counted afresh from its window
+        cases = 0
+        for n in range(2, 9):
+            for size in range(n):
+                for members in proper_subsets(n, size):
+                    for decreasing in (True, False):
+                        x = cyclic_element(n, members, decreasing)
+                        assert x == AffinePermutation.from_word(
+                            n, cyclic_word(n, members, decreasing)), (members, decreasing)
+                        assert AffinePermutation(n, x.window).length == size, (members, decreasing)
+                        cases += 1
+        assert cases == 1002
 
 
 class TestMaxCyclicFactor:

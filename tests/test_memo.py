@@ -42,7 +42,7 @@ def test_clear_caches_empties_every_table():
     lr_coeff((2, 1), (1,), (1, 1))
     enumerate_reduced_words(AffinePermutation.from_word(4, [1, 0, 2]), 6)
     tables = memo_tables()
-    assert len(tables) == 6
+    assert len(tables) == 5
     assert all(tables.values()), [name for name, t in tables.items() if not t]
     clear_caches()
     assert not any(tables.values()), [name for name, t in tables.items() if t]

@@ -15,8 +15,7 @@ from cylkit.affine import (
     cyclic_runs,
     elements_by_length,
     grassmannian_from_kbounded,
-    interval_set,
-    inverse_window,
+    grassmannian_inverse_window,
     letter_multiplicities,
     proper_subsets,
     rotate,
@@ -37,6 +36,7 @@ from cylkit.errors import (
     CapExceededError,
     InvalidInputError,
     PositivityError,
+    ShapeError,
     SolveError,
 )
 from cylkit.memo import clear_caches
@@ -62,8 +62,11 @@ from oracles import (
     dominance_le,
     dual_pieri_branches_exhaustive,
     expand_state_by_tail,
+    grassmannian_by_products,
     grassmannianize_by_elements,
+    interval_set,
     oracle_expand_per_element,
+    rim_hook_gw,
     solve_exact_integer,
     stanley_coefficient_brute,
     stanley_monomials_by_products,
@@ -337,31 +340,34 @@ class TestDualPieriBranches:
         assert total == stanley_monomials(w, nvars)
 
     def test_head_elements_match_canonical_product(self):
-        # the memoized build, one product on the head one part shorter,
-        # against the full product d_{J_p} ... d_{J_1}, J_j = [-j+1, lam_j - j]
+        # the swap-run build against the product chain it replaced,
+        # d_{J_p} * g(lam[:-1]) with J_j = [-j+1, lam_j - j]: every lam
+        # with parts <= n - 1 and |lam| <= 10, n = 2..8
         clear_caches()
         cases = 0
         for n in range(2, 9):
             for size in range(11):
                 for lam in partitions_of(size, max_part=n - 1):
-                    full = AffinePermutation.identity(n)
-                    for j in range(len(lam), 0, -1):
-                        full = full * cyclic_element(
-                            n, interval_set(n, -j + 1, lam[j - 1] - j), True)
-                    assert grassmannian_from_kbounded(n, lam) == full, (n, lam)
+                    g, chain = grassmannian_from_kbounded(n, lam), grassmannian_by_products(n, lam)
+                    assert g == chain and g.length == chain.length, (n, lam)
                     cases += 1
         assert cases == 578
 
     def test_head_inverse_by_swap_runs(self):
         # the head's inverse window, one run of swaps per part on the
-        # identity, against the inverse of the memoized canonical product:
-        # every lam with parts <= n - 1 and |lam| <= 10, n = 2..8
+        # identity, against the inverse of the product chain and the product
+        # u_{J_1} ... u_{J_p}: every lam with parts <= n - 1 and |lam| <= 10,
+        # n = 2..8
         cases = 0
         for n in range(2, 9):
             for size in range(11):
                 for lam in partitions_of(size, max_part=n - 1):
-                    assert (stanley._head_inverse(n, lam) == inverse_window(
-                        n, grassmannian_from_kbounded(n, lam).window)), (n, lam)
+                    g_inv = AffinePermutation(n, grassmannian_inverse_window(n, lam))
+                    assert (g_inv * grassmannian_by_products(n, lam)).is_identity(), (n, lam)
+                    ups = AffinePermutation.identity(n)
+                    for j, part in enumerate(lam, 1):
+                        ups = ups * cyclic_element(n, interval_set(n, 1 - j, part - j), False)
+                    assert g_inv == ups, (n, lam)
                     cases += 1
         assert cases == 578
 
@@ -939,8 +945,6 @@ class TestQuantumPieri:
 
     @staticmethod
     def _coeff(ctype, lam, d, mu, nu):
-        from cylkit.errors import ShapeError
-
         try:
             return gromov_witten(ctype, lam, d, mu, nu)
         except ShapeError:
@@ -966,6 +970,37 @@ class TestQuantumPieri:
                 assert self._coeff(ctype, lam, 1, (1,), nu) == expected_q, \
                     (lam, nu)
                 assert self._coeff(ctype, lam, 2, (1,), nu) == 0
+
+
+class TestRimHookRule:
+    """Every invariant ``C^{lam,d}_{mu,nu}`` with ``d <= 2`` against the
+    rim-hook rule (:func:`oracles.rim_hook_gw`), which knows neither
+    cylindric shapes nor affine permutations.  A triple whose shape
+    ``lam/d/mu`` does not exist raises :class:`ShapeError` in
+    ``gromov_witten`` and counts as 0, and its rim-hook value must be 0."""
+
+    @pytest.mark.parametrize("mn, triples, refused, nonzero", [
+        ((2, 4), 648, 102, 40),
+        ((2, 5), 3000, 550, 125),
+        ((3, 6), 24000, 5240, 651),
+    ], ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,6)"])
+    def test_every_triple_matches(self, mn, triples, refused, nonzero):
+        m, n = mn
+        ctype = CylType(m, n)
+        box = partitions_in_box(m, n - m)
+        counts = [0, 0, 0]
+        for lam, mu, nu in itertools.product(box, repeat=3):
+            for d in range(3):
+                expected = rim_hook_gw(m, n, lam, d, mu, nu)
+                try:
+                    got = gromov_witten(ctype, lam, d, mu, nu)
+                except ShapeError:
+                    counts[1] += 1
+                    got = 0
+                assert got == expected, (lam, d, mu, nu)
+                counts[0] += 1
+                counts[2] += got != 0
+        assert counts == [triples, refused, nonzero]
 
 
 class TestDualPieriTheorem:
