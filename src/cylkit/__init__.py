@@ -43,6 +43,7 @@ Layout:
 
 from cylkit.errors import (
     CapExceededError,
+    ContainmentError,
     CylkitError,
     GradingError,
     InvalidInputError,
@@ -53,6 +54,7 @@ from cylkit.errors import (
 
 __all__ = [
     "CapExceededError",
+    "ContainmentError",
     "CylkitError",
     "GradingError",
     "InvalidInputError",

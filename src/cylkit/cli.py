@@ -47,6 +47,7 @@ from cylkit.affine import (
 )
 from cylkit.errors import (
     CapExceededError,
+    ContainmentError,
     InvalidInputError,
     PositivityError,
     SolveError,
@@ -168,17 +169,21 @@ def cmd_gw(args: SimpleNamespace) -> int:
 
     C^(lambda, d)_(mu, nu) of Gr(m, n), partitions comma-separated; --cap
     bounds the cell count of lambda/d/mu (exit 3 above it); --output is
-    text or json.
+    text or json.  A shape lambda/d/mu that does not exist (mu[0] is not
+    inside lambda[d]) has the value 0.
     """
     from cylkit.cylindric import CylType, is_toric, shape_new
 
     ctype = CylType(args.m, args.n)
-    shape = shape_new(ctype, args.lam, args.d, args.mu)  # built once, for both routes
-    value = gw_of_shape(shape, args.nu, cap=args.cap)
+    try:
+        shape = shape_new(ctype, args.lam, args.d, args.mu)  # built once, for both routes
+    except ContainmentError:
+        shape = None
+    value = gw_of_shape(ctype, shape, args.nu, cap=args.cap)
     degree_ok = (sum(args.lam) + args.n * args.d
                  == sum(args.mu) + sum(args.nu))
     toric = None
-    if is_toric(shape):
+    if shape is not None and is_toric(shape):
         oracle = toric_gw_of_shape(shape, cap=args.cap)
         toric = oracle.get(args.nu, 0) == value
     payload = {"command": "gw", "m": ctype.m, "n": ctype.n,
@@ -190,6 +195,8 @@ def cmd_gw(args: SimpleNamespace) -> int:
              f"(mu={list(args.mu)}, nu={list(args.nu)}) = {value}",
              f"degree constraint |lambda| + n*d == |mu| + |nu|: "
              f"{'met' if degree_ok else 'violated (value is 0)'}"]
+    if shape is None:
+        lines.append("shape lambda/d/mu does not exist (value is 0)")
     if toric is not None:
         lines.append(f"toric oracle agreement: {toric}")
     _emit(args, payload, lines)

@@ -30,7 +30,12 @@ from __future__ import annotations
 import itertools
 
 from cylkit.affine import AffinePermutation, Word, inversion_ends, letter_multiplicities
-from cylkit.errors import CapExceededError, InvalidInputError, ShapeError
+from cylkit.errors import (
+    CapExceededError,
+    ContainmentError,
+    InvalidInputError,
+    ShapeError,
+)
 from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, fits_box, part
 from cylkit.symfunc import SymmetricPolynomial, WeightTable, chain_table
@@ -235,9 +240,10 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     """Validated shape ``lam/d/mu``.
 
     Containment of the ideals is the rowwise inequality ``mu[0]_p <=
-    lam[d]_p`` over one period, checked on the shape's own boundaries.  The
-    partitions are validated once, here, and the boundaries are built from
-    them without re-validation.
+    lam[d]_p`` over one period, checked on the shape's own boundaries; its
+    failure alone raises :class:`ContainmentError`, a :class:`ShapeError`.
+    The partitions are validated once, here, and the boundaries are built
+    from them without re-validation.
     """
     lam = check_partition(tuple(lam))
     mu = check_partition(tuple(mu))
@@ -252,7 +258,7 @@ def shape_new(ctype: CylType, lam, d: int, mu) -> CylindricShape:
     outer = PeriodicSequence._trusted(ctype, _partition_rows(ctype, lam, d))
     inner = PeriodicSequence._trusted(ctype, _partition_rows(ctype, mu, 0))
     if not outer.contains(inner):
-        raise ShapeError(f"containment fails: {mu}[0] is not inside {lam}[{d}]")
+        raise ContainmentError(f"containment fails: {mu}[0] is not inside {lam}[{d}]")
     return CylindricShape(ctype, lam, d, mu, outer, inner)
 
 

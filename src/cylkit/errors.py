@@ -18,6 +18,11 @@ class ShapeError(InvalidInputError):
     """Partition does not fit the type, or boundary containment fails."""
 
 
+class ContainmentError(ShapeError):
+    """The shape ``lam/d/mu`` does not exist: ``mu[0]`` is not inside
+    ``lam[d]``, though both partitions fit the type."""
+
+
 class CapExceededError(CylkitError):
     """A configured size/length cap would be exceeded."""
 

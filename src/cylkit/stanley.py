@@ -45,7 +45,8 @@ part of the tail per level, so a shallower tail means fewer states (5,702
 -> 4,801 tables for a random ``w`` with n = 24, length 10), while ranking
 by length first raised one n = 32 element from 6,659 to 14,723 tables.
 For elements of a cylindric type the constructed ``v`` is instead a skew
-boundary word from a flat boundary, with the much smaller bound
+boundary word from a flat boundary below a boundary read off the window
+(the excedances of ``w``, in O(n)), with the much smaller bound
 ``(n-m)(m-1)/2``; the expansion takes it whenever every letter occurs
 (:func:`cylkit.affine.full_support`), as the sweep grew the recursion's
 states up to 200-fold on such elements.
@@ -66,8 +67,6 @@ three times as much per call, as CPython looks for the module's missing
 
 from __future__ import annotations
 
-import itertools
-
 from cylkit import memo
 from cylkit.affine import (
     AffinePermutation,
@@ -85,7 +84,12 @@ from cylkit.affine import (
     turned_window,
     window_descents,
 )
-from cylkit.errors import CapExceededError, InvalidInputError, PositivityError
+from cylkit.errors import (
+    CapExceededError,
+    ContainmentError,
+    InvalidInputError,
+    PositivityError,
+)
 from cylkit.frozen import Frozen
 from cylkit.partitions import Partition, check_partition, fits_box, schedule_less
 
@@ -193,29 +197,19 @@ def grassmannianize(w: AffinePermutation) -> tuple[AffinePermutation, int]:
     return AffinePermutation.from_word(n, letters), p
 
 
-def _candidate_boundaries(ctype: CylType):
-    """All boundaries up to value translation by n: ``R_m = offset`` and the
-    gaps ``R_{p-1} - R_p`` read from the bottom row up."""
-    import cylkit.cylindric as cylindric
-
-    m, n = ctype.m, ctype.n
-    for offset in range(n):
-        for gaps in itertools.product(range(n - m + 1), repeat=m - 1):
-            if sum(gaps) > n - m:
-                continue
-            rows = tuple(itertools.accumulate(gaps, initial=offset))[::-1]
-            # up from R_m the rows rise by gaps >= 0 that sum to <= n - m
-            yield cylindric.PeriodicSequence._trusted(ctype, rows)
-
-
 def grassmannianize_321(w: AffinePermutation,
                         ctype: CylType) -> tuple[AffinePermutation, int]:
     """Tight Grassmannianization for ``w`` in the cylindric basis.
 
-    Requires every generator to occur in ``w``.  Finds a boundary ``beta``
-    on which ``w`` acts, then takes ``v`` to be the boundary word from the
-    best flat boundary ``alpha(a)`` below ``beta``; averaging the cell counts
-    over the ``m`` anchors gives ``len(v) <= (n-m)(m-1)/2``.
+    Requires every generator to occur in ``w``.  Reads a boundary ``beta``
+    on which ``w`` acts off the window in O(n): its addable diagonals
+    ``a_p = R_p + 1 - p`` are the ``m`` excedances ``w(i) > i``, ``1 <= i
+    <= n``, taken cyclically from the one that puts ``R_m`` lowest mod
+    ``n``; the action is asserted on every call, and the test suite
+    certifies ``beta`` as the first admitting boundary of a search over all
+    of them.  Then takes ``v`` to be the boundary word from the best flat
+    boundary ``alpha(a)`` below ``beta``; averaging the cell counts over the
+    ``m`` anchors gives ``len(v) <= (n-m)(m-1)/2``.
     """
     import cylkit.cylindric as cylindric
 
@@ -231,10 +225,17 @@ def grassmannianize_321(w: AffinePermutation,
         raise InvalidInputError(
             "some generator never occurs; use the generic grassmannianize")
 
-    beta = next((b for b in _candidate_boundaries(ctype)
-                 if b.act(w) is not None), None)
-    if beta is None:
-        raise AssertionError(f"no boundary admits the action of {w}")
+    ups = [i for i, x in enumerate(w.window, 1) if x > i]  # the excedances
+    if len(ups) != m:
+        raise AssertionError(f"{w} has {len(ups)} excedances, not {m}")
+    k = min(range(m), key=lambda j: (ups[j] + m - 1) % n)
+    diagonals = ups[k:] + [i + n for i in ups[:k]]  # a_m < ... < a_1 < a_m + n
+    shift = (ups[k] + m - 1) // n * n  # puts R_m in [0, n)
+    # a_1 > ... > a_m > a_1 - n gives R_1 >= ... >= R_m >= R_1 - (n-m)
+    rows = tuple(diagonals[m - p] + p - 1 - shift for p in range(1, m + 1))
+    beta = cylindric.PeriodicSequence._trusted(ctype, rows)
+    if beta.act(w) is None:
+        raise AssertionError(f"the boundary {rows} does not admit {w}")
 
     def flat_cells(a: int) -> int:
         floor = beta.row_bound(a + m - 1)
@@ -526,25 +527,32 @@ def gromov_witten(ctype: CylType, lam, d: int, mu, nu,
     """The 3-point invariant ``C^{lam,d}_{mu,nu}`` of Gr(m, n).
 
     Degree-0 coefficient of the cylindric expansion; zero unless
-    ``|lam| + n*d == |mu| + |nu|``; for ``d = 0`` this is the classical
+    ``|lam| + n*d == |mu| + |nu|``, and zero when the shape ``lam/d/mu``
+    does not exist (``mu[0]`` is not inside ``lam[d]``: its cylindric skew
+    Schur function is 0); for ``d = 0`` this is the classical
     Littlewood-Richardson coefficient.  ``cap`` bounds the cell count of
     ``lam/d/mu`` as in :func:`expand_cylindric`.  The shape is built and
     validated once, then :func:`gw_of_shape` reads the invariant.
     """
     import cylkit.cylindric as cylindric
 
-    return gw_of_shape(cylindric.shape_new(ctype, lam, d, mu), nu, cap=cap)
+    try:
+        shape = cylindric.shape_new(ctype, lam, d, mu)
+    except ContainmentError:
+        shape = None
+    return gw_of_shape(ctype, shape, nu, cap=cap)
 
 
-def gw_of_shape(shape: CylindricShape, nu, cap: int = DEFAULT_EXPAND_CAP) -> int:
-    """:func:`gromov_witten` on the built shape ``lam/d/mu``; ``nu`` is
-    validated here."""
-    ctype = shape.ctype
+def gw_of_shape(ctype: CylType, shape: CylindricShape | None, nu,
+                cap: int = DEFAULT_EXPAND_CAP) -> int:
+    """:func:`gromov_witten` on the built shape ``lam/d/mu`` of type
+    ``ctype``, or None for a shape that does not exist, whose invariants
+    are 0; ``nu`` is validated here in either case."""
     m, n = ctype.m, ctype.n
     nu = check_partition(tuple(nu))
     if not fits_box(nu, m, n - m):
         raise InvalidInputError(f"nu={nu} does not fit the ({m},{n}) box")
-    if sum(shape.lam) + n * shape.d != sum(shape.mu) + sum(nu):
+    if shape is None or sum(shape.lam) + n * shape.d != sum(shape.mu) + sum(nu):
         return 0
     return expand_cylindric(shape, cap=cap).coeffs.get((nu, 0), 0)
 

@@ -393,6 +393,58 @@ def grassmannianize_by_elements(w: AffinePermutation, seed: int | None = None
     return v, p
 
 
+def candidate_boundaries(ctype: CylType) -> Iterator[PeriodicSequence]:
+    """Every boundary up to value translation by n: ``R_m = offset`` for
+    ``offset = 0 .. n-1``, and the gaps ``R_{p-1} - R_p`` read from the
+    bottom row up, in product order.  Built trusted: the gaps are ``>= 0``
+    and sum to ``<= n - m`` (``TestAct`` passes each through the public
+    constructor)."""
+    m, n = ctype.m, ctype.n
+    for offset in range(n):
+        for gaps in itertools.product(range(n - m + 1), repeat=m - 1):
+            if sum(gaps) > n - m:
+                continue
+            rows = tuple(itertools.accumulate(gaps, initial=offset))[::-1]
+            yield PeriodicSequence._trusted(ctype, rows)
+
+
+def first_admitting_boundary(w: AffinePermutation,
+                             ctype: CylType) -> PeriodicSequence | None:
+    """The first boundary of :func:`candidate_boundaries` on which ``w``
+    acts, or None: the search that the tight Grassmannianization replaced
+    by reading its boundary off the excedances of ``w``."""
+    return next((b for b in candidate_boundaries(ctype)
+                 if b.act(w) is not None), None)
+
+
+def tight_grassmannianize_by_search(w: AffinePermutation, ctype: CylType
+                                    ) -> tuple[PeriodicSequence, AffinePermutation, int]:
+    """``(beta, v, p)`` of the tight Grassmannianization by search: ``beta``
+    is :func:`first_admitting_boundary`; of the flat boundaries ``alpha``
+    inside it (rows ``floor + (n-m)`` above the anchor row ``a``, ``floor``
+    from it down, the floor lowered one step at a time until ``beta``
+    contains ``alpha``) the one with the fewest cells, then the least ``a``,
+    is peeled cell by cell into ``v`` (:func:`boundary_word_peel`); ``p``
+    is the one right descent of ``w*v``."""
+    m, n = ctype.m, ctype.n
+    beta = first_admitting_boundary(w, ctype)
+    best = None
+    for a in range(1, m + 1):
+        floor = max(beta.rows)
+        while True:
+            alpha = PeriodicSequence(ctype, tuple(
+                floor + (n - m) if p < a else floor for p in range(1, m + 1)))
+            if beta.contains(alpha):
+                break
+            floor -= 1
+        cells = sum(beta.rows) - sum(alpha.rows)
+        if best is None or cells < best[0]:
+            best = cells, alpha
+    v = boundary_word_peel(best[1], beta)
+    (p,) = right_descents_by_values(w * v)
+    return beta, v, p
+
+
 def dual_pieri_branches_exhaustive(w: AffinePermutation, part_size: int,
                                    part_index: int):
     """The dual-Pieri branch families by scanning every ``J`` of
@@ -837,6 +889,12 @@ def cylindric_tableaux(shape: CylindricShape, nvars: int) -> Iterator[CylTableau
         except AssertionError:
             continue
         yield tableau
+
+
+def conjugate(lam: Partition) -> Partition:
+    """The transposed partition: part ``j`` counts the parts of ``lam``
+    that are ``>= j``."""
+    return tuple(sum(1 for x in lam if x >= j) for j in range(1, part(lam, 1) + 1))
 
 
 def dominance_le(mu: Partition, lam: Partition) -> bool:

@@ -210,6 +210,26 @@ class TestGw:
         assert payload["value"] == 2
         assert payload["toric_oracle_agrees"] is True
 
+    def test_shape_that_does_not_exist_is_zero(self, capsys):
+        # (2,2)[0] is not inside ()[1]: the degree condition holds, and the
+        # invariant is 0, as the rim-hook rule gives
+        argv = ("gw", "--m", "2", "--n", "5", "--d", "1", "--mu", "2,2",
+                "--nu", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "= 0\n" in out and "does not exist" in out
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["value"] == 0 and payload["degree_constraint_met"] is True
+        assert payload["toric_oracle_agrees"] is None
+
+    def test_shape_errors_other_than_containment_still_exit_2(self, capsys):
+        shape = ("gw", "--m", "2", "--n", "5", "--mu", "2,2")
+        for extra in (("--d", "-1", "--nu", "1"), ("--d", "1", "--nu", "4"),
+                      ("--lambda", "4", "--nu", "1")):
+            assert run(capsys, *shape, *extra)[0] == EXIT_PARSE, extra
+
     def test_builds_the_shape_once(self, capsys, monkeypatch):
         # the README example: the expansion and the toric oracle share the
         # one shape the command builds and validates

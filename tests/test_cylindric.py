@@ -40,7 +40,7 @@ from cylkit.cylindric import (
 from cylkit.errors import InvalidInputError, ShapeError
 from cylkit.memo import clear_caches
 from cylkit.partitions import partitions_in_box
-from cylkit.stanley import _candidate_boundaries, expand_cylindric, grassmannianize_321
+from cylkit.stanley import expand_cylindric, grassmannianize_321
 from cylkit.symfunc import SymmetricPolynomial, skew_schur_poly
 from cylkit.verify import SHAPE_TYPES, valid_shapes
 
@@ -48,6 +48,7 @@ from oracles import (
     act_by_values,
     apply_word_by_boxes,
     boundary_word_peel,
+    candidate_boundaries,
     cylindric_tableaux,
     is_toric_by_columns,
     orbit_size,
@@ -275,7 +276,7 @@ class TestAct:
             elements = [w for level in elements_by_length(n, 5) for w in level]
             for m in range(1, n):
                 ctype = CylType(m, n)
-                for b in _candidate_boundaries(ctype):
+                for b in candidate_boundaries(ctype):
                     assert PeriodicSequence(ctype, b.rows) == b, b
                     for w in elements:
                         got = b.act(w)
@@ -289,8 +290,9 @@ class TestAct:
 
 class TestTrustedBoundaries:
     """Every boundary the package builds unvalidated (action images, the
-    empty boundary, Grassmannianization candidates and flat anchors) also
-    passes the public constructor along the expansion routes."""
+    empty boundary, the tight Grassmannianization's boundary read off the
+    excedances, and flat anchors) also passes the public constructor along
+    the expansion routes."""
 
     @staticmethod
     def _validating(monkeypatch):

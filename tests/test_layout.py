@@ -3,7 +3,8 @@ no module of the package or the tests imports a name it does not use, no
 function of the package re-imports from a module its file imports at top
 level, the package calls no ``.value(...)`` reader, keeps derived values
 in fields (no ``cached_property``, no instance ``__dict__``), imports no
-``dataclasses``, and it computes with integers only.
+``dataclasses``, and it computes with integers only.  Every module of the
+package parses as the oldest Python that ``pyproject.toml`` declares.
 
 A module-level function or class must be referenced by name (a ``Name``,
 an ``Attribute`` or an import), and a method that is not a dunder by an
@@ -15,7 +16,10 @@ reached from a test module, directly or through another oracle.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cylkit"
@@ -295,3 +299,23 @@ def test_package_arithmetic_is_exact_integers():
     found = {name: bad for name, tree in trees.items()
              if (bad := inexact_arithmetic(tree))}
     assert found == {}
+
+
+def declared_floor() -> tuple[int, int]:
+    """``(major, minor)`` of ``requires-python = ">=major.minor"``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_floor_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=declared_floor())
+
+
+def test_package_parses_as_the_declared_python_floor():
+    assert declared_floor() == (3, 10)
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=declared_floor())

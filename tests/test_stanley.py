@@ -14,6 +14,7 @@ from cylkit.affine import (
     cyclic_element,
     cyclic_runs,
     elements_by_length,
+    full_support,
     grassmannian_from_kbounded,
     grassmannian_inverse_window,
     letter_multiplicities,
@@ -59,6 +60,7 @@ from cylkit.verify import SHAPE_TYPES, valid_shapes
 
 from oracles import (
     code_unfolded,
+    conjugate,
     dominance_le,
     dual_pieri_branches_exhaustive,
     expand_state_by_tail,
@@ -66,10 +68,12 @@ from oracles import (
     grassmannianize_by_elements,
     interval_set,
     oracle_expand_per_element,
+    partition_boundary,
     rim_hook_gw,
     solve_exact_integer,
     stanley_coefficient_brute,
     stanley_monomials_by_products,
+    tight_grassmannianize_by_search,
 )
 
 T36 = CylType(3, 6)
@@ -268,6 +272,54 @@ class TestGrassmannianize321:
         assert not any(w.is_grassmannian(p) for p in range(6))
         with pytest.raises(InvalidInputError):
             grassmannianize_321(w, T36)
+
+    @staticmethod
+    def _matches_search(monkeypatch, words):
+        """The boundary ``beta`` read off the excedances (the outer argument
+        of the one ``boundary_word`` call) and ``(v, p)`` against the search
+        oracle, on each of ``words``; returns how many were checked."""
+        import cylkit.cylindric as cylindric
+
+        seen = []
+        original = cylindric.boundary_word
+        monkeypatch.setattr(cylindric, "boundary_word",
+                            lambda inner, outer: seen.append(outer)
+                            or original(inner, outer))
+        for w, ctype in words:
+            seen.clear()
+            v, p = grassmannianize_321(w, ctype)
+            assert (*seen, v, p) == tight_grassmannianize_by_search(w, ctype), w
+        return len(words)
+
+    def test_matches_search_on_skew_words(self, monkeypatch):
+        # full-support skew words with at least two right descents, from
+        # every shape of up to 11 cells (10 for Gr(5,10))
+        words = {}
+        for m, n, max_cells in [(2, 4, 11), (2, 5, 11), (2, 6, 11), (2, 7, 11),
+                                (3, 6, 11), (3, 7, 11), (3, 8, 11), (4, 8, 11),
+                                (4, 9, 11), (5, 10, 10)]:
+            ctype = CylType(m, n)
+            box = partitions_in_box(m, n - m)
+            for lam, mu, d in itertools.product(box, box, range(max_cells // n + 1)):
+                # full support needs a cell on every diagonal
+                if not n <= sum(lam) - sum(mu) + n * d <= max_cells:
+                    continue
+                try:
+                    w = skew_word(shape_new(ctype, lam, d, mu))
+                except ShapeError:
+                    continue
+                if full_support(w) and len(w.right_descents()) >= 2:
+                    words[w, ctype] = None
+        assert self._matches_search(monkeypatch, list(words)) == 2768
+
+    def test_matches_search_on_the_basis(self, monkeypatch):
+        # every full-support element of A(m, n) with at least two right
+        # descents, n <= 7 and length <= 9
+        words = [(w, CylType(m, n))
+                 for n in range(2, 8) for level in elements_by_length(n, 9)
+                 for w in level if full_support(w) and len(w.right_descents()) >= 2
+                 for m in range(1, n) if in_A(w, CylType(m, n))]
+        assert self._matches_search(monkeypatch, words) == 914
 
     @pytest.mark.parametrize("ctype", [T24, CylType(2, 5), T36])
     def test_bound_on_skew_words(self, ctype):
@@ -896,6 +948,44 @@ class TestExpandCylindric:
             expand_cylindric(s)
 
 
+class TestDuality:
+    """Gr(m, n) and Gr(n-m, n) are the same Grassmannian with every
+    partition transposed, so the expansion of ``lam/d/mu`` is that of
+    ``lam'/d/mu'`` on the dual type with keys ``(nu', e)``.  The two sides
+    run the cylindric route on different types and different elements;
+    ``tight`` counts the memo misses that take the flat anchor
+    (:func:`cylkit.stanley.grassmannianize_321`), over both sides."""
+
+    @pytest.mark.parametrize("m, n, max_cells, shapes, tight", [
+        (2, 4, 10, 88, 7),
+        (2, 5, 10, 202, 21),
+        (2, 6, 9, 285, 26),
+        (3, 6, 9, 481, 21),
+        (3, 7, 8, 1111, 23),
+    ], ids=["Gr(2,4)", "Gr(2,5)", "Gr(2,6)", "Gr(3,6)", "Gr(3,7)"])
+    def test_transposed_shapes_expand_alike(self, monkeypatch, m, n, max_cells,
+                                            shapes, tight):
+        calls = []
+        original = stanley.grassmannianize_321
+
+        def counted(w, ctype):
+            calls.append(w)
+            return original(w, ctype)
+
+        monkeypatch.setattr(stanley, "grassmannianize_321", counted)
+        clear_caches()
+        ctype, dual = CylType(m, n), CylType(n - m, n)
+        count = 0
+        for s in valid_shapes(ctype, max_cells):
+            got = expand_cylindric(shape_new(dual, conjugate(s.lam), s.d,
+                                             conjugate(s.mu))).coeffs
+            want = {(conjugate(nu), e): c
+                    for (nu, e), c in expand_cylindric(s).coeffs.items()}
+            assert got == want, s
+            count += 1
+        assert (count, len(calls)) == (shapes, tight)
+
+
 class TestGromovWitten:
     def test_degree_zero_is_lr(self):
         assert gromov_witten(T36, (2, 1), 0, (1,), (1, 1)) == \
@@ -940,15 +1030,9 @@ class TestQuantumPieri:
     exactly when nu fills the first row and every row is nonempty, and then
     the target is nu with its first row removed and every other row shrunk
     by one.  Together with the classical addable-box terms at degree 0 this
-    pins every coefficient C^{lam,d}_{(1),nu} for d <= 2.
+    pins every coefficient C^{lam,d}_{(1),nu} for d <= 2; ``gromov_witten``
+    itself answers 0 where the shape lam/d/(1) does not exist.
     """
-
-    @staticmethod
-    def _coeff(ctype, lam, d, mu, nu):
-        try:
-            return gromov_witten(ctype, lam, d, mu, nu)
-        except ShapeError:
-            return 0  # the shape does not exist, so neither does the term
 
     @pytest.mark.parametrize("mn", [(2, 4), (2, 5), (3, 6)])
     def test_single_box_products(self, mn):
@@ -964,43 +1048,42 @@ class TestQuantumPieri:
                 lam_pad = tuple(lam) + (0,) * (m + 1 - len(lam))
                 diff = [b - a for a, b in zip(padded + (0,), lam_pad)]
                 classical = int(all(x >= 0 for x in diff) and sum(diff) == 1)
-                assert self._coeff(ctype, lam, 0, (1,), nu) == classical, \
+                assert gromov_witten(ctype, lam, 0, (1,), nu) == classical, \
                     (lam, nu)
                 expected_q = int(quantum_target == lam)
-                assert self._coeff(ctype, lam, 1, (1,), nu) == expected_q, \
+                assert gromov_witten(ctype, lam, 1, (1,), nu) == expected_q, \
                     (lam, nu)
-                assert self._coeff(ctype, lam, 2, (1,), nu) == 0
+                assert gromov_witten(ctype, lam, 2, (1,), nu) == 0
 
 
 class TestRimHookRule:
     """Every invariant ``C^{lam,d}_{mu,nu}`` with ``d <= 2`` against the
     rim-hook rule (:func:`oracles.rim_hook_gw`), which knows neither
-    cylindric shapes nor affine permutations.  A triple whose shape
-    ``lam/d/mu`` does not exist raises :class:`ShapeError` in
-    ``gromov_witten`` and counts as 0, and its rim-hook value must be 0."""
+    cylindric shapes nor affine permutations.  ``gromov_witten`` answers
+    every triple, 0 where the shape ``lam/d/mu`` does not exist; those
+    triples are counted from containment of the boundaries built by
+    :func:`oracles.partition_boundary`."""
 
-    @pytest.mark.parametrize("mn, triples, refused, nonzero", [
+    @pytest.mark.parametrize("mn, triples, absent, nonzero", [
         ((2, 4), 648, 102, 40),
         ((2, 5), 3000, 550, 125),
         ((3, 6), 24000, 5240, 651),
     ], ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,6)"])
-    def test_every_triple_matches(self, mn, triples, refused, nonzero):
+    def test_every_triple_matches(self, mn, triples, absent, nonzero):
         m, n = mn
         ctype = CylType(m, n)
         box = partitions_in_box(m, n - m)
         counts = [0, 0, 0]
-        for lam, mu, nu in itertools.product(box, repeat=3):
-            for d in range(3):
-                expected = rim_hook_gw(m, n, lam, d, mu, nu)
-                try:
-                    got = gromov_witten(ctype, lam, d, mu, nu)
-                except ShapeError:
-                    counts[1] += 1
-                    got = 0
-                assert got == expected, (lam, d, mu, nu)
+        for lam, mu, d in itertools.product(box, box, range(3)):
+            exists = partition_boundary(ctype, lam, d).contains(
+                partition_boundary(ctype, mu, 0))
+            for nu in box:
+                got = gromov_witten(ctype, lam, d, mu, nu)
+                assert got == rim_hook_gw(m, n, lam, d, mu, nu), (lam, d, mu, nu)
                 counts[0] += 1
+                counts[1] += not exists
                 counts[2] += got != 0
-        assert counts == [triples, refused, nonzero]
+        assert counts == [triples, absent, nonzero]
 
 
 class TestDualPieriTheorem:
